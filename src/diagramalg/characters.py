@@ -9,7 +9,6 @@ independent oracle.
 """
 
 import json
-import os
 from collections import namedtuple
 from fractions import Fraction
 
@@ -25,8 +24,10 @@ from .diagrams import (
     SYMMETRIC_GROUP,
     TEMPERLEY_LIEB,
     Diagram,
+    enumeration_cap,
     normalize_family,
     perm_diagram,
+    size_cap,
 )
 from .errors import (
     CapExceeded,
@@ -140,13 +141,6 @@ def class_diagram(family, k, kappa, s=None):
     return Element(k, family, {d: LaurentPoly.monomial(-s)})
 
 
-def _enum_cap(family):
-    env = os.environ.get("DIAGRAMALG_CAP")
-    if env is not None:
-        return int(env)
-    return 5 if family in (PARTITION, PLANAR_PARTITION) else 7
-
-
 def fixed_points(family, k, m, kappa):
     """Symmetric m-diagrams fixed by conjugation with gamma_kappa, grouped
     by the cycle type of the induced twist.
@@ -169,7 +163,7 @@ def fixed_points(family, k, m, kappa):
         raise InvalidRank(
             "%s diagrams on %d strands have no rank %r" % (family, k, m)
         )
-    if k > _enum_cap(family):
+    if k > enumeration_cap(family):
         raise CapExceeded("fixed_points at k=%d exceeds the cap" % k)
     gamma = gamma_diagram(kappa)
     out = {mu: [] for mu in partitions(m)}
@@ -495,20 +489,13 @@ def table_determinant_check(family, k):
     return DeterminantCheck(det, expected, det == expected)
 
 
-def _oracle_cap():
-    env = os.environ.get("DIAGRAMALG_CAP")
-    if env is not None:
-        return int(env)
-    return 5
-
-
 def character_oracle(family, k, lam_star, kappa, s=None):
     """Trace of the class element on an explicit matrix of the module.
 
     Returns the trace as a Laurent polynomial in n (a constant whenever
     the closed form applies)."""
     family = normalize_family(family)
-    if k > _oracle_cap():
+    if k > size_cap(5):
         raise CapExceeded("character_oracle at k=%d exceeds the cap" % k)
     lam_star = check_partition(lam_star)
     if lam_star not in lambda_star_labels(family, k):

@@ -33,7 +33,7 @@ def _partition_type(text):
     if not body:
         return ()
     try:
-        parts = tuple(sorted((int(tok) for tok in body.split()), reverse=True))
+        parts = tuple(int(tok) for tok in body.split())
     except ValueError:
         raise argparse.ArgumentTypeError(
             "expected a partition like [2,1], got %r" % (text,)
@@ -41,6 +41,10 @@ def _partition_type(text):
     if any(p < 1 for p in parts):
         raise argparse.ArgumentTypeError(
             "partition parts must be positive, got %r" % (text,)
+        )
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise argparse.ArgumentTypeError(
+            "partition parts must weakly decrease, got %r" % (text,)
         )
     return parts
 
@@ -301,37 +305,10 @@ def _suite_module_axiom(family, k, rng, cases, report):
     return ok
 
 
-_FAMILY_GENERATORS = {
-    diagrams.PARTITION: "SPBELR",
-    diagrams.SYMMETRIC_GROUP: "S",
-    diagrams.ROOK: "SPLR",
-    diagrams.BRAUER: "SE",
-    diagrams.ROOK_BRAUER: "SPELR",
-    diagrams.TEMPERLEY_LIEB: "E",
-    diagrams.MOTZKIN: "ELR",
-    diagrams.PLANAR_ROOK: "LR",
-}
-
-
-def family_generators(family, k):
-    """The standard generating diagrams of the family at k strands."""
-    family = diagrams.normalize_family(family)
-    if family == diagrams.PLANAR_PARTITION:
-        kinds = "PBELR"
-    else:
-        kinds = _FAMILY_GENERATORS[family]
-    out = []
-    for kind in kinds:
-        hi = k if kind == "P" else k - 1
-        for i in range(1, hi + 1):
-            out.append(diagrams.generator(kind, i, k))
-    return out
-
-
 def _suite_basis_equivalence(family, k, report):
     ok = True
     for lam in lambda_star_labels(family, k):
-        for g in family_generators(family, k):
+        for g in diagrams.family_generators(family, k):
             twisted = irreps.rep_columns(g, family, k, lam, "Twisted")
             tableau = irreps.rep_columns(g, family, k, lam, "Tableau")
             if twisted != tableau:

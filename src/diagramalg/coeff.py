@@ -3,8 +3,12 @@
 Coefficients are Laurent polynomials in the parameter n with rational
 coefficients, so every product is computed symbolically; substituting a
 numeric n afterwards is a ring homomorphism wherever it is defined.
-Elements are formal linear combinations of diagrams tagged with their
-family, and multiplication inserts n^deleted for every concatenation.
+Every structure constant of a diagram algebra lies in Z[n, 1/n], so
+integral coefficients are stored as plain ints and Fraction is kept only
+for non-integral values such as rational user input.  Elements are formal
+linear combinations of diagrams tagged with their family, and
+multiplication shifts the exponents by the number of components deleted
+in each concatenation.
 """
 
 from fractions import Fraction
@@ -18,7 +22,11 @@ from .errors import (
 
 
 class LaurentPoly:
-    """Laurent polynomial in n over Q, stored as {exponent: Fraction}."""
+    """Laurent polynomial in n over Q, stored as {exponent: coefficient}.
+
+    A coefficient is an int when it is integral and a Fraction otherwise;
+    zero coefficients are never stored.
+    """
 
     __slots__ = ("terms",)
 
@@ -29,23 +37,39 @@ class LaurentPoly:
             for exp, c in items:
                 if not isinstance(exp, int):
                     raise ValueError("exponent must be an int, got %r" % (exp,))
-                c = Fraction(c)
-                if c:
-                    data[exp] = data.get(exp, Fraction(0)) + c
+                if type(c) is not int and not isinstance(c, Fraction):
+                    c = Fraction(c)
+                if exp in data:
+                    c += data[exp]
+                data[exp] = c
+        # integral Fractions become ints
         object.__setattr__(
-            self, "terms", {e: c for e, c in data.items() if c}
+            self,
+            "terms",
+            {
+                e: c if type(c) is int or c.denominator != 1 else c.numerator
+                for e, c in data.items()
+                if c
+            },
         )
+
+    @classmethod
+    def _from_clean(cls, terms):
+        # terms already holds only nonzero ints and non-integral Fractions
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def monomial(cls, exp, coeff=1):
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: coeff})
 
     @classmethod
     def const(cls, value):
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def coerce(cls, value):
@@ -68,13 +92,13 @@ class LaurentPoly:
         other = LaurentPoly.coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._from_clean({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-LaurentPoly.coerce(other))
@@ -88,10 +112,16 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
+
+    def shift(self, by):
+        """The polynomial times n**by."""
+        if not by:
+            return self
+        return LaurentPoly._from_clean({e + by: c for e, c in self.terms.items()})
 
     def __pow__(self, power):
         if not isinstance(power, int) or power < 0:
@@ -119,7 +149,7 @@ class LaurentPoly:
     def constant_value(self):
         """The rational value if the polynomial is constant, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if set(self.terms) == {0}:
             return self.terms[0]
         return None
@@ -253,8 +283,10 @@ class Element:
         for d1, c1 in self.combo.items():
             for d2, c2 in other.combo.items():
                 prod, deleted = concat(d1, d2)
-                c = c1 * c2 * LaurentPoly.monomial(deleted)
-                out[prod] = out.get(prod, ZERO) + c
+                c = (c1 * c2).shift(deleted)
+                if prod in out:
+                    c = out[prod] + c
+                out[prod] = c
         return Element(self.k, self.family, out)
 
     def __eq__(self, other):
@@ -269,8 +301,10 @@ class Element:
         return hash((self.k, self.family, frozenset(self.combo.items())))
 
     def evaluate(self, value):
-        """Substitute a rational n; returns {diagram: Fraction}."""
-        return {d: c.evaluate(value) for d, c in sorted(self.combo.items())}
+        """Substitute a rational n; returns {diagram: Fraction}, leaving
+        out the diagrams whose coefficient vanishes at n."""
+        values = ((d, c.evaluate(value)) for d, c in sorted(self.combo.items()))
+        return {d: v for d, v in values if v}
 
     def __str__(self):
         if not self.combo:

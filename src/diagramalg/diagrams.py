@@ -20,6 +20,7 @@ from .errors import (
     DiagramSyntaxError,
     DuplicateVertex,
     IndexOutOfRange,
+    InvalidCap,
     MissingVertex,
     RankMismatch,
 )
@@ -161,25 +162,29 @@ def format_diagram(d):
     )
 
 
-class _DSU:
-    __slots__ = ("parent",)
+def _roots(size, groups):
+    """Join the nodes of each group; return the root of every node 0..size-1.
 
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    A flat-list union-find with path halving, its finds written out inline:
+    the single kernel behind concatenation, conjugation and the action on
+    tableaux.
+    """
+    parent = list(range(size))
+    for group in groups:
+        ra = group[0]
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        for v in group[1:]:
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if v != ra:
+                parent[v] = ra
+    for v in range(size):
+        r = v
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[v] = r
+    return parent
 
 
 def concat(d1, d2):
@@ -192,27 +197,26 @@ def concat(d1, d2):
     if d1.k != d2.k:
         raise RankMismatch("cannot concatenate k=%d with k=%d" % (d1.k, d2.k))
     k = d1.k
-    # node layout: 1..k top of d1, k+1..2k middle, 2k+1..3k bottom of d2
-    dsu = _DSU(3 * k + 1)
-    for block in d1.blocks:
-        for v in block[1:]:
-            dsu.union(block[0], v)
-    for block in d2.blocks:
-        shifted = [v + k for v in block]
-        for v in shifted[1:]:
-            dsu.union(shifted[0], v)
-    groups = {}
-    for v in range(1, 3 * k + 1):
-        groups.setdefault(dsu.find(v), []).append(v)
-    blocks = []
-    deleted = 0
-    for members in groups.values():
-        outer = [v if v <= k else v - k for v in members if v <= k or v > 2 * k]
-        if outer:
-            blocks.append(tuple(outer))
+    # nodes: 1..k top of d1, k+1..2k middle, 2k+1..3k bottom of d2
+    groups = list(d1.blocks)
+    groups += [[v + k for v in block] for block in d2.blocks]
+    root = _roots(3 * k + 1, groups)
+    outer = {}
+    for v in range(1, k + 1):
+        r = root[v]
+        if r in outer:
+            outer[r].append(v)
         else:
-            deleted += 1
-    return ConcatResult(Diagram(k, blocks), deleted)
+            outer[r] = [v]
+    for v in range(2 * k + 1, 3 * k + 1):
+        r = root[v]
+        if r in outer:
+            outer[r].append(v - k)
+        else:
+            outer[r] = [v - k]
+    # every middle component without an outer vertex vanishes
+    deleted = len(set(root[k + 1 : 2 * k + 1]).difference(outer))
+    return ConcatResult(Diagram(k, outer.values()), deleted)
 
 
 def transpose(d):
@@ -229,30 +233,38 @@ def rank(d):
     return sum(1 for b in d.blocks if b[0] <= k < b[-1])
 
 
-def _positions(block, k):
-    # boundary reading order 1..k, k'..1'; bottom j' sits at 2k+1-j
-    return sorted(v if v <= k else 2 * k + 1 - (v - k) for v in block)
-
-
-def _interleave(pa, pb):
-    # two sorted position lists cross iff the merged label word switches
-    # between them at least three times
-    merged = sorted([(p, 0) for p in pa] + [(p, 1) for p in pb])
-    switches = 0
-    for (_, label), (_, prev) in zip(merged[1:], merged[:-1]):
-        if label != prev:
-            switches += 1
-    return switches >= 3
-
-
 def is_planar(d):
-    """True iff no two blocks cross in the boundary order 1..k, k'..1'."""
+    """True iff no two blocks cross in the boundary order 1..k, k'..1'.
+
+    One scan along the boundary keeps a stack of the blocks that are open
+    (met, not yet finished); a block may be revisited only while it is on
+    top, otherwise a block opened inside it is still open and they cross.
+    """
     k = d.k
-    pos = [_positions(b, k) for b in d.blocks]
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if _interleave(pos[i], pos[j]):
+    # boundary position of vertex v: top i at i, bottom j' (v = k + j) at
+    # 2k + 1 - j
+    owner = [0] * (2 * k + 1)
+    last = []
+    for i, block in enumerate(d.blocks):
+        end = 0
+        for v in block:
+            p = v if v <= k else 3 * k + 1 - v
+            owner[p] = i
+            if p > end:
+                end = p
+        last.append(end)
+    opened = [False] * len(last)
+    stack = []
+    for p in range(1, 2 * k + 1):
+        b = owner[p]
+        if opened[b]:
+            if stack[-1] != b:
                 return False
+        else:
+            opened[b] = True
+            stack.append(b)
+        if last[b] == p:
+            stack.pop()
     return True
 
 
@@ -412,8 +424,17 @@ def _rook_block_sets(k):
     yield from rec(1, set())
 
 
-def _default_cap(family):
-    return 5 if family in (PARTITION, PLANAR_PARTITION) else 7
+def size_cap(default):
+    """The size cap on enumeration: DIAGRAMALG_CAP if set, else default."""
+    env = os.environ.get("DIAGRAMALG_CAP")
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidCap(
+            "DIAGRAMALG_CAP must be an integer, got %r" % (env,)
+        ) from None
 
 
 def enumeration_cap(family):
@@ -423,10 +444,7 @@ def enumeration_cap(family):
     partition families, 7 elsewhere).
     """
     family = normalize_family(family)
-    env = os.environ.get("DIAGRAMALG_CAP")
-    if env is not None:
-        return int(env)
-    return _default_cap(family)
+    return size_cap(5 if family in (PARTITION, PLANAR_PARTITION) else 7)
 
 
 def enumerate_basis(family, k):
@@ -488,23 +506,24 @@ def algebra_dim(family, k):
     """Dimension of the diagram algebra (size of its basis), closed form."""
     from math import comb, factorial
 
-    family = normalize_family(family)
-    if family in (PARTITION, PLANAR_PARTITION):
-        if family == PARTITION:
-            from .partitions import bell
+    from .partitions import bell, catalan, double_factorial
 
-            return bell(2 * k)
-        return _catalan(2 * k)
+    family = normalize_family(family)
+    if family == PARTITION:
+        return bell(2 * k)
+    if family == PLANAR_PARTITION:
+        return catalan(2 * k)
     if family == BRAUER:
-        return _double_fact(2 * k - 1)
+        return double_factorial(2 * k - 1)
     if family == ROOK_BRAUER:
         return sum(
-            comb(2 * k, 2 * t) * _double_fact(2 * t - 1) for t in range(k + 1)
+            comb(2 * k, 2 * t) * double_factorial(2 * t - 1)
+            for t in range(k + 1)
         )
     if family == ROOK:
         return sum(comb(k, i) ** 2 * factorial(i) for i in range(k + 1))
     if family == TEMPERLEY_LIEB:
-        return _catalan(k)
+        return catalan(k)
     if family == MOTZKIN:
         return _motzkin_numbers(2 * k)
     if family == PLANAR_ROOK:
@@ -512,17 +531,24 @@ def algebra_dim(family, k):
     return factorial(k)
 
 
-def _catalan(n):
-    from math import comb
+_FAMILY_GENERATORS = {
+    PARTITION: "SPBELR",
+    PLANAR_PARTITION: "PBELR",
+    SYMMETRIC_GROUP: "S",
+    ROOK: "SPLR",
+    BRAUER: "SE",
+    ROOK_BRAUER: "SPELR",
+    TEMPERLEY_LIEB: "E",
+    MOTZKIN: "ELR",
+    PLANAR_ROOK: "LR",
+}
 
-    return comb(2 * n, n) // (n + 1)
 
-
-def _double_fact(n):
-    if n == -1:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
+def family_generators(family, k):
+    """The standard generating diagrams of the family at k strands."""
+    out = []
+    for kind in _FAMILY_GENERATORS[normalize_family(family)]:
+        hi = k if kind == "P" else k - 1
+        for i in range(1, hi + 1):
+            out.append(generator(kind, i, k))
     return out

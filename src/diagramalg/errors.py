@@ -34,6 +34,10 @@ class CapExceeded(DiagramAlgebraError):
     """An enumeration was requested beyond the configured size cap."""
 
 
+class InvalidCap(DiagramAlgebraError):
+    """The DIAGRAMALG_CAP environment variable is not an integer."""
+
+
 class AlgebraMismatch(DiagramAlgebraError):
     """Elements or diagrams belong to different algebras (k or family)."""
 

@@ -25,7 +25,7 @@ from .diagrams import (
     SYMMETRIC_GROUP,
     TEMPERLEY_LIEB,
     Diagram,
-    _DSU,
+    _roots,
     in_family,
     is_planar,
     normalize_family,
@@ -214,27 +214,23 @@ def _conjugate(d, w):
     # layers: L0 = result top (v), L1 = top of w (k+v), L2 = bottom of w
     # (2k+v), L3 = result bottom (3k+v); d spans L0-L1 and its transpose
     # spans L2-L3, so the whole stack is d w d^T
-    dsu = _DSU(4 * k + 1)
-    for block in d.blocks:
-        # top vertex v sits at L0 index v, bottom vertex k+j at L1 index k+j
-        for v in block[1:]:
-            dsu.union(block[0], v)
-        mirrored = [3 * k + v if v <= k else v + k for v in block]
-        for v in mirrored[1:]:
-            dsu.union(mirrored[0], v)
+    # d itself: top vertex v at L0 index v, bottom vertex k+j at L1 index
+    # k+j; its mirror sends top v to L3 index 3k+v and bottom k+j to L2
+    groups = list(d.blocks)
+    groups += [
+        tuple(3 * k + v if v <= k else v + k for v in block)
+        for block in d.blocks
+    ]
     prop = set(w.propagating)
     for b in w.top:
-        nodes = [k + v for v in b]
-        if b in prop:
-            nodes += [2 * k + v for v in b]
-        for v in nodes[1:]:
-            dsu.union(nodes[0], v)
-        mirror = [2 * k + v for v in b]
-        for v in mirror[1:]:
-            dsu.union(mirror[0], v)
+        above = tuple(k + v for v in b)
+        below = tuple(2 * k + v for v in b)
+        groups.append(above + below if b in prop else above)
+        groups.append(below)
+    root = _roots(4 * k + 1, groups)
     components = {}
     for v in range(1, 4 * k + 1):
-        components.setdefault(dsu.find(v), []).append(v)
+        components.setdefault(root[v], []).append(v)
     out_blocks = []
     deleted = 0
     for members in components.values():
@@ -250,12 +246,8 @@ def _conjugate(d, w):
     twist = None
     if m_prime == w.m:
         new_props = w_prime.prop_max_order()
-        root_of_new = {
-            dsu.find(b[0]): j + 1 for j, b in enumerate(new_props)
-        }
-        twist = tuple(
-            root_of_new[dsu.find(k + b[0])] for b in w.prop_max_order()
-        )
+        root_of_new = {root[b[0]]: j + 1 for j, b in enumerate(new_props)}
+        twist = tuple(root_of_new[root[k + b[0]]] for b in w.prop_max_order())
     return ConjugateResult(w_prime, m_prime, deleted, twist)
 
 
@@ -290,7 +282,7 @@ def act_twisted(d, v, family=None):
         res = conjugate(d, w)
         if res.twist is None:
             continue
-        factor = LaurentPoly.coerce(coeff) * LaurentPoly.monomial(res.deleted)
+        factor = LaurentPoly.coerce(coeff).shift(res.deleted)
         relabeled = tuple(
             tuple(res.twist[x - 1] for x in row) for row in t
         )
@@ -447,26 +439,22 @@ def act_tableau(d, tab):
             "diagram on %d strands against a tableau on %d" % (d.k, tab.k)
         )
     k = d.k
-    dsu = _DSU(2 * k + 1)
-    for block in d.blocks:
-        for v in block[1:]:
-            dsu.union(block[0], v)
     body = tab.body_blocks()
-    prop_root = []
-    for block in tab.first_row + tuple(body):
-        nodes = [k + v for v in block]
-        for v in nodes[1:]:
-            dsu.union(nodes[0], v)
+    root = _roots(
+        2 * k + 1,
+        d.blocks
+        + tuple(tuple(k + v for v in b) for b in tab.first_row + tuple(body)),
+    )
     components = {}
     for v in range(1, k + 1):
-        components.setdefault(dsu.find(v), {"top": [], "props": []})[
+        components.setdefault(root[v], {"top": [], "props": []})[
             "top"
         ].append(v)
     for block in tab.first_row:
-        components.setdefault(dsu.find(k + block[0]), {"top": [], "props": []})
+        components.setdefault(root[k + block[0]], {"top": [], "props": []})
     for idx, block in enumerate(body):
         comp = components.setdefault(
-            dsu.find(k + block[0]), {"top": [], "props": []}
+            root[k + block[0]], {"top": [], "props": []}
         )
         comp["props"].append(idx)
     cell_of = {}
@@ -510,7 +498,7 @@ def act_natural(d, v, family=None):
         moved, deleted = act_tableau(d, tab)
         if moved is None:
             continue
-        factor = LaurentPoly.coerce(coeff) * LaurentPoly.monomial(deleted)
+        factor = LaurentPoly.coerce(coeff).shift(deleted)
         order = sorted(moved.body_blocks(), key=max)
         filling = moved.body_filling()
         for ustd, c in straighten(filling).items():

@@ -99,6 +99,11 @@ def double_factorial(n):
     return out
 
 
+def catalan(n):
+    """The n-th Catalan number."""
+    return comb(2 * n, n) // (n + 1)
+
+
 @cache
 def bell(n):
     """Number of set partitions of an n-element set."""

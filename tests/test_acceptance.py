@@ -20,7 +20,7 @@ from diagramalg.characters import (
     irr_character,
     table_determinant_check,
 )
-from diagramalg.cli import family_generators
+from diagramalg.diagrams import family_generators
 from diagramalg.coeff import LaurentPoly
 from diagramalg.diagrams import (
     BRAUER,

@@ -233,3 +233,35 @@ def test_basis_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_bad_cap_is_a_domain_error_naming_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("DIAGRAMALG_CAP", "abc")
+    assert run(["basis", "--family", "brauer", "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: DIAGRAMALG_CAP must be an integer, got 'abc'\n"
+    )
+
+
+def test_mul_at_n_zero_drops_vanishing_terms(capsys):
+    args = [
+        "mul", "--family", "partition", "--k", "1", "--n", "0",
+        "--lhs", "1 | 1'", "--rhs", "1 | 1'",
+    ]
+    assert run(args) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert run(args + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+def test_partition_parts_out_of_order_are_a_usage_error(capsys):
+    for flag in ("--lambda-star", "--kappa"):
+        args = [
+            "char", "--family", "partition", "--k", "3",
+            "--lambda-star", "[1]", "--kappa", "[2,1]",
+        ]
+        args[args.index(flag) + 1] = "[1,2]"
+        assert run(args) == 2
+        assert "weakly decrease" in capsys.readouterr().err

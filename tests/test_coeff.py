@@ -66,6 +66,69 @@ def test_laurent_json_roundtrip():
     assert LaurentPoly.from_json_obj(obj) == p
 
 
+def assert_exact(poly):
+    """Integral coefficients are ints, the others non-integral Fractions."""
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def test_integral_coefficients_are_ints():
+    n = LaurentPoly.monomial(1)
+    p = (n + 2) ** 3 - LaurentPoly.monomial(-1, Fraction(6, 3))
+    assert p.terms == {3: 1, 2: 6, 1: 12, 0: 8, -1: -2}
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(LaurentPoly.const(Fraction(4, 2)).constant_value()) is int
+    assert type(LaurentPoly.from_json_obj(p.to_json_obj()).terms[3]) is int
+
+
+def test_fraction_halves_normalise_to_int():
+    half = LaurentPoly.const(Fraction(1, 2))
+    assert type(half.terms[0]) is Fraction
+    for one in (
+        half + half,
+        half * 2,
+        LaurentPoly([(0, Fraction(1, 2)), (0, Fraction(1, 2))]),
+    ):
+        assert one.terms == {0: 1} and type(one.terms[0]) is int
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, small_polys, st.fractions(min_value=1, max_value=7))
+def test_arithmetic_never_produces_floats(a, b, x):
+    for poly in (a, b, a + b, a - b, a * b, -a, a.shift(2), b**2):
+        assert_exact(poly)
+    assert type(a.evaluate(x)) is Fraction
+    assert type((a * b).evaluate(x)) is Fraction
+
+
+def test_element_product_coefficients_are_ints():
+    basis = enumerate_basis("rookbrauer", 2)
+    elem = Element(2, "rookbrauer", {d: i - 3 for i, d in enumerate(basis)})
+    square = elem * elem
+    for c in square.combo.values():
+        assert all(type(v) is int for v in c.terms.values())
+    values = square.evaluate(Fraction(3, 2))
+    assert all(type(v) is Fraction for v in values.values())
+
+
+def test_printing_is_the_same_for_int_and_fraction_terms():
+    as_ints = LaurentPoly({2: 3, 0: -1, -1: 1})
+    as_fractions = LaurentPoly({2: Fraction(3), 0: Fraction(-2, 2), -1: Fraction(1)})
+    for p in (as_ints, as_fractions):
+        assert str(p) == "3*n^2 - 1 + n^-1"
+        assert p.to_json_obj() == [
+            {"exp": -1, "num": 1, "den": 1},
+            {"exp": 0, "num": -1, "den": 1},
+            {"exp": 2, "num": 3, "den": 1},
+        ]
+    mixed = LaurentPoly({1: Fraction(-3, 2), 0: 2})
+    assert str(mixed) == "-3/2*n + 2"
+    assert mixed.to_json_obj() == [
+        {"exp": 0, "num": 2, "den": 1},
+        {"exp": 1, "num": -3, "den": 2},
+    ]
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_polys, small_polys, small_polys)
 def test_laurent_ring_axioms(a, b, c):

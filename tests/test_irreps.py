@@ -3,7 +3,7 @@ import random
 import pytest
 
 from diagramalg import errors
-from diagramalg.cli import family_generators
+from diagramalg.diagrams import family_generators
 from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
     BRAUER,
