@@ -34,7 +34,6 @@ from .errors import (
     FamilyUnsupported,
     InvalidClassLabel,
     InvalidRank,
-    LabelNotInFamily,
 )
 from .irreps import (
     column_trace,
@@ -44,6 +43,7 @@ from .irreps import (
 )
 from .partitions import (
     binom,
+    check_label,
     check_partition,
     divisors,
     double_factorial,
@@ -263,33 +263,59 @@ def f_coeff(family, kappa, mu):
     return prod
 
 
+def _s_and_f(family, lams, mus, kappas):
+    """The blocks of chi = S . F on the given labels.
+
+    S[i][l] is the symmetric-group character of lams[i] at mus[l], zero
+    across sizes; F[l][j] counts the symmetric diagrams fixed by
+    gamma_kappas[j] whose twist has cycle type mus[l], zero when
+    |mus[l]| > |kappas[j]|.  A planar module label (m,) stands for the
+    all-ones twist, so there F is the planar count and S is the identity.
+    """
+    s_block = [
+        [sym_character(lam, mu) if sum(lam) == sum(mu) else 0 for mu in mus]
+        for lam in lams
+    ]
+    if family in _PLANAR:
+        f_block = [
+            [f_coeff_planar(family, sum(kappa), sum(mu)) for kappa in kappas]
+            for mu in mus
+        ]
+    else:
+        f_block = [
+            [f_coeff(family, kappa, mu) for kappa in kappas] for mu in mus
+        ]
+    return CharacterTableFactor(s_block, f_block)
+
+
+def _product(fac):
+    """S . F, reading only the nonzero entries of S."""
+    width = len(fac.f_block[0])
+    values = []
+    for s_row in fac.s_block:
+        terms = [(s, fac.f_block[l]) for l, s in enumerate(s_row) if s]
+        values.append(
+            [sum(s * f_row[j] for s, f_row in terms) for j in range(width)]
+        )
+    return values
+
+
 def irr_character(family, k, lam_star, kappa, s=None):
-    """Character of the lam_star module at the class (kappa, s).
+    """Character of the lam_star module at the class (kappa, s): row
+    lam_star of S times column kappa of F, over the labels of size
+    |lam_star|.
 
     The value does not depend on n; it vanishes when |kappa| < |lam_star|
     and otherwise equals the value at the smaller algebra on |kappa|
     strands.
     """
     family = normalize_family(family)
-    lam_star = check_partition(lam_star)
-    if lam_star not in lambda_star_labels(family, k):
-        raise LabelNotInFamily(
-            "%r does not label a %s module at k=%d" % (lam_star, family, k)
-        )
+    lam_star = check_label(family, k, lam_star)
     kappa = check_partition(kappa)
     _class_tail_size(family, k, kappa, s)
     m = sum(lam_star)
-    r = sum(kappa)
-    if m > r:
-        return 0
-    if family == SYMMETRIC_GROUP:
-        return sym_character(lam_star, kappa)
-    if family in _PLANAR:
-        return f_coeff_planar(family, r, m)
-    return sum(
-        f_coeff(family, kappa, mu) * sym_character(lam_star, mu)
-        for mu in partitions(m)
-    )
+    mus = [mu for mu in lambda_star_labels(family, k) if sum(mu) == m]
+    return _product(_s_and_f(family, [lam_star], mus, [kappa]))[0][0]
 
 
 def class_labels(family, k):
@@ -328,12 +354,13 @@ class CharacterTable:
     size.
     """
 
-    def __init__(self, family, k, row_labels, col_labels, values):
+    def __init__(self, family, k, row_labels, col_labels, values, factor=None):
         self.family = family
         self.k = k
         self.row_labels = list(row_labels)
         self.col_labels = list(col_labels)
         self.values = [list(row) for row in values]
+        self._factor = factor
 
     def __eq__(self, other):
         return (
@@ -346,28 +373,13 @@ class CharacterTable:
         )
 
     def factor(self):
-        """Factor the table as S . F with S the block-diagonal symmetric
-        group character tables and F the fixed-point count matrix."""
-        fam = self.family
-        s_block = []
-        for lam in self.row_labels:
-            row = []
-            for mu in self.row_labels:
-                if sum(lam) == sum(mu):
-                    row.append(sym_character(lam, mu))
-                else:
-                    row.append(0)
-            s_block.append(row)
-        f_block = []
-        for mu in self.row_labels:
-            row = []
-            for kappa in self.col_labels:
-                if fam in _PLANAR:
-                    row.append(f_coeff_planar(fam, sum(kappa), sum(mu)))
-                else:
-                    row.append(f_coeff(fam, kappa, mu))
-            f_block.append(row)
-        return CharacterTableFactor(s_block, f_block)
+        """The table as S . F with S the block-diagonal symmetric group
+        character tables and F the fixed-point count matrix: the blocks the
+        values were computed from, built once per table."""
+        if self._factor is None:
+            rows = self.row_labels
+            self._factor = _s_and_f(self.family, rows, rows, self.col_labels)
+        return self._factor
 
     def determinant(self):
         return _det_bareiss(self.values)
@@ -414,7 +426,7 @@ class CharacterTable:
             )
         return "\n".join(lines) + "\n"
 
-    def to_text(self):
+    def to_text(self, factor=False):
         headers = ["lambda*\\kappa"] + [
             format_partition(c) for c in self.col_labels
         ]
@@ -433,6 +445,11 @@ class CharacterTable:
             lines.append(
                 "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
             )
+        if factor:
+            fac = self.factor()
+            for name, block in zip(fac._fields, fac):
+                lines += ["", name + ":"]
+                lines += ["  ".join(str(v) for v in row) for row in block]
         return "\n".join(lines) + "\n"
 
 
@@ -441,11 +458,8 @@ def character_table(family, k):
     family = normalize_family(family)
     rows = lambda_star_labels(family, k)
     cols = class_labels(family, k)
-    values = [
-        [irr_character(family, k, lam, kappa) for kappa in cols]
-        for lam in rows
-    ]
-    return CharacterTable(family, k, rows, cols, values)
+    fac = _s_and_f(family, rows, rows, cols)
+    return CharacterTable(family, k, rows, cols, _product(fac), fac)
 
 
 def _det_bareiss(matrix):
@@ -497,11 +511,7 @@ def character_oracle(family, k, lam_star, kappa, s=None):
     family = normalize_family(family)
     if k > size_cap(5):
         raise CapExceeded("character_oracle at k=%d exceeds the cap" % k)
-    lam_star = check_partition(lam_star)
-    if lam_star not in lambda_star_labels(family, k):
-        raise LabelNotInFamily(
-            "%r does not label a %s module at k=%d" % (lam_star, family, k)
-        )
+    lam_star = check_label(family, k, lam_star)
     elem = class_diagram(family, k, kappa, s)
     cols = rep_columns_element(elem, lam_star)
     return column_trace(cols)

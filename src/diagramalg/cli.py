@@ -49,6 +49,14 @@ def _partition_type(text):
     return parts
 
 
+def _positive_int(text):
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % (text,)
+        )
+    return int(text)
+
+
 def _fraction_type(text):
     try:
         return Fraction(text)
@@ -228,24 +236,12 @@ def _cmd_char(args):
 
 def _cmd_table(args):
     table = characters.character_table(args.family, args.k)
-    if args.format == "json":
-        _emit(table.to_json(factor=args.factor), args.out)
-        return 0
-    if args.format == "csv":
-        _emit(table.to_csv(factor=args.factor), args.out)
-        return 0
-    text = table.to_text()
-    if args.factor:
-        fac = table.factor()
-        text += "\ns_block:\n"
-        text += "\n".join(
-            "  ".join(str(v) for v in row) for row in fac.s_block
-        )
-        text += "\n\nf_block:\n"
-        text += "\n".join(
-            "  ".join(str(v) for v in row) for row in fac.f_block
-        )
-    _emit(text, args.out)
+    render = {
+        "text": table.to_text,
+        "json": table.to_json,
+        "csv": table.to_csv,
+    }[args.format]
+    _emit(render(factor=args.factor), args.out)
     return 0
 
 
@@ -277,8 +273,8 @@ def _suite_ring_axioms(family, k, rng, cases, report):
 
 
 def _suite_module_axiom(family, k, rng, cases, report):
-    basis = diagrams.enumerate_basis(family, k)
     labels = lambda_star_labels(family, k)
+    basis = diagrams.enumerate_basis(family, k)
     ok = True
     for _ in range(cases):
         a = rng.choice(basis)
@@ -441,44 +437,41 @@ def _cmd_verify(args):
     def report(line):
         lines.append(line)
 
+    def k_or(default):
+        return default if args.k is None else args.k
+
     for suite in suites:
         if suite == "ring-axioms":
             fams = [args.family] if args.family else [diagrams.PARTITION]
             for fam in fams:
-                k = args.k or 2
+                k = k_or(2)
                 ok &= _suite_ring_axioms(fam, k, rng, args.cases, report)
         elif suite == "module-axiom":
             fams = [args.family] if args.family else [diagrams.PARTITION]
             for fam in fams:
-                if fam == diagrams.PLANAR_PARTITION:
-                    continue
-                k = args.k or 2
+                k = k_or(2)
                 ok &= _suite_module_axiom(fam, k, rng, args.cases, report)
         elif suite == "basis-equivalence":
             fams = [args.family] if args.family else [diagrams.PARTITION]
             for fam in fams:
-                if fam == diagrams.PLANAR_PARTITION:
-                    continue
-                k = args.k or 3
+                k = k_or(3)
                 ok &= _suite_basis_equivalence(fam, k, report)
         elif suite == "wedderburn":
             fams = [args.family] if args.family else list(_MODULE_FAMILIES)
             for fam in fams:
-                k = args.k or (3 if fam == diagrams.PARTITION else 4)
+                k = k_or(3 if fam == diagrams.PARTITION else 4)
                 ok &= _suite_wedderburn(fam, k, report)
         elif suite == "fixedpoint-vs-formula":
             fams = [args.family] if args.family else [diagrams.PARTITION]
             for fam in fams:
-                if fam == diagrams.PLANAR_PARTITION:
-                    continue
-                k = args.k or 3
+                k = k_or(3)
                 ok &= _suite_fixedpoint(fam, k, report)
         elif suite == "table-regression":
             ok &= _suite_table_regression(report)
         elif suite == "determinant":
             fams = [args.family] if args.family else list(_MODULE_FAMILIES)
             for fam in fams:
-                k = args.k or 3
+                k = k_or(3)
                 ok &= _suite_determinant(fam, k, report)
     lines.append("all checks passed" if ok else "FAILURES above")
     _emit("\n".join(lines), args.out)
@@ -562,7 +555,7 @@ def build_parser():
     p.add_argument("--family", type=_family_type, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=_positive_int, default=25)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -36,11 +36,10 @@ from .diagrams import (
 from .errors import (
     AlgebraMismatch,
     InvalidRank,
-    LabelNotInFamily,
     RankMismatch,
     ShapeMismatch,
 )
-from .partitions import check_partition, lambda_star_labels, rank_set
+from .partitions import check_label, check_partition, rank_set
 from .symrep import standard_tableaux, straighten, tableau_shape
 
 
@@ -414,11 +413,7 @@ def enumerate_sspt(family, k, lam_star):
     """All standard set-partition tableaux for the family and shape,
     ordered to match the twisted basis (w outer, tableau inner)."""
     family = normalize_family(family)
-    lam_star = check_partition(lam_star)
-    if lam_star not in lambda_star_labels(family, k):
-        raise LabelNotInFamily(
-            "%r does not label a %s module at k=%d" % (lam_star, family, k)
-        )
+    lam_star = check_label(family, k, lam_star)
     m = sum(lam_star)
     return [
         tableau_from_pair(w, t)
@@ -523,20 +518,11 @@ def _normalize_basis(basis):
     raise ValueError("unknown basis %r" % (basis,))
 
 
-def _validated_label(family, k, lam_star):
-    lam_star = check_partition(lam_star)
-    if lam_star not in lambda_star_labels(family, k):
-        raise LabelNotInFamily(
-            "%r does not label a %s module at k=%d" % (lam_star, family, k)
-        )
-    return lam_star
-
-
 def rep_columns(d, family, k, lam_star, basis=TWISTED):
     """Sparse matrix of d on the module: column j maps row index to the
     coefficient of basis vector i in d . (basis vector j)."""
     family = normalize_family(family)
-    lam_star = _validated_label(family, k, lam_star)
+    lam_star = check_label(family, k, lam_star)
     basis = _normalize_basis(basis)
     if d.k != k:
         raise RankMismatch("diagram on %d strands, module at k=%d" % (d.k, k))

@@ -19,7 +19,7 @@ from .diagrams import (
     TEMPERLEY_LIEB,
     normalize_family,
 )
-from .errors import FamilyUnsupported, IndexOutOfRange
+from .errors import FamilyUnsupported, IndexOutOfRange, LabelNotInFamily
 
 _SINGLE_ROW = (TEMPERLEY_LIEB, MOTZKIN, PLANAR_ROOK)
 
@@ -142,6 +142,16 @@ def lambda_star_labels(family, k):
         else:
             labels.extend(partitions(m))
     return labels
+
+
+def check_label(family, k, lam_star):
+    """Validate and return lam_star as a module label of the family at k."""
+    lam_star = check_partition(lam_star)
+    if lam_star not in lambda_star_labels(family, k):
+        raise LabelNotInFamily(
+            "%r does not label a %s module at k=%d" % (lam_star, family, k)
+        )
+    return lam_star
 
 
 def index_set(family, k, n):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from diagramalg import errors
+from diagramalg import characters, errors
 from diagramalg.characters import (
     REFERENCE_TABLES,
     CharacterTable,
@@ -22,8 +22,10 @@ from diagramalg.characters import (
 from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
     BRAUER,
+    FAMILIES,
     MOTZKIN,
     PARTITION,
+    PLANAR_PARTITION,
     PLANAR_ROOK,
     ROOK,
     ROOK_BRAUER,
@@ -380,3 +382,59 @@ def test_table_text_layout():
     assert lines[3].split() == ["[1,1]", "0", "-1", "1"]
     assert format_partition((2, 1)) == "[2,1]"
     assert format_partition(()) == "[]"
+
+
+GOLDEN_B2_TEXT_FACTOR = (
+    "lambda*\\kappa  []  [2]  [1,1]\n"
+    "           []   1    1      1\n"
+    "          [2]   0    1      1\n"
+    "        [1,1]   0   -1      1\n"
+    "\n"
+    "s_block:\n"
+    "1  0  0\n"
+    "0  1  1\n"
+    "0  -1  1\n"
+    "\n"
+    "f_block:\n"
+    "1  1  1\n"
+    "0  1  0\n"
+    "0  0  1\n"
+)
+
+
+def test_table_text_factor_golden():
+    table = character_table("Brauer", 2)
+    assert table.to_text(factor=True) == GOLDEN_B2_TEXT_FACTOR
+    assert GOLDEN_B2_TEXT_FACTOR.startswith(table.to_text())
+
+
+@pytest.mark.parametrize(
+    "family", [f for f in FAMILIES if f != PLANAR_PARTITION]
+)
+def test_table_cells_match_irr_character(family):
+    for k in range(1, 6):
+        table = character_table(family, k)
+        for lam, row in zip(table.row_labels, table.values):
+            for kappa, value in zip(table.col_labels, row):
+                assert value == irr_character(family, k, lam, kappa), (
+                    family, k, lam, kappa,
+                )
+
+
+def test_table_evaluates_each_f_entry_once(monkeypatch):
+    calls = []
+    real = characters.f_coeff
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(characters, "f_coeff", counting)
+    table = character_table("Brauer", 6)
+    fac = table.factor()
+    assert len(calls) <= len(table.row_labels) * len(table.col_labels)
+    assert matmul(fac.s_block, fac.f_block) == table.values
+    direct = CharacterTable(
+        BRAUER, 6, table.row_labels, table.col_labels, table.values
+    )
+    assert direct.factor() == fac

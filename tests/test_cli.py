@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from diagramalg.cli import run
 
 GOLDEN_B2_CSV = (
@@ -265,3 +267,37 @@ def test_partition_parts_out_of_order_are_a_usage_error(capsys):
         args[args.index(flag) + 1] = "[1,2]"
         assert run(args) == 2
         assert "weakly decrease" in capsys.readouterr().err
+
+
+def test_verify_k_zero_is_a_domain_error(capsys):
+    code = run(
+        ["verify", "--suite", "wedderburn", "--family", "brauer", "--k", "0"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("cases", ["0", "-3", "x"])
+def test_verify_cases_must_be_positive(cases, capsys):
+    assert run(["verify", "--suite", "ring-axioms", "--cases", cases]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        "module-axiom",
+        "basis-equivalence",
+        "wedderburn",
+        "fixedpoint-vs-formula",
+        "determinant",
+    ],
+)
+def test_verify_refuses_planar_partition_modules(suite, capsys):
+    code = run(["verify", "--suite", suite, "--family", "planarpartition"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PlanarPartition" in captured.err
