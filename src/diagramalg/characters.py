@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .coeff import Element, LaurentPoly
 from .diagrams import (
+    _SHAPES,
     BRAUER,
     MOTZKIN,
     PARTITION,
@@ -55,10 +56,6 @@ from .partitions import (
 )
 from .symrep import cycle_type, sym_character
 
-_PLANAR = (TEMPERLEY_LIEB, MOTZKIN, PLANAR_ROOK)
-_PAIR_TAIL = (BRAUER, TEMPERLEY_LIEB)
-
-
 def gamma_perm(kappa):
     """One-line permutation whose diagram has consecutive kappa_i cycles."""
     kappa = check_partition(kappa)
@@ -77,33 +74,54 @@ def gamma_diagram(kappa):
     return perm_diagram(gamma_perm(kappa))
 
 
-def _class_tail_size(family, k, kappa, s):
-    """Validate a class label (kappa, s) and return the tail length s."""
+def _class_kappa(family, kappa=(), k=None, exact=False):
+    """The guard on class labels: refuse PlanarPartition, which carries no
+    class elements, then validate kappa and return it as a tuple.
+
+    With k given, |kappa| must equal k when exact and be at most k
+    otherwise; the planar families take only all-ones cycle types.
+    """
+    if family == PLANAR_PARTITION:
+        raise FamilyUnsupported("PlanarPartition carries no class elements")
+    kappa = check_partition(kappa)
     r = sum(kappa)
-    if r > k:
+    if exact and r != k:
+        raise InvalidClassLabel(
+            "fixed points need |kappa| = k, got %r at k=%d" % (kappa, k)
+        )
+    if k is not None and r > k:
         raise InvalidClassLabel(
             "cycle type %r too large for k=%d" % (kappa, k)
         )
-    if family in _PLANAR and any(part != 1 for part in kappa):
+    if _SHAPES[family].planar and any(part != 1 for part in kappa):
         raise InvalidClassLabel(
             "%s classes are labelled by all-ones cycle types, got %r"
             % (family, kappa)
         )
-    if family == SYMMETRIC_GROUP:
+    return kappa
+
+
+def _class_tail_size(family, k, kappa, s):
+    """The tail length of the class (kappa, s), checked against s when
+    given: single strands fill the k - |kappa| strands left by gamma_kappa,
+    or pairs of strands in a family without one-vertex blocks."""
+    r = sum(kappa)
+    shape = _SHAPES[family]
+    if shape.singles:
+        computed = k - r
+    elif shape.across:
         if r != k:
             raise InvalidClassLabel(
-                "SymmetricGroup classes need |kappa| = k, got %r" % (kappa,)
+                "%s classes need |kappa| = k, got %r" % (family, kappa)
             )
         computed = 0
-    elif family in _PAIR_TAIL:
+    else:
         if (k - r) % 2:
             raise InvalidClassLabel(
                 "%s needs k - |kappa| even, got %r at k=%d"
                 % (family, kappa, k)
             )
         computed = (k - r) // 2
-    else:
-        computed = k - r
     if s is not None and s != computed:
         raise InvalidClassLabel(
             "tail length %r does not match |kappa|=%d at k=%d" % (s, r, k)
@@ -115,28 +133,26 @@ def class_diagram(family, k, kappa, s=None):
     """The class element: gamma_kappa with a normalized tail.
 
     The tail consists of s copies of (1/n) p on single strands, or of
-    (1/n) e on pairs of strands for the Brauer and Temperley-Lieb
-    families.
+    (1/n) e on pairs of strands in the families without one-vertex blocks
+    (Brauer and Temperley-Lieb).
     """
     family = normalize_family(family)
-    if family == PLANAR_PARTITION:
-        raise FamilyUnsupported("PlanarPartition carries no class elements")
-    kappa = check_partition(kappa)
+    kappa = _class_kappa(family, kappa, k)
     s = _class_tail_size(family, k, kappa, s)
     r = sum(kappa)
     blocks = []
     perm = gamma_perm(kappa)
     for j in range(1, r + 1):
         blocks.append((perm[j - 1], k + j))
-    if family in _PAIR_TAIL:
+    if _SHAPES[family].singles:
+        for j in range(r + 1, k + 1):
+            blocks.append((j,))
+            blocks.append((k + j,))
+    else:
         for a in range(s):
             lo = r + 2 * a + 1
             blocks.append((lo, lo + 1))
             blocks.append((k + lo, k + lo + 1))
-    else:
-        for j in range(r + 1, k + 1):
-            blocks.append((j,))
-            blocks.append((k + j,))
     d = Diagram(k, blocks)
     return Element(k, family, {d: LaurentPoly.monomial(-s)})
 
@@ -148,17 +164,7 @@ def fixed_points(family, k, m, kappa):
     Every partition of m appears as a key, possibly with an empty list.
     """
     family = normalize_family(family)
-    if family == PLANAR_PARTITION:
-        raise FamilyUnsupported("PlanarPartition carries no class elements")
-    kappa = check_partition(kappa)
-    if sum(kappa) != k:
-        raise InvalidClassLabel(
-            "fixed points need |kappa| = k, got %r at k=%d" % (kappa, k)
-        )
-    if family in _PLANAR and any(part != 1 for part in kappa):
-        raise InvalidClassLabel(
-            "%s classes are labelled by all-ones cycle types" % family
-        )
+    kappa = _class_kappa(family, kappa, k, exact=True)
     if m not in rank_set(family, k):
         raise InvalidRank(
             "%s diagrams on %d strands have no rank %r" % (family, k, m)
@@ -205,15 +211,12 @@ def f_coeff(family, kappa, mu):
     family = normalize_family(family)
     kappa = check_partition(kappa)
     mu = check_partition(mu)
-    if family == PLANAR_PARTITION:
-        raise FamilyUnsupported("PlanarPartition carries no class elements")
     if family == SYMMETRIC_GROUP:
         return 1 if kappa == mu else 0
-    if family in _PLANAR:
-        if any(part != 1 for part in kappa):
-            raise InvalidClassLabel(
-                "%s classes are labelled by all-ones cycle types" % family
-            )
+    if _SHAPES[family].planar:
+        # only the planar families can refuse kappa here; calling the guard
+        # in this branch alone keeps it off the hot non-planar path
+        _class_kappa(family, kappa)
         m = sum(mu)
         if mu != (1,) * m:
             return 0
@@ -276,7 +279,7 @@ def _s_and_f(family, lams, mus, kappas):
         [sym_character(lam, mu) if sum(lam) == sum(mu) else 0 for mu in mus]
         for lam in lams
     ]
-    if family in _PLANAR:
+    if _SHAPES[family].planar:
         f_block = [
             [f_coeff_planar(family, sum(kappa), sum(mu)) for kappa in kappas]
             for mu in mus
@@ -311,7 +314,7 @@ def irr_character(family, k, lam_star, kappa, s=None):
     """
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
-    kappa = check_partition(kappa)
+    kappa = _class_kappa(family, kappa, k)
     _class_tail_size(family, k, kappa, s)
     m = sum(lam_star)
     mus = [mu for mu in lambda_star_labels(family, k) if sum(mu) == m]
@@ -322,13 +325,10 @@ def class_labels(family, k):
     """Column labels (cycle types kappa) in table order: |kappa| ascending
     through the rank set, descending lexicographic within a size."""
     family = normalize_family(family)
-    if family == PLANAR_PARTITION:
-        raise FamilyUnsupported("PlanarPartition carries no class elements")
-    if family == SYMMETRIC_GROUP:
-        return list(partitions(k))
+    _class_kappa(family)
     labels = []
     for r in rank_set(family, k):
-        if family in _PLANAR:
+        if _SHAPES[family].planar:
             labels.append((1,) * r)
         else:
             labels.extend(partitions(r))
@@ -493,7 +493,7 @@ def table_determinant_check(family, k):
     """Compare |det| of the table with its predicted closed form."""
     table = character_table(family, k)
     det = abs(table.determinant())
-    if table.family in _PLANAR:
+    if _SHAPES[table.family].planar:
         expected = 1
     else:
         expected = 1

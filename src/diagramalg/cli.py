@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import characters, diagrams, irreps, symrep
 from .coeff import Element, LaurentPoly
-from .errors import DiagramAlgebraError
+from .errors import DiagramAlgebraError, IndexOutOfRange
 from .partitions import lambda_star_labels, rank_set
 
 
@@ -429,13 +429,27 @@ _SUITES = (
 
 
 def _cmd_verify(args):
+    if args.k is not None and args.k < 1:
+        raise IndexOutOfRange(
+            "k must be a positive integer, got %r" % (args.k,)
+        )
+    lines = []
+    try:
+        ok = _run_suites(args, lines.append)
+    except Exception:
+        # keep what the suites before the failing one reported
+        if lines:
+            _emit("\n".join(lines), args.out)
+        raise
+    lines.append("all checks passed" if ok else "FAILURES above")
+    _emit("\n".join(lines), args.out)
+    return 0 if ok else 1
+
+
+def _run_suites(args, report):
     suites = [args.suite] if args.suite else list(_SUITES)
     rng = random.Random(args.seed)
-    lines = []
     ok = True
-
-    def report(line):
-        lines.append(line)
 
     def k_or(default):
         return default if args.k is None else args.k
@@ -473,9 +487,7 @@ def _cmd_verify(args):
             for fam in fams:
                 k = k_or(3)
                 ok &= _suite_determinant(fam, k, report)
-    lines.append("all checks passed" if ok else "FAILURES above")
-    _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+    return ok
 
 
 def build_parser():

@@ -9,7 +9,6 @@ components vanished from the middle; the algebra layer turns that count
 into a power of the parameter n.
 """
 
-import itertools
 import os
 import re
 from collections import namedtuple
@@ -61,6 +60,24 @@ _ALIASES.update(
 )
 
 
+# What each family allows of its blocks: pairs, at most two vertices per
+# block; singles, one-vertex blocks; across, every two-vertex block joins
+# the two rows; planar, no two blocks cross.  Every shape decision (family
+# membership, bases, symmetric diagrams, ranks, class elements) reads it.
+_Shape = namedtuple("_Shape", ["pairs", "singles", "across", "planar"])
+_SHAPES = {
+    PARTITION: _Shape(False, True, False, False),
+    BRAUER: _Shape(True, False, False, False),
+    ROOK_BRAUER: _Shape(True, True, False, False),
+    ROOK: _Shape(True, True, True, False),
+    TEMPERLEY_LIEB: _Shape(True, False, False, True),
+    MOTZKIN: _Shape(True, True, False, True),
+    PLANAR_ROOK: _Shape(True, True, True, True),
+    PLANAR_PARTITION: _Shape(False, True, False, True),
+    SYMMETRIC_GROUP: _Shape(True, False, True, False),
+}
+
+
 def normalize_family(name):
     """Return the canonical family tag for a (possibly lowercase) name."""
     try:
@@ -86,6 +103,8 @@ class Diagram:
         seen = [v for b in canon for v in b]
         if sorted(seen) != list(range(1, 2 * k + 1)):
             raise ValueError("blocks must partition {1..%d}" % (2 * k))
+        if not canon[0]:  # an empty block sorts first
+            raise ValueError("blocks must not be empty")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "blocks", canon)
 
@@ -270,31 +289,16 @@ def is_planar(d):
 
 def in_family(d, family):
     """Membership predicate for each diagram family."""
-    family = normalize_family(family)
-    k = d.k
-    if family == PARTITION:
-        return True
-    if family == PLANAR_PARTITION:
-        return is_planar(d)
-    if family == BRAUER:
-        return all(len(b) == 2 for b in d.blocks)
-    if family == TEMPERLEY_LIEB:
-        return all(len(b) == 2 for b in d.blocks) and is_planar(d)
-    if family == ROOK_BRAUER:
-        return all(len(b) <= 2 for b in d.blocks)
-    if family == MOTZKIN:
-        return all(len(b) <= 2 for b in d.blocks) and is_planar(d)
-    rookish = all(
-        sum(1 for v in b if v <= k) <= 1 and sum(1 for v in b if v > k) <= 1
-        for b in d.blocks
-    )
-    if family == ROOK:
-        return rookish
-    if family == PLANAR_ROOK:
-        return rookish and is_planar(d)
-    if family == SYMMETRIC_GROUP:
-        return all(len(b) == 2 and b[0] <= k < b[1] for b in d.blocks)
-    raise AssertionError("unreachable")
+    pairs, singles, across, planar = _SHAPES[normalize_family(family)]
+    if pairs:
+        k = d.k
+        for b in d.blocks:
+            if len(b) == 2:
+                if across and not b[0] <= k < b[1]:
+                    return False
+            elif len(b) != 1 or not singles:
+                return False
+    return not planar or is_planar(d)
 
 
 def identity_diagram(k):
@@ -361,67 +365,36 @@ def set_partitions(n):
     yield from rec(1)
 
 
-def _perfect_matchings(verts):
-    if not verts:
-        yield ()
-        return
-    first, rest = verts[0], verts[1:]
-    for idx, partner in enumerate(rest):
-        remaining = rest[:idx] + rest[idx + 1 :]
-        for sub in _perfect_matchings(remaining):
-            yield ((first, partner),) + sub
+def _matchings(k, points, singles, across, planar):
+    """Every way to cover points with blocks of one or two vertices.
 
+    singles allows one-vertex blocks; across requires each pair to join a
+    top vertex (at most k) to a bottom one; planar, with points listed in
+    boundary order, requires that no two pairs cross, so the points a pair
+    encloses are matched among themselves.
+    """
 
-def _partial_matchings(verts):
-    if not verts:
-        yield ()
-        return
-    first, rest = verts[0], verts[1:]
-    for sub in _partial_matchings(rest):
-        yield ((first,),) + sub
-    for idx, partner in enumerate(rest):
-        remaining = rest[:idx] + rest[idx + 1 :]
-        for sub in _partial_matchings(remaining):
-            yield ((first, partner),) + sub
-
-
-def _noncrossing(points, singles, pair_ok):
-    # points listed in boundary order; a pair encloses a segment that must
-    # resolve internally, which is exactly planarity
-    if not points:
-        yield ()
-        return
-    first = points[0]
-    if singles:
-        for rest in _noncrossing(points[1:], singles, pair_ok):
-            yield ((first,),) + rest
-    for idx in range(1, len(points)):
-        if not pair_ok(first, points[idx]):
-            continue
-        pair = tuple(sorted((first, points[idx])))
-        for inner in _noncrossing(points[1:idx], singles, pair_ok):
-            for outer in _noncrossing(points[idx + 1 :], singles, pair_ok):
-                yield (pair,) + inner + outer
-
-
-def _rook_block_sets(k):
-    bottoms = list(range(k + 1, 2 * k + 1))
-
-    def rec(i, used):
-        if i > k:
-            tail = tuple((b,) for b in bottoms if b not in used)
-            yield tail
+    def cover(points):
+        if not points:
+            yield ()
             return
-        for rest in rec(i + 1, used):
-            yield ((i,),) + rest
-        for b in bottoms:
-            if b not in used:
-                used.add(b)
-                for rest in rec(i + 1, used):
-                    yield ((i, b),) + rest
-                used.discard(b)
+        first, rest = points[0], points[1:]
+        if singles:
+            for tail in cover(rest):
+                yield ((first,),) + tail
+        for idx, partner in enumerate(rest):
+            if across and (first <= k) == (partner <= k):
+                continue
+            pair = ((first, partner),)
+            if planar:
+                for inner in cover(rest[:idx]):
+                    for outer in cover(rest[idx + 1 :]):
+                        yield pair + inner + outer
+            else:
+                for tail in cover(rest[:idx] + rest[idx + 1 :]):
+                    yield pair + tail
 
-    yield from rec(1, set())
+    return cover(points)
 
 
 def size_cap(default):
@@ -443,8 +416,7 @@ def enumeration_cap(family):
     DIAGRAMALG_CAP in the environment overrides the defaults (5 for the
     partition families, 7 elsewhere).
     """
-    family = normalize_family(family)
-    return size_cap(5 if family in (PARTITION, PLANAR_PARTITION) else 7)
+    return size_cap(7 if _SHAPES[normalize_family(family)].pairs else 5)
 
 
 def enumerate_basis(family, k):
@@ -457,40 +429,20 @@ def enumerate_basis(family, k):
         raise CapExceeded(
             "enumerate_basis(%s, %d) exceeds cap %d" % (family, k, cap)
         )
-    boundary = list(range(1, k + 1)) + list(range(2 * k, k, -1))
-    verts = list(range(1, 2 * k + 1))
-    if family in (PARTITION, PLANAR_PARTITION):
+    pairs, singles, across, planar = _SHAPES[family]
+    if pairs:
+        # planar matchings need the boundary order; the plain order makes
+        # the others come out already sorted
+        bottom = range(2 * k, k, -1) if planar else range(k + 1, 2 * k + 1)
+        points = tuple(range(1, k + 1)) + tuple(bottom)
+        diagrams = (
+            Diagram(k, blocks)
+            for blocks in _matchings(k, points, singles, across, planar)
+        )
+    else:
         diagrams = (Diagram(k, blocks) for blocks in set_partitions(2 * k))
-        if family == PLANAR_PARTITION:
+        if planar:
             diagrams = (d for d in diagrams if is_planar(d))
-    elif family == BRAUER:
-        diagrams = (Diagram(k, blocks) for blocks in _perfect_matchings(verts))
-    elif family == ROOK_BRAUER:
-        diagrams = (Diagram(k, blocks) for blocks in _partial_matchings(verts))
-    elif family == ROOK:
-        diagrams = (Diagram(k, blocks) for blocks in _rook_block_sets(k))
-    elif family == SYMMETRIC_GROUP:
-        diagrams = (
-            perm_diagram(sigma)
-            for sigma in itertools.permutations(range(1, k + 1))
-        )
-    elif family == TEMPERLEY_LIEB:
-        diagrams = (
-            Diagram(k, blocks)
-            for blocks in _noncrossing(boundary, False, lambda a, b: True)
-        )
-    elif family == MOTZKIN:
-        diagrams = (
-            Diagram(k, blocks)
-            for blocks in _noncrossing(boundary, True, lambda a, b: True)
-        )
-    else:  # PlanarRook
-        diagrams = (
-            Diagram(k, blocks)
-            for blocks in _noncrossing(
-                boundary, True, lambda a, b: (a <= k) != (b <= k)
-            )
-        )
     return sorted(diagrams)
 
 

@@ -15,23 +15,14 @@ from itertools import combinations
 
 from .coeff import LaurentPoly
 from .diagrams import (
-    BRAUER,
-    MOTZKIN,
-    PARTITION,
-    PLANAR_PARTITION,
-    PLANAR_ROOK,
-    ROOK,
-    ROOK_BRAUER,
-    SYMMETRIC_GROUP,
-    TEMPERLEY_LIEB,
+    _SHAPES,
     Diagram,
+    _matchings,
     _roots,
     in_family,
     is_planar,
     normalize_family,
     set_partitions,
-    _partial_matchings,
-    _perfect_matchings,
 )
 from .errors import (
     AlgebraMismatch,
@@ -59,6 +50,8 @@ class SymmetricMDiagram:
         canon_top = tuple(sorted(tuple(sorted(b)) for b in top))
         if sorted(v for b in canon_top for v in b) != list(range(1, k + 1)):
             raise ValueError("top blocks must partition {1..%d}" % k)
+        if not canon_top[0]:  # an empty block sorts first
+            raise ValueError("top blocks must not be empty")
         canon_prop = tuple(sorted(tuple(sorted(b)) for b in propagating))
         top_set = set(canon_top)
         for b in canon_prop:
@@ -150,42 +143,28 @@ class SymmetricMDiagram:
 
 
 def _symmetric_candidates(family, k, m):
-    one_to_k = list(range(1, k + 1))
-    if family in (PARTITION, PLANAR_PARTITION):
-        for top in set_partitions(k):
-            for prop in combinations(top, m):
-                yield SymmetricMDiagram(k, top, prop)
-    elif family in (BRAUER, TEMPERLEY_LIEB):
-        for singles in combinations(one_to_k, m):
-            rest = [v for v in one_to_k if v not in singles]
-            for pairs in _perfect_matchings(rest):
-                top = tuple((s,) for s in singles) + pairs
-                yield SymmetricMDiagram(k, top, [(s,) for s in singles])
-    elif family in (ROOK_BRAUER, MOTZKIN):
-        for top in _partial_matchings(one_to_k):
-            singles = [b for b in top if len(b) == 1]
-            for prop in combinations(singles, m):
-                yield SymmetricMDiagram(k, top, prop)
-    elif family in (ROOK, PLANAR_ROOK):
-        top = tuple((v,) for v in one_to_k)
-        for prop in combinations(top, m):
+    # A top pair cannot propagate (its block would have four vertices), so
+    # the pair families propagate top singles, and all of them when
+    # one-vertex blocks are not allowed.
+    shape = _SHAPES[family]
+    if shape.pairs:
+        tops = _matchings(k, tuple(range(1, k + 1)), True, shape.across, False)
+    else:
+        tops = set_partitions(k)
+    for top in tops:
+        ends = [b for b in top if len(b) == 1] if shape.pairs else top
+        if not shape.singles and len(ends) != m:
+            continue
+        for prop in combinations(ends, m):
             yield SymmetricMDiagram(k, top, prop)
-    else:  # SymmetricGroup, m == k
-        top = tuple((v,) for v in one_to_k)
-        yield SymmetricMDiagram(k, top, top)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_symmetric(family, k, m):
-    planar_only = family in (
-        TEMPERLEY_LIEB,
-        MOTZKIN,
-        PLANAR_ROOK,
-        PLANAR_PARTITION,
-    )
+    planar = _SHAPES[family].planar
     out = []
     for w in _symmetric_candidates(family, k, m):
-        if planar_only and not is_planar(w.to_diagram()):
+        if planar and not is_planar(w.to_diagram()):
             continue
         out.append(w)
     out.sort()

@@ -10,18 +10,8 @@ import itertools
 from functools import cache
 from math import comb
 
-from .diagrams import (
-    BRAUER,
-    MOTZKIN,
-    PLANAR_PARTITION,
-    PLANAR_ROOK,
-    SYMMETRIC_GROUP,
-    TEMPERLEY_LIEB,
-    normalize_family,
-)
+from .diagrams import _SHAPES, PLANAR_PARTITION, normalize_family
 from .errors import FamilyUnsupported, IndexOutOfRange, LabelNotInFamily
-
-_SINGLE_ROW = (TEMPERLEY_LIEB, MOTZKIN, PLANAR_ROOK)
 
 
 def check_partition(p):
@@ -111,22 +101,28 @@ def bell(n):
 
 
 def rank_set(family, k):
-    """Possible numbers of propagating blocks for diagrams of the family."""
+    """Possible numbers of propagating blocks for diagrams of the family.
+
+    With one-vertex blocks every rank 0..k occurs.  Without them, pairs
+    that must join the two rows leave only rank k, and otherwise each pair
+    within a row takes two vertices of it, so the rank has the parity of k.
+    """
     family = normalize_family(family)
     if not isinstance(k, int) or k < 1:
         raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
-    if family == SYMMETRIC_GROUP:
+    shape = _SHAPES[family]
+    if shape.singles:
+        return list(range(k + 1))
+    if shape.across:
         return [k]
-    if family in (BRAUER, TEMPERLEY_LIEB):
-        return list(range(k % 2, k + 1, 2))
-    return list(range(k + 1))
+    return list(range(k % 2, k + 1, 2))
 
 
 def lambda_star_labels(family, k):
     """Module labels lambda* for the family, grouped by size ascending.
 
     Within each size labels run in descending lexicographic order; the
-    single-row families only carry (m,).
+    planar families only carry (m,).
     """
     family = normalize_family(family)
     if family == PLANAR_PARTITION:
@@ -135,10 +131,8 @@ def lambda_star_labels(family, k):
         )
     labels = []
     for m in rank_set(family, k):
-        if family in _SINGLE_ROW:
+        if _SHAPES[family].planar:
             labels.append((m,) if m else ())
-        elif family == SYMMETRIC_GROUP:
-            labels.extend(partitions(k))
         else:
             labels.extend(partitions(m))
     return labels

@@ -226,6 +226,16 @@ def test_f_coeff_examples():
         f_coeff("PlanarPartition", (1,), (1,))
 
 
+@pytest.mark.parametrize("family", ["TemperleyLieb", "Motzkin", "PlanarRook"])
+def test_planar_classes_need_all_ones_cycle_types(family):
+    with pytest.raises(errors.InvalidClassLabel, match="all-ones"):
+        f_coeff(family, (2, 1), (1,))
+    with pytest.raises(errors.InvalidClassLabel, match="all-ones"):
+        fixed_points(family, 3, 1, (2, 1))
+    with pytest.raises(errors.InvalidClassLabel, match="all-ones"):
+        class_diagram(family, 3, (2, 1))
+
+
 def test_published_tables():
     for (family, k), ref in REFERENCE_TABLES.items():
         table = character_table(family, k)

@@ -279,6 +279,45 @@ def test_verify_k_zero_is_a_domain_error(capsys):
     assert "k must be a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("suite", [None, "ring-axioms", "table-regression"])
+def test_verify_checks_k_before_any_suite(suite, capsys):
+    args = ["verify", "--family", "brauer", "--k", "0"]
+    if suite:
+        args += ["--suite", suite]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be a positive integer, got 0\n"
+
+
+def test_verify_keeps_the_lines_of_suites_that_finished(tmp_path, capsys):
+    args = ["verify", "--family", "planarpartition", "--k", "2"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "ok ring-axioms (PlanarPartition, k=2, 25 random triples)\n"
+    )
+    assert captured.err == (
+        "error: PlanarPartition has no module labelling here\n"
+    )
+    target = tmp_path / "verify.txt"
+    assert run(args + ["--out", str(target)]) == 1
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8") == captured.out
+
+
+@pytest.mark.parametrize("family", ["temperleylieb", "motzkin", "planarrook"])
+def test_char_refuses_planar_class_labels(family, capsys):
+    args = [
+        "char", "--family", family, "--k", "3",
+        "--lambda-star", "[1]", "--kappa", "[2,1]",
+    ]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "classes are labelled by all-ones cycle types" in captured.err
+
+
 @pytest.mark.parametrize("cases", ["0", "-3", "x"])
 def test_verify_cases_must_be_positive(cases, capsys):
     assert run(["verify", "--suite", "ring-axioms", "--cases", cases]) == 2

@@ -68,6 +68,11 @@ def test_parse_errors():
 def test_diagram_constructor_validates():
     with pytest.raises(ValueError):
         Diagram(2, [(1, 2), (3,)])
+    for blocks in ([(), (1, 2)], [(1, 2), ()]):
+        with pytest.raises(ValueError, match="empty"):
+            Diagram(1, blocks)
+    with pytest.raises(ValueError, match="empty"):
+        Diagram(2, [(1, 2, 3, 4), (), ()])
     with pytest.raises(errors.IndexOutOfRange):
         Diagram(0, [])
 
@@ -246,7 +251,7 @@ def test_enumerate_basis_counts():
 
 def test_enumerate_basis_matches_filtered_partition_basis():
     for family in FAMILIES:
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             full = enumerate_basis("partition", k)
             filtered = [d for d in full if in_family(d, family)]
             assert enumerate_basis(family, k) == filtered, (family, k)

@@ -152,6 +152,10 @@ def test_symmetric_diagram_validation():
         SymmetricMDiagram(3, [(1, 2)], [])
     with pytest.raises(ValueError):
         SymmetricMDiagram(3, [(1, 2), (3,)], [(1, 3)])
+    with pytest.raises(ValueError, match="empty"):
+        SymmetricMDiagram(2, [(1, 2), ()], [])
+    with pytest.raises(ValueError, match="empty"):
+        SymmetricMDiagram(2, [(), (1,), (2,)], [()])
 
 
 def test_enumerate_symmetric_counts():

@@ -1,9 +1,25 @@
-"""The stacking kernel and the planarity scan against the pairwise
-reference implementations they replaced."""
+"""The stacking kernel, the planarity scan and family membership against
+the reference implementations they replaced."""
 
 import random
 
-from diagramalg.diagrams import Diagram, concat, enumerate_basis, is_planar
+from diagramalg.diagrams import (
+    BRAUER,
+    FAMILIES,
+    MOTZKIN,
+    PARTITION,
+    PLANAR_PARTITION,
+    PLANAR_ROOK,
+    ROOK,
+    ROOK_BRAUER,
+    SYMMETRIC_GROUP,
+    TEMPERLEY_LIEB,
+    Diagram,
+    concat,
+    enumerate_basis,
+    in_family,
+    is_planar,
+)
 
 
 def reference_concat(d1, d2):
@@ -67,6 +83,44 @@ def reference_is_planar(d):
         for i in range(len(pos))
         for j in range(i + 1, len(pos))
     )
+
+
+def reference_in_family(d, family):
+    """One branch per family, as in_family was before the shape table."""
+    k = d.k
+    if family == PARTITION:
+        return True
+    if family == PLANAR_PARTITION:
+        return is_planar(d)
+    if family == BRAUER:
+        return all(len(b) == 2 for b in d.blocks)
+    if family == TEMPERLEY_LIEB:
+        return all(len(b) == 2 for b in d.blocks) and is_planar(d)
+    if family == ROOK_BRAUER:
+        return all(len(b) <= 2 for b in d.blocks)
+    if family == MOTZKIN:
+        return all(len(b) <= 2 for b in d.blocks) and is_planar(d)
+    rookish = all(
+        sum(1 for v in b if v <= k) <= 1 and sum(1 for v in b if v > k) <= 1
+        for b in d.blocks
+    )
+    if family == ROOK:
+        return rookish
+    if family == PLANAR_ROOK:
+        return rookish and is_planar(d)
+    if family == SYMMETRIC_GROUP:
+        return all(len(b) == 2 and b[0] <= k < b[1] for b in d.blocks)
+    raise AssertionError("unreachable")
+
+
+def test_in_family_matches_per_family_reference():
+    for k in range(1, 5):
+        for d in enumerate_basis("Partition", k):
+            for family in FAMILIES:
+                assert in_family(d, family) == reference_in_family(d, family), (
+                    family,
+                    d.text(),
+                )
 
 
 def test_is_planar_matches_pairwise_reference():
