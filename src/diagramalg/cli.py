@@ -11,6 +11,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import characters, diagrams, irreps, symrep
 from .coeff import Element, LaurentPoly
@@ -83,8 +84,10 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+# json writes tuples as lists, so the JSON helpers pass the stored block
+# tuples as they are
 def _diagram_json(d):
-    return {"k": d.k, "blocks": [list(b) for b in d.blocks]}
+    return {"k": d.k, "blocks": d.blocks}
 
 
 def _element_json(elem):
@@ -96,9 +99,9 @@ def _element_json(elem):
 
 def _tableau_json(tab):
     return {
-        "lambda_star": list(tab.lambda_star),
-        "first_row": [list(b) for b in tab.first_row],
-        "body": [[list(b) for b in row] for row in tab.body],
+        "lambda_star": tab.lambda_star,
+        "first_row": tab.first_row,
+        "body": tab.body,
     }
 
 
@@ -173,13 +176,7 @@ def _cmd_dims(args):
 def _cmd_symdiag(args):
     ws = irreps.enumerate_symmetric(args.family, args.k, args.m)
     if args.format == "json":
-        payload = [
-            {
-                "top": [list(b) for b in w.top],
-                "propagating": [list(b) for b in w.propagating],
-            }
-            for w in ws
-        ]
+        payload = [{"top": w.top, "propagating": w.propagating} for w in ws]
         _emit(json.dumps(payload, separators=(",", ":")), args.out)
         return 0
     _emit("\n".join(w.text() for w in ws), args.out)
@@ -574,10 +571,15 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    # parsing leaves the parser as it was, so one serves every run
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

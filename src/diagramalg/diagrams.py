@@ -105,8 +105,18 @@ class Diagram:
             raise ValueError("blocks must partition {1..%d}" % (2 * k))
         if not canon[0]:  # an empty block sorts first
             raise ValueError("blocks must not be empty")
+        _check_int_vertices(seen)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "blocks", canon)
+
+    @classmethod
+    def _canonical(cls, k, blocks):
+        """Wrap blocks that are already in canonical form, without sorting
+        or checking them again."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "k", k)
+        object.__setattr__(d, "blocks", blocks)
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -129,6 +139,13 @@ class Diagram:
 
     def __repr__(self):
         return "Diagram(%d, %r)" % (self.k, self.text())
+
+
+def _check_int_vertices(vertices):
+    # 1.0 and True compare and hash like 1 but are not vertices
+    if set(map(type, vertices)) != {int}:
+        bad = next(v for v in vertices if type(v) is not int)
+        raise ValueError("vertices must be integers, got %r" % (bad,))
 
 
 ConcatResult = namedtuple("ConcatResult", ["product", "deleted"])
@@ -175,10 +192,15 @@ def parse_diagram(text, k):
     return Diagram(k, blocks)
 
 
+@lru_cache(maxsize=None)
+def _vertex_names(k):
+    # index v holds vertex_name(v, k); index 0 is unused
+    return ("",) + tuple(vertex_name(v, k) for v in range(1, 2 * k + 1))
+
+
 def format_diagram(d):
-    return " | ".join(
-        " ".join(vertex_name(v, d.k) for v in block) for block in d.blocks
-    )
+    name = _vertex_names(d.k).__getitem__
+    return " | ".join([" ".join(map(name, block)) for block in d.blocks])
 
 
 def _roots(size, groups):
@@ -371,7 +393,7 @@ def _matchings(k, points, singles, across, planar):
     singles allows one-vertex blocks; across requires each pair to join a
     top vertex (at most k) to a bottom one; planar, with points listed in
     boundary order, requires that no two pairs cross, so the points a pair
-    encloses are matched among themselves.
+    encloses are matched among themselves.  Each pair is in ascending order.
     """
 
     def cover(points):
@@ -385,7 +407,7 @@ def _matchings(k, points, singles, across, planar):
         for idx, partner in enumerate(rest):
             if across and (first <= k) == (partner <= k):
                 continue
-            pair = ((first, partner),)
+            pair = ((first, partner) if first < partner else (partner, first),)
             if planar:
                 for inner in cover(rest[:idx]):
                     for outer in cover(rest[idx + 1 :]):
@@ -393,6 +415,33 @@ def _matchings(k, points, singles, across, planar):
             else:
                 for tail in cover(rest[:idx] + rest[idx + 1 :]):
                     yield pair + tail
+
+    return cover(points)
+
+
+def _noncrossing(points):
+    """Every non-crossing set partition of points, taken in their order,
+    with each block in ascending order.
+
+    The block of the first point either ends, and the rest is covered on
+    its own, or takes a next point, and the points it passes over are
+    covered among themselves (Kreweras's non-crossing partitions).
+    """
+
+    def cover(points):
+        if not points:
+            yield ()
+            return
+        yield from grow((points[0],), points[1:])
+
+    def grow(block, rest):
+        ended = (tuple(sorted(block)),)
+        for tail in cover(rest):
+            yield ended + tail
+        for idx, nxt in enumerate(rest):
+            for inner in cover(rest[:idx]):
+                for outer in grow(block + (nxt,), rest[idx + 1 :]):
+                    yield inner + outer
 
     return cover(points)
 
@@ -430,20 +479,23 @@ def enumerate_basis(family, k):
             "enumerate_basis(%s, %d) exceeds cap %d" % (family, k, cap)
         )
     pairs, singles, across, planar = _SHAPES[family]
-    if pairs:
-        # planar matchings need the boundary order; the plain order makes
-        # the others come out already sorted
-        bottom = range(2 * k, k, -1) if planar else range(k + 1, 2 * k + 1)
-        points = tuple(range(1, k + 1)) + tuple(bottom)
-        diagrams = (
-            Diagram(k, blocks)
-            for blocks in _matchings(k, points, singles, across, planar)
-        )
+    if planar:
+        # generated in the boundary order 1..k, k'..1': each block comes
+        # out ascending, but neither the blocks nor the diagrams in order
+        points = tuple(range(1, k + 1)) + tuple(range(2 * k, k, -1))
+        if pairs:
+            raw = _matchings(k, points, singles, across, True)
+        else:
+            raw = _noncrossing(points)
+        listing = sorted(tuple(sorted(blocks)) for blocks in raw)
+    elif pairs:
+        # in vertex order every matching is canonical and in basis order
+        points = tuple(range(1, 2 * k + 1))
+        listing = _matchings(k, points, singles, across, False)
     else:
-        diagrams = (Diagram(k, blocks) for blocks in set_partitions(2 * k))
-        if planar:
-            diagrams = (d for d in diagrams if is_planar(d))
-    return sorted(diagrams)
+        # set partitions come out canonical, but not in basis order
+        listing = sorted(set_partitions(2 * k))
+    return [Diagram._canonical(k, blocks) for blocks in listing]
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ from .coeff import LaurentPoly
 from .diagrams import (
     _SHAPES,
     Diagram,
+    _check_int_vertices,
     _matchings,
     _roots,
     in_family,
@@ -48,11 +49,13 @@ class SymmetricMDiagram:
         if not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer, got %r" % (k,))
         canon_top = tuple(sorted(tuple(sorted(b)) for b in top))
-        if sorted(v for b in canon_top for v in b) != list(range(1, k + 1)):
+        seen = [v for b in canon_top for v in b]
+        if sorted(seen) != list(range(1, k + 1)):
             raise ValueError("top blocks must partition {1..%d}" % k)
         if not canon_top[0]:  # an empty block sorts first
             raise ValueError("top blocks must not be empty")
         canon_prop = tuple(sorted(tuple(sorted(b)) for b in propagating))
+        _check_int_vertices(seen + [v for b in canon_prop for v in b])
         top_set = set(canon_top)
         for b in canon_prop:
             if b not in top_set:
@@ -129,10 +132,11 @@ class SymmetricMDiagram:
         )
 
     def text(self):
+        prop = set(self.propagating)
         pieces = []
         for b in self.top:
             body = " ".join(str(v) for v in b)
-            if b in set(self.propagating):
+            if b in prop:
                 pieces.append("[%s]" % body)
             else:
                 pieces.append("{%s}" % body)
@@ -147,14 +151,20 @@ def _symmetric_candidates(family, k, m):
     # the pair families propagate top singles, and all of them when
     # one-vertex blocks are not allowed.
     shape = _SHAPES[family]
+    if shape.pairs and not shape.singles:
+        # the m propagating points, then a perfect matching of the others
+        for ends in combinations(range(1, k + 1), m):
+            prop = [(v,) for v in ends]
+            rest = tuple(v for v in range(1, k + 1) if v not in ends)
+            for pairs in _matchings(k, rest, False, shape.across, False):
+                yield SymmetricMDiagram(k, prop + list(pairs), prop)
+        return
     if shape.pairs:
         tops = _matchings(k, tuple(range(1, k + 1)), True, shape.across, False)
     else:
         tops = set_partitions(k)
     for top in tops:
         ends = [b for b in top if len(b) == 1] if shape.pairs else top
-        if not shape.singles and len(ends) != m:
-            continue
         for prop in combinations(ends, m):
             yield SymmetricMDiagram(k, top, prop)
 
@@ -167,7 +177,7 @@ def _enumerate_symmetric(family, k, m):
         if planar and not is_planar(w.to_diagram()):
             continue
         out.append(w)
-    out.sort()
+    out.sort(key=lambda w: (w.top, w.propagating))
     return tuple(out)
 
 
@@ -374,7 +384,7 @@ def tableau_from_pair(w, t):
             % (sum(shape), w.m)
         )
     prop = w.prop_max_order()
-    nonprop = [b for b in w.top if b not in set(w.propagating)]
+    nonprop = [b for b in w.top if b not in prop]
     body = tuple(tuple(prop[x - 1] for x in row) for row in t)
     return SetPartitionTableau(w.k, nonprop, body)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from diagramalg import cli
 from diagramalg.cli import run
 
 GOLDEN_B2_CSV = (
@@ -340,3 +341,27 @@ def test_verify_refuses_planar_partition_modules(suite, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "PlanarPartition" in captured.err
+
+
+PARSER_REUSE_SEQUENCE = (
+    ["basis", "--family", "nosuch", "--k", "2"],
+    ["basis", "--family", "brauer", "--k", "3", "--format", "json"],
+    ["table", "--family", "brauer", "--k", "3", "--factor"],
+    [
+        "char", "--family", "partition", "--k", "3",
+        "--lambda-star", "[]", "--kappa", "[1,1,1]",
+    ],
+    ["verify", "--suite", "ring-axioms"],
+    ["basis", "--family", "brauer", "--k", "3"],
+)
+
+
+def test_one_parser_serves_every_run_like_a_fresh_one(monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    shared = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        shared.append((run(argv), capsys.readouterr()))
+    assert [code for code, _ in shared] == [2, 0, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    for argv, seen in zip(PARSER_REUSE_SEQUENCE, shared):
+        assert (run(argv), capsys.readouterr()) == seen, argv

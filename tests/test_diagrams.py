@@ -75,6 +75,9 @@ def test_diagram_constructor_validates():
         Diagram(2, [(1, 2, 3, 4), (), ()])
     with pytest.raises(errors.IndexOutOfRange):
         Diagram(0, [])
+    for blocks in ([(1.0, 2)], [(True, 2)], [(1, 2.0)]):
+        with pytest.raises(ValueError, match="integers"):
+            Diagram(1, blocks)
 
 
 def test_concat_identity_and_deletion():

@@ -156,6 +156,13 @@ def test_symmetric_diagram_validation():
         SymmetricMDiagram(2, [(1, 2), ()], [])
     with pytest.raises(ValueError, match="empty"):
         SymmetricMDiagram(2, [(), (1,), (2,)], [()])
+    for top, prop in (
+        ([(1.0,), (2,)], [(2,)]),
+        ([(True,), (2,)], []),
+        ([(1,), (2,)], [(2.0,)]),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            SymmetricMDiagram(2, top, prop)
 
 
 def test_enumerate_symmetric_counts():

@@ -1,9 +1,10 @@
-"""The stacking kernel, the planarity scan and family membership against
-the reference implementations they replaced."""
+"""The stacking kernel, the planarity scan, family membership and basis
+enumeration against the reference implementations they replaced."""
 
 import random
 
 from diagramalg.diagrams import (
+    _SHAPES,
     BRAUER,
     FAMILIES,
     MOTZKIN,
@@ -15,11 +16,22 @@ from diagramalg.diagrams import (
     SYMMETRIC_GROUP,
     TEMPERLEY_LIEB,
     Diagram,
+    _matchings,
+    _noncrossing,
     concat,
     enumerate_basis,
+    format_diagram,
     in_family,
     is_planar,
+    set_partitions,
+    vertex_name,
 )
+from diagramalg.irreps import (
+    SymmetricMDiagram,
+    _enumerate_symmetric,
+    _symmetric_candidates,
+)
+from diagramalg.partitions import catalan, rank_set
 
 
 def reference_concat(d1, d2):
@@ -151,3 +163,74 @@ def test_concat_matches_reference_on_seeded_pairs_at_k4_and_k5():
         for _ in range(10_000):
             d1, d2 = random_diagram(rng, k), random_diagram(rng, k)
             assert tuple(concat(d1, d2)) == reference_concat(d1, d2)
+
+
+def reference_enumerate_basis(family, k):
+    """Validate every generated diagram and sort the Diagram objects, as
+    enumerate_basis did before it built canonical blocks in basis order."""
+    pairs, singles, across, planar = _SHAPES[family]
+    if pairs:
+        bottom = range(2 * k, k, -1) if planar else range(k + 1, 2 * k + 1)
+        points = tuple(range(1, k + 1)) + tuple(bottom)
+        diagrams = (
+            Diagram(k, blocks)
+            for blocks in _matchings(k, points, singles, across, planar)
+        )
+    else:
+        diagrams = (Diagram(k, blocks) for blocks in set_partitions(2 * k))
+        if planar:
+            diagrams = (d for d in diagrams if is_planar(d))
+    return sorted(diagrams)
+
+
+def test_enumerate_basis_matches_validating_reference():
+    for family in FAMILIES:
+        for k in range(1, 6 if _SHAPES[family].pairs else 5):
+            basis = enumerate_basis(family, k)
+            assert basis == reference_enumerate_basis(family, k), (family, k)
+            assert all(Diagram(k, d.blocks) == d for d in basis), (family, k)
+            assert all(a < b for a, b in zip(basis, basis[1:])), (family, k)
+
+
+def test_noncrossing_partitions_are_counted_by_catalan():
+    for k in range(1, 6):
+        found = list(_noncrossing(tuple(range(1, 2 * k + 1))))
+        assert len(set(found)) == len(found) == catalan(2 * k), k
+
+
+def test_format_diagram_matches_vertex_name_join():
+    for k in range(1, 5):
+        for d in enumerate_basis(PARTITION, k):
+            old = " | ".join(
+                " ".join(vertex_name(v, k) for v in b) for b in d.blocks
+            )
+            assert format_diagram(d) == old
+
+
+def reference_symmetric_candidates(family, k, m):
+    """Every partial matching of the top, kept when it has m singles, as the
+    families without one-vertex blocks were once generated."""
+    across = _SHAPES[family].across
+    for top in _matchings(k, tuple(range(1, k + 1)), True, across, False):
+        ends = [b for b in top if len(b) == 1]
+        if len(ends) == m:
+            yield SymmetricMDiagram(k, top, ends)
+
+
+def test_symmetric_tops_with_exactly_m_singles_match_the_filter():
+    for family in (BRAUER, TEMPERLEY_LIEB, SYMMETRIC_GROUP):
+        planar = _SHAPES[family].planar
+        for k in range(1, 9):
+            for m in rank_set(family, k):
+                found = list(_symmetric_candidates(family, k, m))
+                expected = list(reference_symmetric_candidates(family, k, m))
+                assert sorted(found) == sorted(expected), (family, k, m)
+                kept = sorted(
+                    w for w in expected
+                    if not planar or is_planar(w.to_diagram())
+                )
+                assert list(_enumerate_symmetric(family, k, m)) == kept, (
+                    family,
+                    k,
+                    m,
+                )
