@@ -9,8 +9,8 @@ independent oracle.
 """
 
 import json
-from collections import namedtuple
-from fractions import Fraction
+from collections import Counter, namedtuple
+from functools import cache
 
 from .coeff import Element, LaurentPoly
 from .diagrams import (
@@ -211,8 +211,6 @@ def f_coeff(family, kappa, mu):
     family = normalize_family(family)
     kappa = check_partition(kappa)
     mu = check_partition(mu)
-    if family == SYMMETRIC_GROUP:
-        return 1 if kappa == mu else 0
     if _SHAPES[family].planar:
         # only the planar families can refuse kappa here; calling the guard
         # in this branch alone keeps it off the hot non-planar path
@@ -221,49 +219,68 @@ def f_coeff(family, kappa, mu):
         if mu != (1,) * m:
             return 0
         return f_coeff_planar(family, len(kappa), m)
-    mult_mu = multiplicities(mu)
+    return _f_column(family, kappa).get(mu, 0)
+
+
+@cache
+def _f_column(family, kappa):
+    """Column kappa of F for a non-planar family, as {mu: count}.
+
+    A count is a weighted sum of terms, one per multiset of parts nu: the
+    coordinatewise divisors of kappa grouped by multiset for Partition,
+    kappa alone otherwise.  A term is the product over the part sizes i of
+    nu of _part_factor(family, n_i, m_i, i), where n_i and m_i count the
+    parts of size i in nu and in mu, so running every m_i over 0..n_i
+    reaches each mu with a nonzero count.  The cached dict is shared by
+    every caller, which only reads it.
+    """
     if family == PARTITION:
-        total = 0
-        for nu in divisors(kappa):
-            mult_nu = multiplicities(nu)
-            sizes = set(mult_nu) | set(mult_mu)
-            prod = 1
-            for i in sizes:
-                ni = mult_nu.get(i, 0)
-                mi = mult_mu.get(i, 0)
-                prod *= sum(
-                    stirling2(ni, t) * binom(t, mi) * i ** (ni - t)
-                    for t in range(ni + 1)
-                )
-                if not prod:
-                    break
-            total += prod
-        return total
-    mult_kappa = multiplicities(kappa)
-    sizes = set(mult_kappa) | set(mult_mu)
-    if family == ROOK:
-        prod = 1
-        for i in sizes:
-            prod *= binom(mult_kappa.get(i, 0), mult_mu.get(i, 0))
-        return prod
-    even_weight = {BRAUER: (1, 0), ROOK_BRAUER: (2, 1)}[family]
-    prod = 1
-    for i in sizes:
-        ci = mult_kappa.get(i, 0)
-        mi = mult_mu.get(i, 0)
-        di = ci - mi
-        if di < 0:
-            return 0
-        base = even_weight[0] if i % 2 == 0 else even_weight[1]
-        inner = sum(
-            binom(di, 2 * t) * double_factorial(2 * t - 1) * i**t
-            * base ** (di - 2 * t)
-            for t in range(di // 2 + 1)
+        terms = Counter(
+            tuple(sorted(nu, reverse=True)) for nu in divisors(kappa)
         )
-        prod *= binom(ci, mi) * inner
-        if not prod:
-            return 0
-    return prod
+    else:
+        terms = {kappa: 1}
+    column = Counter()
+    for nu, weight in terms.items():
+        # nu descends, so each mu is built in order
+        partial = {(): weight}
+        for i, n in multiplicities(nu).items():
+            partial = {
+                mu + (i,) * m: count * _part_factor(family, n, m, i)
+                for mu, count in partial.items()
+                for m in range(n + 1)
+            }
+        column.update(partial)
+    return column
+
+
+_EVEN_WEIGHT = {BRAUER: (1, 0), ROOK_BRAUER: (2, 1)}
+
+
+@cache
+def _part_factor(family, n, m, i):
+    """The factor of a term of F from its n parts of size i, of which the
+    twist's cycle type has m: a Stirling x binomial sum for Partition,
+    [n = m] for SymmetricGroup, C(n, m) for Rook, and for Brauer and
+    RookBrauer C(n, m) times a weighted count of the pairings among the
+    n - m other parts."""
+    if family == PARTITION:
+        return sum(
+            stirling2(n, t) * binom(t, m) * i ** (n - t)
+            for t in range(m, n + 1)
+        )
+    if family == SYMMETRIC_GROUP:
+        return int(n == m)
+    count = binom(n, m)
+    if family == ROOK:
+        return count
+    d = n - m
+    base = _EVEN_WEIGHT[family][i % 2]
+    return count * sum(
+        binom(d, 2 * t) * double_factorial(2 * t - 1) * i**t
+        * base ** (d - 2 * t)
+        for t in range(d // 2 + 1)
+    )
 
 
 def _s_and_f(family, lams, mus, kappas):

@@ -9,6 +9,7 @@ character tables.
 import itertools
 from functools import cache
 from math import comb
+from operator import lt
 
 from .diagrams import _SHAPES, PLANAR_PARTITION, normalize_family
 from .errors import FamilyUnsupported, IndexOutOfRange, LabelNotInFamily
@@ -17,9 +18,11 @@ from .errors import FamilyUnsupported, IndexOutOfRange, LabelNotInFamily
 def check_partition(p):
     """Validate and return a partition as a tuple."""
     p = tuple(p)
-    if any(not isinstance(x, int) or x < 1 for x in p):
+    # True and 1.0 compare like 1 but are not parts; the checks are C loops
+    # because every entry of F checks two partitions
+    if p and (set(map(type, p)) != {int} or min(p) < 1):
         raise ValueError("partition parts must be positive ints: %r" % (p,))
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(map(lt, p, p[1:])):
         raise ValueError("partition parts must weakly decrease: %r" % (p,))
     return p
 

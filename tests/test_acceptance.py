@@ -235,10 +235,11 @@ def test_character_trace_oracle_equals_closed_form():
     assert time.monotonic() - start < 300.0
 
 
-def test_fixed_point_counts_match_closed_formula():
+def test_fixed_point_counts_match_closed_formula(monkeypatch):
+    monkeypatch.setenv("DIAGRAMALG_CAP", "6")
     start = time.monotonic()
     for family in MODULE_FAMILIES:
-        for k in range(1, 6):
+        for k in range(1, 7):
             for kappa in partitions(k):
                 if family in (TEMPERLEY_LIEB, MOTZKIN, PLANAR_ROOK):
                     if kappa != (1,) * k:

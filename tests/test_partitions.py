@@ -46,6 +46,10 @@ def test_check_partition_rejects_bad_input():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, 0))
+    # bools and floats compare like ints but are not parts
+    for bad in ((True,), (2, True), (2.0, 1), ("2",)):
+        with pytest.raises(ValueError, match="positive ints"):
+            check_partition(bad)
 
 
 def test_multiplicities():
