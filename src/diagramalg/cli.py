@@ -199,7 +199,11 @@ def _cmd_irrep(args):
         d, args.family, args.k, args.lambda_star, args.basis
     )
     if args.n is not None:
-        values = [[entry.evaluate(args.n) for entry in row] for row in mat]
+        # a zero cell is written as 0 without evaluating it
+        values = [
+            [entry.evaluate(args.n) if entry else 0 for entry in row]
+            for row in mat
+        ]
         if args.format == "json":
             payload = [
                 [{"num": v.numerator, "den": v.denominator} for v in row]

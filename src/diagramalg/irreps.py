@@ -11,9 +11,9 @@ components in the middle row and each deletion contributes a factor n.
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
-from .coeff import LaurentPoly
+from .coeff import ONE, ZERO, LaurentPoly
 from .diagrams import (
     _SHAPES,
     Diagram,
@@ -65,6 +65,16 @@ class SymmetricMDiagram:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "top", canon_top)
         object.__setattr__(self, "propagating", canon_prop)
+
+    @classmethod
+    def _canonical(cls, k, top, propagating):
+        """Wrap blocks that are already in canonical form, without sorting
+        or checking them again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "k", k)
+        object.__setattr__(w, "top", top)
+        object.__setattr__(w, "propagating", propagating)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricMDiagram is immutable")
@@ -196,47 +206,46 @@ ConjugateResult = namedtuple(
 )
 
 
+def _stack(d, blocks):
+    """Stack d above a set partition of {1..k}.
+
+    Nodes 1..k are the top row of d and node k+v is vertex v of the
+    partition, which the bottom row of d meets.  Returns the root of every
+    node and, keyed by root in order of least vertex, the top vertices of
+    each component that reaches the top row.
+    """
+    k = d.k
+    groups = list(d.blocks)
+    groups += [[k + v for v in b] for b in blocks]
+    root = _roots(2 * k + 1, groups)
+    tops = {}
+    for v in range(1, k + 1):
+        r = root[v]
+        if r in tops:
+            tops[r] += (v,)
+        else:
+            tops[r] = (v,)
+    return root, tops
+
+
 @lru_cache(maxsize=1 << 16)
 def _conjugate(d, w):
+    # d w d^T is mirror-symmetric and its two halves meet only through the
+    # propagating blocks of w, so d stacked on the top of w decides it: a
+    # component reaching the top row is a block of w', propagating when it
+    # holds a propagating block of w; a middle-only component without one
+    # is deleted, and its mirror image is not counted
     k = d.k
-    # layers: L0 = result top (v), L1 = top of w (k+v), L2 = bottom of w
-    # (2k+v), L3 = result bottom (3k+v); d spans L0-L1 and its transpose
-    # spans L2-L3, so the whole stack is d w d^T
-    # d itself: top vertex v at L0 index v, bottom vertex k+j at L1 index
-    # k+j; its mirror sends top v to L3 index 3k+v and bottom k+j to L2
-    groups = list(d.blocks)
-    groups += [
-        tuple(3 * k + v if v <= k else v + k for v in block)
-        for block in d.blocks
-    ]
-    prop = set(w.propagating)
-    for b in w.top:
-        above = tuple(k + v for v in b)
-        below = tuple(2 * k + v for v in b)
-        groups.append(above + below if b in prop else above)
-        groups.append(below)
-    root = _roots(4 * k + 1, groups)
-    components = {}
-    for v in range(1, 4 * k + 1):
-        components.setdefault(root[v], []).append(v)
-    out_blocks = []
-    deleted = 0
-    for members in components.values():
-        outer = [v for v in members if v <= k or v > 3 * k]
-        if outer:
-            out_blocks.append(
-                tuple(v if v <= k else v - 2 * k for v in outer)
-            )
-        elif all(k < v <= 2 * k for v in members):
-            deleted += 1
-    w_prime = SymmetricMDiagram.from_diagram(Diagram(k, out_blocks))
-    m_prime = w_prime.m
+    root, tops = _stack(d, w.top)
+    reached = {root[k + b[0]] for b in w.propagating}
+    prop = tuple(b for r, b in tops.items() if r in reached)
+    w_prime = SymmetricMDiagram._canonical(k, tuple(tops.values()), prop)
+    deleted = len(set(root[k + 1 : 2 * k + 1]).difference(tops, reached))
     twist = None
-    if m_prime == w.m:
-        new_props = w_prime.prop_max_order()
-        root_of_new = {root[b[0]]: j + 1 for j, b in enumerate(new_props)}
-        twist = tuple(root_of_new[root[k + b[0]]] for b in w.prop_max_order())
-    return ConjugateResult(w_prime, m_prime, deleted, twist)
+    if len(prop) == w.m:
+        new = {root[b[0]]: j for j, b in enumerate(w_prime.prop_max_order(), 1)}
+        twist = tuple(new[root[k + b[0]]] for b in w.prop_max_order())
+    return ConjugateResult(w_prime, len(prop), deleted, twist)
 
 
 def conjugate(d, w):
@@ -276,7 +285,7 @@ def act_twisted(d, v, family=None):
         )
         for ts, c in straighten(relabeled).items():
             key = (res.w_prime, ts)
-            out[key] = out.get(key, LaurentPoly()) + factor * c
+            out[key] = out.get(key, ZERO) + factor * c
     return {key: c for key, c in out.items() if c}
 
 
@@ -293,12 +302,13 @@ class SetPartitionTableau:
     def __init__(self, k, first_row, body):
         if not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer, got %r" % (k,))
-        first = tuple(
-            sorted((tuple(sorted(b)) for b in first_row), key=max)
-        )
+        first = [tuple(sorted(b)) for b in first_row]
         rows = tuple(
             tuple(tuple(sorted(b)) for b in row) for row in body
         )
+        if () in first or any(() in row for row in rows):
+            raise ValueError("blocks must not be empty")
+        first = tuple(sorted(first, key=max))
         shape = tuple(len(row) for row in rows)
         if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or (
             shape and shape[-1] == 0
@@ -309,9 +319,20 @@ class SetPartitionTableau:
         ]
         if sorted(everything) != list(range(1, k + 1)):
             raise ValueError("blocks must partition {1..%d}" % k)
+        _check_int_vertices(everything)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "first_row", first)
         object.__setattr__(self, "body", rows)
+
+    @classmethod
+    def _canonical(cls, k, first_row, body):
+        """Wrap a first row sorted by largest entry and a body of sorted
+        blocks in a partition shape, without checking them again."""
+        tab = object.__new__(cls)
+        object.__setattr__(tab, "k", k)
+        object.__setattr__(tab, "first_row", first_row)
+        object.__setattr__(tab, "body", body)
+        return tab
 
     def __setattr__(self, name, value):
         raise AttributeError("SetPartitionTableau is immutable")
@@ -423,51 +444,15 @@ def act_tableau(d, tab):
             "diagram on %d strands against a tableau on %d" % (d.k, tab.k)
         )
     k = d.k
-    body = tab.body_blocks()
-    root = _roots(
-        2 * k + 1,
-        d.blocks
-        + tuple(tuple(k + v for v in b) for b in tab.first_row + tuple(body)),
-    )
-    components = {}
-    for v in range(1, k + 1):
-        components.setdefault(root[v], {"top": [], "props": []})[
-            "top"
-        ].append(v)
-    for block in tab.first_row:
-        components.setdefault(root[k + block[0]], {"top": [], "props": []})
-    for idx, block in enumerate(body):
-        comp = components.setdefault(
-            root[k + block[0]], {"top": [], "props": []}
-        )
-        comp["props"].append(idx)
-    cell_of = {}
-    pos = 0
-    for r, row in enumerate(tab.body):
-        for c in range(len(row)):
-            cell_of[pos] = (r, c)
-            pos += 1
-    new_body = [[None] * len(row) for row in tab.body]
-    first_row = []
-    deleted = 0
-    for comp in components.values():
-        top = tuple(sorted(comp["top"]))
-        props = comp["props"]
-        if len(props) >= 2:
-            return None, 0
-        if props:
-            if not top:
-                return None, 0
-            r, c = cell_of[props[0]]
-            new_body[r][c] = top
-        elif top:
-            first_row.append(top)
-        else:
-            deleted += 1
-    return (
-        SetPartitionTableau(k, first_row, [tuple(row) for row in new_body]),
-        deleted,
-    )
+    root, tops = _stack(d, chain(tab.first_row, *tab.body))
+    cells = [root[k + b[0]] for row in tab.body for b in row]
+    taken = set(cells)
+    if len(taken) < len(cells) or not taken.issubset(tops):
+        return None, 0
+    body = tuple(tuple(tops[root[k + b[0]]] for b in row) for row in tab.body)
+    first_row = sorted((b for r, b in tops.items() if r not in taken), key=max)
+    deleted = len(set(root[k + 1 : 2 * k + 1]).difference(tops))
+    return SetPartitionTableau._canonical(k, tuple(first_row), body), deleted
 
 
 def act_natural(d, v, family=None):
@@ -484,13 +469,10 @@ def act_natural(d, v, family=None):
             continue
         factor = LaurentPoly.coerce(coeff).shift(deleted)
         order = sorted(moved.body_blocks(), key=max)
-        filling = moved.body_filling()
-        for ustd, c in straighten(filling).items():
-            body = tuple(
-                tuple(order[x - 1] for x in row) for row in ustd
-            )
-            tstd = SetPartitionTableau(moved.k, moved.first_row, body)
-            out[tstd] = out.get(tstd, LaurentPoly()) + factor * c
+        for ustd, c in straighten(moved.body_filling()).items():
+            body = tuple(tuple(order[x - 1] for x in row) for row in ustd)
+            tstd = SetPartitionTableau._canonical(moved.k, moved.first_row, body)
+            out[tstd] = out.get(tstd, ZERO) + factor * c
     return {key: c for key, c in out.items() if c}
 
 
@@ -507,6 +489,18 @@ def _normalize_basis(basis):
     raise ValueError("unknown basis %r" % (basis,))
 
 
+@lru_cache(maxsize=None)
+def _module_basis(family, k, lam_star, basis):
+    """The basis vectors of a module in basis order, and the index of each."""
+    ws = enumerate_symmetric(family, k, sum(lam_star))
+    ts = standard_tableaux(lam_star)
+    if basis == TWISTED:
+        vectors = tuple((w, t) for w in ws for t in ts)
+    else:
+        vectors = tuple(tableau_from_pair(w, t) for w in ws for t in ts)
+    return vectors, {v: i for i, v in enumerate(vectors)}
+
+
 def rep_columns(d, family, k, lam_star, basis=TWISTED):
     """Sparse matrix of d on the module: column j maps row index to the
     coefficient of basis vector i in d . (basis vector j)."""
@@ -519,29 +513,12 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
         raise AlgebraMismatch(
             "diagram %s is not in the %s family" % (d.text(), family)
         )
-    m = sum(lam_star)
-    ws = enumerate_symmetric(family, k, m)
-    ts = standard_tableaux(lam_star)
-    if basis == TWISTED:
-        index = {}
-        for w in ws:
-            for t in ts:
-                index[(w, t)] = len(index)
-        cols = []
-        for w in ws:
-            for t in ts:
-                image = act_twisted(d, {(w, t): 1})
-                cols.append({index[key]: c for key, c in image.items()})
-        return cols
-    tabs = [
-        tableau_from_pair(w, t) for w in ws for t in ts
+    vectors, index = _module_basis(family, k, lam_star, basis)
+    act = act_twisted if basis == TWISTED else act_natural
+    return [
+        {index[key]: c for key, c in act(d, {v: ONE}).items()}
+        for v in vectors
     ]
-    index = {tab: i for i, tab in enumerate(tabs)}
-    cols = []
-    for tab in tabs:
-        image = act_natural(d, {tab: 1})
-        cols.append({index[key]: c for key, c in image.items()})
-    return cols
 
 
 def rep_columns_element(elem, lam_star, basis=TWISTED):
@@ -553,7 +530,7 @@ def rep_columns_element(elem, lam_star, basis=TWISTED):
             total = [{} for _ in cols]
         for j, col in enumerate(cols):
             for i, c in col.items():
-                total[j][i] = total[j].get(i, LaurentPoly()) + coeff * c
+                total[j][i] = total[j].get(i, ZERO) + coeff * c
     if total is None:
         m = sum(check_partition(lam_star))
         size = len(enumerate_symmetric(elem.family, elem.k, m)) * len(
@@ -569,7 +546,7 @@ def rep_matrix_irrep(d, family, k, lam_star, basis=TWISTED):
     """Dense matrix of d on the module, rows and columns in basis order."""
     cols = rep_columns(d, family, k, lam_star, basis)
     size = len(cols)
-    mat = [[LaurentPoly() for _ in range(size)] for _ in range(size)]
+    mat = [[ZERO] * size for _ in range(size)]
     for j, col in enumerate(cols):
         for i, c in col.items():
             mat[i][j] = c
@@ -583,13 +560,13 @@ def compose_columns(a_cols, b_cols):
         acc = {}
         for i, c in col.items():
             for r, ac in a_cols[i].items():
-                acc[r] = acc.get(r, LaurentPoly()) + c * ac
+                acc[r] = acc.get(r, ZERO) + c * ac
         out.append({r: c for r, c in acc.items() if c})
     return out
 
 
 def column_trace(cols):
-    total = LaurentPoly()
+    total = ZERO
     for j, col in enumerate(cols):
-        total = total + col.get(j, LaurentPoly())
+        total = total + col.get(j, ZERO)
     return total

@@ -292,6 +292,16 @@ def test_tableau_validation_and_text():
     )
 
 
+def test_tableau_rejects_non_int_vertices_and_empty_blocks():
+    # 1.0 and True compare and hash like vertex 1
+    for first_row, body in (([(1.0,)], []), ([(True,)], []), ([], [((1.0,),)])):
+        with pytest.raises(ValueError, match="integers"):
+            SetPartitionTableau(1, first_row, body)
+    for first_row, body in (([(), (1, 2)], []), ([(1,)], [((2,), ())])):
+        with pytest.raises(ValueError, match="^blocks must not be empty$"):
+            SetPartitionTableau(2, first_row, body)
+
+
 def test_act_tableau_worked_example():
     moved, deleted = act_tableau(D13, T13)
     assert moved == T13_MOVED

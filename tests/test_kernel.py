@@ -18,7 +18,9 @@ from diagramalg.diagrams import (
     Diagram,
     _matchings,
     _noncrossing,
+    _roots,
     concat,
+    family_generators,
     enumerate_basis,
     format_diagram,
     in_family,
@@ -27,11 +29,20 @@ from diagramalg.diagrams import (
     vertex_name,
 )
 from diagramalg.irreps import (
+    TABLEAU,
+    SetPartitionTableau,
     SymmetricMDiagram,
     _enumerate_symmetric,
+    _module_basis,
     _symmetric_candidates,
+    act_tableau,
+    conjugate,
+    enumerate_sspt,
+    enumerate_symmetric,
 )
-from diagramalg.partitions import catalan, rank_set
+from diagramalg.partitions import catalan, lambda_star_labels, rank_set
+
+MODULE_FAMILIES = tuple(f for f in FAMILIES if f != PLANAR_PARTITION)
 
 
 def reference_concat(d1, d2):
@@ -234,3 +245,185 @@ def test_symmetric_tops_with_exactly_m_singles_match_the_filter():
                     k,
                     m,
                 )
+
+
+def reference_conjugate(d, w):
+    """The full stack d w d^T over four layers of k nodes, read back through
+    a validating Diagram, as conjugation was before it used the top half."""
+    k = d.k
+    # layers: result top (v), top of w (k+v), bottom of w (2k+v), result
+    # bottom (3k+v); d spans the first two and its mirror the last two
+    groups = list(d.blocks)
+    groups += [
+        tuple(3 * k + v if v <= k else v + k for v in block)
+        for block in d.blocks
+    ]
+    prop = set(w.propagating)
+    for b in w.top:
+        above = tuple(k + v for v in b)
+        below = tuple(2 * k + v for v in b)
+        groups.append(above + below if b in prop else above)
+        groups.append(below)
+    root = _roots(4 * k + 1, groups)
+    components = {}
+    for v in range(1, 4 * k + 1):
+        components.setdefault(root[v], []).append(v)
+    out_blocks = []
+    deleted = 0
+    for members in components.values():
+        outer = [v for v in members if v <= k or v > 3 * k]
+        if outer:
+            out_blocks.append(
+                tuple(v if v <= k else v - 2 * k for v in outer)
+            )
+        elif all(k < v <= 2 * k for v in members):
+            deleted += 1
+    w_prime = SymmetricMDiagram.from_diagram(Diagram(k, out_blocks))
+    twist = None
+    if w_prime.m == w.m:
+        new_props = w_prime.prop_max_order()
+        root_of_new = {root[b[0]]: j + 1 for j, b in enumerate(new_props)}
+        twist = tuple(root_of_new[root[k + b[0]]] for b in w.prop_max_order())
+    return w_prime, w_prime.m, deleted, twist
+
+
+def reference_act_tableau(d, tab):
+    """Per-component bookkeeping and a validating SetPartitionTableau, as
+    the action on tableaux was before it shared the stack with
+    conjugation."""
+    k = d.k
+    body = tab.body_blocks()
+    root = _roots(
+        2 * k + 1,
+        d.blocks
+        + tuple(tuple(k + v for v in b) for b in tab.first_row + tuple(body)),
+    )
+    components = {}
+    for v in range(1, k + 1):
+        components.setdefault(root[v], {"top": [], "props": []})[
+            "top"
+        ].append(v)
+    for block in tab.first_row:
+        components.setdefault(root[k + block[0]], {"top": [], "props": []})
+    for idx, block in enumerate(body):
+        comp = components.setdefault(
+            root[k + block[0]], {"top": [], "props": []}
+        )
+        comp["props"].append(idx)
+    cell_of = {}
+    pos = 0
+    for r, row in enumerate(tab.body):
+        for c in range(len(row)):
+            cell_of[pos] = (r, c)
+            pos += 1
+    new_body = [[None] * len(row) for row in tab.body]
+    first_row = []
+    deleted = 0
+    for comp in components.values():
+        top = tuple(sorted(comp["top"]))
+        props = comp["props"]
+        if len(props) >= 2:
+            return None, 0
+        if props:
+            if not top:
+                return None, 0
+            r, c = cell_of[props[0]]
+            new_body[r][c] = top
+        elif top:
+            first_row.append(top)
+        else:
+            deleted += 1
+    return (
+        SetPartitionTableau(k, first_row, [tuple(row) for row in new_body]),
+        deleted,
+    )
+
+
+def assert_conjugate_matches_reference(d, w):
+    res = conjugate(d, w)
+    w_prime, m_prime, deleted, twist = reference_conjugate(d, w)
+    assert (
+        res.w_prime.top,
+        res.w_prime.propagating,
+        res.m_prime,
+        res.deleted,
+        res.twist,
+    ) == (w_prime.top, w_prime.propagating, m_prime, deleted, twist), (
+        d.text(),
+        w.text(),
+    )
+
+
+def assert_act_tableau_matches_reference(d, tab):
+    moved, deleted = act_tableau(d, tab)
+    expected, expected_deleted = reference_act_tableau(d, tab)
+    if expected is None:
+        assert moved is None, (d.text(), tab.text())
+    else:
+        assert (moved.first_row, moved.body) == (
+            expected.first_row,
+            expected.body,
+        ), (d.text(), tab.text())
+    assert deleted == expected_deleted, (d.text(), tab.text())
+
+
+def module_vectors(family, k):
+    """Every symmetric diagram and every standard set-partition tableau of
+    the family at k, over all ranks and labels."""
+    ws = [w for m in rank_set(family, k) for w in enumerate_symmetric(family, k, m)]
+    tabs = [
+        tab
+        for lam in lambda_star_labels(family, k)
+        for tab in enumerate_sspt(family, k, lam)
+    ]
+    return ws, tabs
+
+
+def test_conjugate_and_act_tableau_match_reference_up_to_k3():
+    for family in MODULE_FAMILIES:
+        for k in range(1, 4):
+            ws, tabs = module_vectors(family, k)
+            for d in enumerate_basis(family, k):
+                for w in ws:
+                    assert_conjugate_matches_reference(d, w)
+                for tab in tabs:
+                    assert_act_tableau_matches_reference(d, tab)
+
+
+def random_word(rng, family, k):
+    """The product of a seeded word of one to k generators of the family."""
+    gens = family_generators(family, k)
+    d = rng.choice(gens)
+    for _ in range(rng.randrange(k)):
+        d = concat(d, rng.choice(gens)).product
+    return d
+
+
+def test_conjugate_and_act_tableau_match_reference_on_seeded_samples():
+    rng = random.Random(20181807)
+    for family in MODULE_FAMILIES:
+        for k in (4, 5, 6):
+            ws, tabs = module_vectors(family, k)
+            for _ in range(120):
+                d = random_word(rng, family, k)
+                assert_conjugate_matches_reference(d, rng.choice(ws))
+                assert_act_tableau_matches_reference(d, rng.choice(tabs))
+    # Partition diagrams of every shape, not only products of generators
+    ws, tabs = module_vectors(PARTITION, 5)
+    for _ in range(800):
+        d = random_diagram(rng, 5)
+        assert_conjugate_matches_reference(d, rng.choice(ws))
+        assert_act_tableau_matches_reference(d, rng.choice(tabs))
+
+
+def test_cached_tableau_basis_matches_enumerate_sspt():
+    for family in MODULE_FAMILIES:
+        for k in range(1, 6):
+            for lam in lambda_star_labels(family, k):
+                tabs, index = _module_basis(family, k, lam, TABLEAU)
+                assert list(tabs) == enumerate_sspt(family, k, lam), (
+                    family,
+                    k,
+                    lam,
+                )
+                assert [index[tab] for tab in tabs] == list(range(len(tabs)))
