@@ -8,10 +8,13 @@ integral coefficients are stored as plain ints and Fraction is kept only
 for non-integral values such as rational user input.  Elements are formal
 linear combinations of diagrams tagged with their family, and
 multiplication shifts the exponents by the number of components deleted
-in each concatenation.
+in each concatenation.  A product runs on integer coefficients: each
+factor is scaled by the common denominator of its coefficients, and each
+product term is divided once by the two denominators at the end.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .diagrams import Diagram, concat, identity_diagram, in_family, normalize_family
 from .errors import (
@@ -35,17 +38,23 @@ class LaurentPoly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, c in items:
-                if not isinstance(exp, int):
+                if type(exp) is not int:
                     raise ValueError("exponent must be an int, got %r" % (exp,))
-                if type(c) is not int and not isinstance(c, Fraction):
-                    c = Fraction(c)
+                if type(c) is not int:
+                    # floats and bools convert silently to Fraction, so
+                    # they are refused rather than read as exact values
+                    if isinstance(c, (bool, float)):
+                        raise ValueError(
+                            "coefficient must be exact, got %r" % (c,)
+                        )
+                    if not isinstance(c, Fraction):
+                        c = Fraction(c)
                 if exp in data:
                     c += data[exp]
                 data[exp] = c
         # integral Fractions become ints
-        object.__setattr__(
+        _set_terms(
             self,
-            "terms",
             {
                 e: c if type(c) is int or c.denominator != 1 else c.numerator
                 for e, c in data.items()
@@ -57,7 +66,7 @@ class LaurentPoly:
     def _from_clean(cls, terms):
         # terms already holds only nonzero ints and non-integral Fractions
         poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", terms)
+        _set_terms(poly, terms)
         return poly
 
     def __setattr__(self, name, value):
@@ -93,7 +102,7 @@ class LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return _from_sums(out)
 
     __radd__ = __add__
 
@@ -113,7 +122,7 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return _from_sums(out)
 
     __rmul__ = __mul__
 
@@ -188,6 +197,21 @@ class LaurentPoly:
         return cls(
             {t["exp"]: Fraction(t["num"], t["den"]) for t in obj}
         )
+
+
+# the slot's own setter, which __setattr__ refuses to reach
+_set_terms = LaurentPoly.terms.__set__
+_INT = frozenset((int,))
+
+
+def _from_sums(out):
+    """A polynomial from summed terms: all-int sums only need their zeros
+    dropped; anything else goes through the validating constructor."""
+    if set(map(type, out.values())) <= _INT:
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return LaurentPoly._from_clean(out)
+    return LaurentPoly(out)
 
 
 ZERO = LaurentPoly()
@@ -279,14 +303,24 @@ class Element:
 
     def __mul__(self, other):
         self._check_compatible(other)
+        left, den_a = _integral(self.combo)
+        right, den_b = _integral(other.combo)
         out = {}
-        for d1, c1 in self.combo.items():
-            for d2, c2 in other.combo.items():
+        for d1, c1 in left.items():
+            # a stack deletes at most k middle components
+            powers = [c1.shift(i) for i in range(self.k + 1)]
+            for d2, c2 in right.items():
                 prod, deleted = concat(d1, d2)
-                c = (c1 * c2).shift(deleted)
+                c = powers[deleted] * c2
                 if prod in out:
                     c = out[prod] + c
                 out[prod] = c
+        den = den_a * den_b
+        if den != 1:
+            out = {
+                d: LaurentPoly({e: Fraction(c, den) for e, c in p.terms.items()})
+                for d, p in out.items()
+            }
         return Element(self.k, self.family, out)
 
     def __eq__(self, other):
@@ -315,3 +349,17 @@ class Element:
 
     def __repr__(self):
         return "Element(k=%d, %s, %s)" % (self.k, self.family, self)
+
+
+def _integral(combo):
+    """Scale a combination to integer coefficients by the lcm of their
+    denominators; return the scaled combination and that lcm."""
+    den = lcm(*(c.denominator for p in combo.values() for c in p.terms.values()))
+    if den == 1:
+        return combo, 1
+    return {
+        d: LaurentPoly._from_clean(
+            {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+        )
+        for d, p in combo.items()
+    }, den

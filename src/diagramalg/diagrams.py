@@ -13,6 +13,7 @@ import os
 import re
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 
 from .errors import (
     CapExceeded,
@@ -91,35 +92,41 @@ class Diagram:
 
     blocks is a tuple of tuples of ints: each block sorted ascending (top
     vertices 1..k precede bottom vertices k+1..2k automatically), blocks
-    sorted by their least vertex.
+    sorted by their least vertex.  The block layout that concat reads
+    (_owner, see _block_owner) is cached on first use and takes no part in
+    equality or hashing.
     """
 
-    __slots__ = ("k", "blocks")
+    __slots__ = ("k", "blocks", "_owner")
 
     def __init__(self, k, blocks):
         if not isinstance(k, int) or k < 1:
             raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        seen = [v for b in canon for v in b]
-        if sorted(seen) != list(range(1, 2 * k + 1)):
+        canon = tuple(sorted(map(tuple, map(sorted, blocks))))
+        seen = sorted(chain.from_iterable(canon))
+        if seen != list(range(1, 2 * k + 1)):
             raise ValueError("blocks must partition {1..%d}" % (2 * k))
         if not canon[0]:  # an empty block sorts first
             raise ValueError("blocks must not be empty")
         _check_int_vertices(seen)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", canon)
+        _set_k(self, k)
+        _set_blocks(self, canon)
 
     @classmethod
     def _canonical(cls, k, blocks):
         """Wrap blocks that are already in canonical form, without sorting
         or checking them again."""
         d = object.__new__(cls)
-        object.__setattr__(d, "k", k)
-        object.__setattr__(d, "blocks", blocks)
+        _set_k(d, k)
+        _set_blocks(d, blocks)
         return d
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the checks, without the cached layout
+        return (Diagram, (self.k, self.blocks))
 
     def __eq__(self, other):
         return (
@@ -139,6 +146,12 @@ class Diagram:
 
     def __repr__(self):
         return "Diagram(%d, %r)" % (self.k, self.text())
+
+
+# the slots' own setters, which __setattr__ refuses to reach
+_set_k = Diagram.k.__set__
+_set_blocks = Diagram.blocks.__set__
+_set_owner = Diagram._owner.__set__
 
 
 def _check_int_vertices(vertices):
@@ -207,8 +220,8 @@ def _roots(size, groups):
     """Join the nodes of each group; return the root of every node 0..size-1.
 
     A flat-list union-find with path halving, its finds written out inline:
-    the single kernel behind concatenation, conjugation and the action on
-    tableaux.
+    the kernel behind conjugation and the action on tableaux (concat runs
+    its own over blocks rather than vertices).
     """
     parent = list(range(size))
     for group in groups:
@@ -228,6 +241,20 @@ def _roots(size, groups):
     return parent
 
 
+def _block_owner(d):
+    """owner[v] is the index in d.blocks of the block holding vertex v
+    (index 0 unused); computed once per diagram and cached on it."""
+    try:
+        return d._owner
+    except AttributeError:
+        owner = [0] * (2 * d.k + 1)
+        for i, block in enumerate(d.blocks):
+            for v in block:
+                owner[v] = i
+        _set_owner(d, tuple(owner))
+        return d._owner
+
+
 def concat(d1, d2):
     """Stack d1 above d2; return (product diagram, deleted middle components).
 
@@ -238,26 +265,38 @@ def concat(d1, d2):
     if d1.k != d2.k:
         raise RankMismatch("cannot concatenate k=%d with k=%d" % (d1.k, d2.k))
     k = d1.k
-    # nodes: 1..k top of d1, k+1..2k middle, 2k+1..3k bottom of d2
-    groups = list(d1.blocks)
-    groups += [[v + k for v in block] for block in d2.blocks]
-    root = _roots(3 * k + 1, groups)
+    # nodes are blocks: 0..n1-1 those of d1, n1.. those of d2; the middle
+    # vertex j joins d1's block at bottom k + j to d2's block at top j.
+    # Path halving, finds inline; each union that joins two components
+    # takes one off the count.
+    own1, own2 = _block_owner(d1), _block_owner(d2)
+    n1 = len(d1.blocks)
+    size = n1 + len(d2.blocks)
+    parent = list(range(size))
+    components = size
+    for a, b in zip(own1[k + 1 :], own2[1 : k + 1]):
+        b += n1
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+            components -= 1
+    # the node of each outer vertex, tops 1..k then bottoms k+1..2k: each
+    # block opens at its least vertex and grows in ascending order, so the
+    # blocks come out canonical
+    nodes = own1[1 : k + 1] + tuple([b + n1 for b in own2[k + 1 :]])
     outer = {}
-    for v in range(1, k + 1):
-        r = root[v]
+    for v, r in enumerate(nodes, 1):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
         if r in outer:
             outer[r].append(v)
         else:
             outer[r] = [v]
-    for v in range(2 * k + 1, 3 * k + 1):
-        r = root[v]
-        if r in outer:
-            outer[r].append(v - k)
-        else:
-            outer[r] = [v - k]
-    # every middle component without an outer vertex vanishes
-    deleted = len(set(root[k + 1 : 2 * k + 1]).difference(outer))
-    return ConcatResult(Diagram(k, outer.values()), deleted)
+    # every component without an outer vertex lay in the middle and vanishes
+    return ConcatResult(Diagram(k, outer.values()), components - len(outer))
 
 
 def transpose(d):
@@ -311,7 +350,11 @@ def is_planar(d):
 
 def in_family(d, family):
     """Membership predicate for each diagram family."""
-    pairs, singles, across, planar = _SHAPES[normalize_family(family)]
+    try:
+        shape = _SHAPES[family]
+    except (KeyError, TypeError):
+        shape = _SHAPES[normalize_family(family)]
+    pairs, singles, across, planar = shape
     if pairs:
         k = d.k
         for b in d.blocks:

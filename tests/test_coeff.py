@@ -1,15 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_kernel import reference_concat
 
 from diagramalg import errors
 from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
+    FAMILIES,
     concat,
     enumerate_basis,
     generator,
     identity_diagram,
+    in_family,
     parse_diagram,
 )
 
@@ -215,8 +219,93 @@ def test_element_evaluation_commutes_with_product(data, x):
     assert direct == pieces
 
 
+def reference_mul(a, b):
+    """The product by per-pair Fraction arithmetic over the reference
+    stack, as {diagram: {exponent: coefficient}} without zeros."""
+    out = {}
+    for d1, p1 in a.combo.items():
+        for d2, p2 in b.combo.items():
+            prod, deleted = reference_concat(d1, d2)
+            terms = out.setdefault(prod, {})
+            for e1, c1 in p1.terms.items():
+                for e2, c2 in p2.terms.items():
+                    e = e1 + e2 + deleted
+                    terms[e] = terms.get(e, Fraction(0)) + Fraction(c1) * c2
+    out = {d: {e: c for e, c in terms.items() if c} for d, terms in out.items()}
+    return {d: terms for d, terms in out.items() if terms}
+
+
+def assert_product_matches_reference(a, b):
+    prod = a * b
+    assert {d: p.terms for d, p in prod.combo.items()} == reference_mul(a, b)
+    for p in prod.combo.values():
+        assert_exact(p)
+    return prod
+
+
+def random_element(rng, family, k, size, dens=(1,)):
+    """A seeded element on up to size distinct diagrams of the family, each
+    coefficient a Laurent binomial with denominators drawn from dens."""
+    basis = enumerate_basis(family, k)
+    combo = {}
+    for d in rng.sample(basis, min(size, len(basis))):
+        combo[d] = LaurentPoly(
+            {
+                rng.randrange(-2, 3): Fraction(
+                    rng.choice((-5, -3, -2, -1, 1, 2, 4, 6)), rng.choice(dens)
+                )
+                for _ in range(2)
+            }
+        )
+    return Element(k, family, combo)
+
+
+def test_product_matches_fraction_reference_on_every_family():
+    rng = random.Random(8)
+    for family in FAMILIES:
+        for k in range(1, 5):
+            for dens in ((1,), (1, 2, 3), (2, 3, 5, 7, 11)):
+                a = random_element(rng, family, k, 6, dens)
+                b = random_element(rng, family, k, 6, dens)
+                assert_product_matches_reference(a, b)
+
+
+def test_product_cancellation_integral_results_and_zero():
+    basis = enumerate_basis("Partition", 2)
+    e = basis[5]
+    # two diagrams that stack onto e alike: their terms must cancel
+    d, d2 = next(
+        (x, y)
+        for x in basis
+        for y in basis
+        if x != y and concat(x, e) == concat(y, e)
+    )
+    other = next(x for x in basis if concat(x, e) != concat(d, e))
+    third = Fraction(1, 3)
+    a = Element(2, "Partition", {d: third, d2: -third, other: Fraction(2, 7)})
+    b = Element(2, "Partition", {e: Fraction(7, 5)})
+    prod = assert_product_matches_reference(a, b)
+    kept, deleted = concat(other, e)
+    assert prod.combo == {kept: LaurentPoly.monomial(deleted, Fraction(2, 5))}
+    # rational factors with an integral product give int coefficients
+    for x, y in (
+        ({d: Fraction(2, 3)}, {e: Fraction(3, 2)}),
+        ({d: Fraction(1, 6), d2: Fraction(5, 6)}, {e: 3}),
+    ):
+        prod = assert_product_matches_reference(
+            Element(2, "Partition", x), Element(2, "Partition", y)
+        )
+        [poly] = prod.combo.values()
+        assert list(map(type, poly.terms.values())) == [int]
+    zero = Element.zero(2, "Partition")
+    for x, y in ((zero, a), (a, zero), (zero, zero)):
+        assert (x * y).is_zero()
+        assert_product_matches_reference(x, y)
+
+
 def test_family_closure_under_product():
-    for family in ("Brauer", "Motzkin", "TemperleyLieb", "Rook"):
+    rng = random.Random(3)
+    for family in FAMILIES:
         basis = enumerate_basis(family, 2)
         for a in basis:
             for b in basis:
@@ -224,6 +313,33 @@ def test_family_closure_under_product():
                     b, family
                 )
                 assert prod.family == family
+                assert all(in_family(d, family) for d in prod.combo)
+        for _ in range(3):
+            a = random_element(rng, family, 3, 8, (1, 2, 3))
+            b = random_element(rng, family, 3, 8, (1, 5))
+            prod = a * b
+            assert prod.family == family and not prod.is_zero()
+            for d in prod.combo:
+                assert in_family(d, family), (family, d.text())
+
+
+def test_laurent_refuses_floats_and_bool_exponents():
+    n = LaurentPoly.monomial(1)
+    elem = Element.identity(1, "Partition")
+    for build in (
+        lambda: LaurentPoly({0: 0.1}),
+        lambda: LaurentPoly({0: True}),
+        lambda: LaurentPoly({True: 2}),
+        lambda: LaurentPoly({1.0: 2}),
+        lambda: LaurentPoly.monomial(False),
+        lambda: LaurentPoly.from_json_obj([{"exp": True, "num": 1, "den": 1}]),
+        lambda: elem.scale(0.5),
+        lambda: n * 2.5,
+        lambda: n + 0.5,
+    ):
+        with pytest.raises(ValueError):
+            build()
+    assert LaurentPoly({0: Fraction(1, 10)}).terms == {0: Fraction(1, 10)}
 
 
 def test_element_str_is_deterministic():

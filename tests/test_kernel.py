@@ -1,6 +1,8 @@
 """The stacking kernel, the planarity scan, family membership and basis
 enumeration against the reference implementations they replaced."""
 
+import copy
+import pickle
 import random
 
 from diagramalg.diagrams import (
@@ -170,10 +172,29 @@ def random_diagram(rng, k):
 
 def test_concat_matches_reference_on_seeded_pairs_at_k4_and_k5():
     rng = random.Random(20181808)
-    for k in (4, 5):
-        for _ in range(10_000):
+    for k, family in ((4, PARTITION), (5, ROOK_BRAUER)):
+        products = []
+        for i in range(10_000):
             d1, d2 = random_diagram(rng, k), random_diagram(rng, k)
             assert tuple(concat(d1, d2)) == reference_concat(d1, d2)
+            if i % 5 == 0:
+                # one object, its block layout cached, on both sides
+                assert tuple(concat(d1, d1)) == reference_concat(d1, d1)
+            products.append(concat(d1, d2).product)
+        # products and listed (_canonical) diagrams fed back in as factors,
+        # first with their layouts fresh, then cached
+        listed = enumerate_basis(family, k)
+        for _ in range(2_000):
+            p, d = rng.choice(products), rng.choice(listed)
+            for x, y in ((p, d), (d, p), (d, d), (p, p)):
+                assert tuple(concat(x, y)) == reference_concat(x, y)
+        # copies of a diagram whose layout is cached are the same diagram
+        for d in (products[-1], listed[-1]):
+            concat(d, d)
+            assert hasattr(d, "_owner")
+            for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+                assert twin == d and hash(twin) == hash(d)
+                assert tuple(concat(twin, d)) == reference_concat(d, d)
 
 
 def reference_enumerate_basis(family, k):
