@@ -150,21 +150,28 @@ def _cmd_basis(args):
     return 0
 
 
-def _cmd_dims(args):
-    labels = lambda_star_labels(args.family, args.k)
-    lines = []
-    total = 0
-    for lam in labels:
+def _module_dims(family, k):
+    """Each module's (label, rank m, symmetric diagrams, tableaux, dim),
+    the sum of the squared dims and the algebra's dimension.  The symmetric
+    diagrams are counted by listing them, so that Wedderburn's sum checks
+    the enumeration against the closed-form algebra dimension."""
+    rows = []
+    for lam in lambda_star_labels(family, k):
         m = sum(lam)
-        count_w = len(irreps.enumerate_symmetric(args.family, args.k, m))
+        count_w = len(irreps.enumerate_symmetric(family, k, m))
         f = symrep.sym_dim(lam)
-        dim = count_w * f
-        total += dim * dim
-        lines.append(
-            "lambda_star=%s m=%d symmetric=%d tableaux=%d dim=%d"
-            % (characters.format_partition(lam), m, count_w, f, dim)
-        )
-    alg = diagrams.algebra_dim(args.family, args.k)
+        rows.append((lam, m, count_w, f, count_w * f))
+    total = sum(row[-1] ** 2 for row in rows)
+    return rows, total, diagrams.algebra_dim(family, k)
+
+
+def _cmd_dims(args):
+    rows, total, alg = _module_dims(args.family, args.k)
+    lines = [
+        "lambda_star=%s m=%d symmetric=%d tableaux=%d dim=%d"
+        % (characters.format_partition(lam), m, count_w, f, dim)
+        for lam, m, count_w, f, dim in rows
+    ]
     lines.append(
         "sum_of_squares=%d algebra_dim=%d ok=%s"
         % (total, alg, "true" if total == alg else "false")
@@ -302,7 +309,7 @@ def _suite_module_axiom(family, k, rng, cases, report):
     return ok
 
 
-def _suite_basis_equivalence(family, k, report):
+def _suite_basis_equivalence(family, k, rng, cases, report):
     ok = True
     for lam in lambda_star_labels(family, k):
         for g in diagrams.family_generators(family, k):
@@ -324,13 +331,8 @@ def _suite_basis_equivalence(family, k, report):
     return ok
 
 
-def _suite_wedderburn(family, k, report):
-    total = 0
-    for lam in lambda_star_labels(family, k):
-        count_w = len(irreps.enumerate_symmetric(family, k, sum(lam)))
-        dim = count_w * symrep.sym_dim(lam)
-        total += dim * dim
-    alg = diagrams.algebra_dim(family, k)
+def _suite_wedderburn(family, k, rng, cases, report):
+    _, total, alg = _module_dims(family, k)
     if total == alg:
         report("ok wedderburn (%s, k=%d, dim=%d)" % (family, k, alg))
         return True
@@ -341,7 +343,7 @@ def _suite_wedderburn(family, k, report):
     return False
 
 
-def _suite_fixedpoint(family, k, report):
+def _suite_fixedpoint(family, k, rng, cases, report):
     ok = True
     for kappa in characters.class_labels(family, k):
         if sum(kappa) != k:
@@ -365,7 +367,7 @@ def _suite_fixedpoint(family, k, report):
     return ok
 
 
-def _suite_table_regression(report):
+def _suite_table_regression(family, k, rng, cases, report):
     ok = True
     for (family, k), ref in sorted(characters.REFERENCE_TABLES.items()):
         table = characters.character_table(family, k)
@@ -401,7 +403,7 @@ def _suite_table_regression(report):
     return ok
 
 
-def _suite_determinant(family, k, report):
+def _suite_determinant(family, k, rng, cases, report):
     check = characters.table_determinant_check(family, k)
     if check.ok:
         report(
@@ -418,15 +420,24 @@ def _suite_determinant(family, k, report):
 
 _MODULE_FAMILIES = tuple(f for f in diagrams.FAMILIES if f != diagrams.PLANAR_PARTITION)
 
-_SUITES = (
-    "ring-axioms",
-    "module-axiom",
-    "basis-equivalence",
-    "wedderburn",
-    "fixedpoint-vs-formula",
-    "table-regression",
-    "determinant",
-)
+_PARTITION_ONLY = (diagrams.PARTITION,)
+
+# suite -> (runner, default families, default k of a family), in the
+# order a bare verify runs them.  Every runner takes (family, k, rng,
+# cases, report); table-regression reads only report.
+_SUITES = {
+    "ring-axioms": (_suite_ring_axioms, _PARTITION_ONLY, lambda f: 2),
+    "module-axiom": (_suite_module_axiom, _PARTITION_ONLY, lambda f: 2),
+    "basis-equivalence": (_suite_basis_equivalence, _PARTITION_ONLY, lambda f: 3),
+    "wedderburn": (
+        _suite_wedderburn,
+        _MODULE_FAMILIES,
+        lambda f: 3 if f == diagrams.PARTITION else 4,
+    ),
+    "fixedpoint-vs-formula": (_suite_fixedpoint, _PARTITION_ONLY, lambda f: 3),
+    "table-regression": (_suite_table_regression, (None,), lambda f: None),
+    "determinant": (_suite_determinant, _MODULE_FAMILIES, lambda f: 3),
+}
 
 
 def _cmd_verify(args):
@@ -448,46 +459,13 @@ def _cmd_verify(args):
 
 
 def _run_suites(args, report):
-    suites = [args.suite] if args.suite else list(_SUITES)
     rng = random.Random(args.seed)
     ok = True
-
-    def k_or(default):
-        return default if args.k is None else args.k
-
-    for suite in suites:
-        if suite == "ring-axioms":
-            fams = [args.family] if args.family else [diagrams.PARTITION]
-            for fam in fams:
-                k = k_or(2)
-                ok &= _suite_ring_axioms(fam, k, rng, args.cases, report)
-        elif suite == "module-axiom":
-            fams = [args.family] if args.family else [diagrams.PARTITION]
-            for fam in fams:
-                k = k_or(2)
-                ok &= _suite_module_axiom(fam, k, rng, args.cases, report)
-        elif suite == "basis-equivalence":
-            fams = [args.family] if args.family else [diagrams.PARTITION]
-            for fam in fams:
-                k = k_or(3)
-                ok &= _suite_basis_equivalence(fam, k, report)
-        elif suite == "wedderburn":
-            fams = [args.family] if args.family else list(_MODULE_FAMILIES)
-            for fam in fams:
-                k = k_or(3 if fam == diagrams.PARTITION else 4)
-                ok &= _suite_wedderburn(fam, k, report)
-        elif suite == "fixedpoint-vs-formula":
-            fams = [args.family] if args.family else [diagrams.PARTITION]
-            for fam in fams:
-                k = k_or(3)
-                ok &= _suite_fixedpoint(fam, k, report)
-        elif suite == "table-regression":
-            ok &= _suite_table_regression(report)
-        elif suite == "determinant":
-            fams = [args.family] if args.family else list(_MODULE_FAMILIES)
-            for fam in fams:
-                k = k_or(3)
-                ok &= _suite_determinant(fam, k, report)
+    for suite in [args.suite] if args.suite else _SUITES:
+        runner, families, default_k = _SUITES[suite]
+        for fam in [args.family] if args.family else families:
+            k = default_k(fam) if args.k is None else args.k
+            ok &= runner(fam, k, rng, args.cases, report)
     return ok
 
 

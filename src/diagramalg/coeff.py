@@ -72,6 +72,10 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the checks
+        return (LaurentPoly, (self.terms,))
+
     @classmethod
     def monomial(cls, exp, coeff=1):
         return cls({exp: coeff})
@@ -246,6 +250,10 @@ class Element:
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the checks
+        return (Element, (self.k, self.family, self.combo))
 
     @classmethod
     def from_diagram(cls, d, family, coeff=1):

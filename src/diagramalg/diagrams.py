@@ -92,7 +92,7 @@ class Diagram:
 
     blocks is a tuple of tuples of ints: each block sorted ascending (top
     vertices 1..k precede bottom vertices k+1..2k automatically), blocks
-    sorted by their least vertex.  The block layout that concat reads
+    sorted by their least vertex.  The block layout that stacking reads
     (_owner, see _block_owner) is cached on first use and takes no part in
     equality or hashing.
     """
@@ -216,31 +216,6 @@ def format_diagram(d):
     return " | ".join([" ".join(map(name, block)) for block in d.blocks])
 
 
-def _roots(size, groups):
-    """Join the nodes of each group; return the root of every node 0..size-1.
-
-    A flat-list union-find with path halving, its finds written out inline:
-    the kernel behind conjugation and the action on tableaux (concat runs
-    its own over blocks rather than vertices).
-    """
-    parent = list(range(size))
-    for group in groups:
-        ra = group[0]
-        while parent[ra] != ra:
-            parent[ra] = ra = parent[parent[ra]]
-        for v in group[1:]:
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if v != ra:
-                parent[v] = ra
-    for v in range(size):
-        r = v
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
-        parent[v] = r
-    return parent
-
-
 def _block_owner(d):
     """owner[v] is the index in d.blocks of the block holding vertex v
     (index 0 unused); computed once per diagram and cached on it."""
@@ -255,6 +230,33 @@ def _block_owner(d):
         return d._owner
 
 
+def _fuse(d, below, count):
+    """Stack d above a layer of count nodes; return (parent, components).
+
+    The one union-find behind every stack, over blocks: nodes 0..n-1 are
+    the blocks of d (n = len(d.blocks)), read from its cached layout, and
+    n.. are the nodes of the layer below.  Middle vertex j joins d's block
+    at bottom k + j to node n + below[j-1].  Path halving, finds inline;
+    each union that joins two components takes one off the count.  The
+    parents are left for the caller's finds.
+    """
+    k = d.k
+    n = len(d.blocks)
+    size = n + count
+    parent = list(range(size))
+    components = size
+    for a, b in zip(_block_owner(d)[k + 1 :], below):
+        b += n
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+            components -= 1
+    return parent, components
+
+
 def concat(d1, d2):
     """Stack d1 above d2; return (product diagram, deleted middle components).
 
@@ -265,27 +267,13 @@ def concat(d1, d2):
     if d1.k != d2.k:
         raise RankMismatch("cannot concatenate k=%d with k=%d" % (d1.k, d2.k))
     k = d1.k
-    # nodes are blocks: 0..n1-1 those of d1, n1.. those of d2; the middle
-    # vertex j joins d1's block at bottom k + j to d2's block at top j.
-    # Path halving, finds inline; each union that joins two components
-    # takes one off the count.
+    # the lower layer is the blocks of d2, met at its top vertices
     own1, own2 = _block_owner(d1), _block_owner(d2)
-    n1 = len(d1.blocks)
-    size = n1 + len(d2.blocks)
-    parent = list(range(size))
-    components = size
-    for a, b in zip(own1[k + 1 :], own2[1 : k + 1]):
-        b += n1
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[b] = a
-            components -= 1
+    parent, components = _fuse(d1, own2[1 : k + 1], len(d2.blocks))
     # the node of each outer vertex, tops 1..k then bottoms k+1..2k: each
     # block opens at its least vertex and grows in ascending order, so the
     # blocks come out canonical
+    n1 = len(d1.blocks)
     nodes = own1[1 : k + 1] + tuple([b + n1 for b in own2[k + 1 :]])
     outer = {}
     for v, r in enumerate(nodes, 1):

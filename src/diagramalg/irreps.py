@@ -17,9 +17,10 @@ from .coeff import ONE, ZERO, LaurentPoly
 from .diagrams import (
     _SHAPES,
     Diagram,
+    _block_owner,
     _check_int_vertices,
+    _fuse,
     _matchings,
-    _roots,
     in_family,
     is_planar,
     normalize_family,
@@ -31,7 +32,7 @@ from .errors import (
     RankMismatch,
     ShapeMismatch,
 )
-from .partitions import check_label, check_partition, rank_set
+from .partitions import check_label, rank_set
 from .symrep import standard_tableaux, straighten, tableau_shape
 
 
@@ -78,6 +79,10 @@ class SymmetricMDiagram:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricMDiagram is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the checks
+        return (SymmetricMDiagram, (self.k, self.top, self.propagating))
 
     @property
     def m(self):
@@ -209,15 +214,25 @@ ConjugateResult = namedtuple(
 def _stack(d, blocks):
     """Stack d above a set partition of {1..k}.
 
-    Nodes 1..k are the top row of d and node k+v is vertex v of the
-    partition, which the bottom row of d meets.  Returns the root of every
-    node and, keyed by root in order of least vertex, the top vertices of
-    each component that reaches the top row.
+    The lower layer of the stacking kernel is the blocks of the partition,
+    met at their vertices.  Returns the root of every vertex (top vertex v
+    of d at v, vertex v of the partition at k+v), the top vertices of each
+    component that reaches the top row keyed by root in order of least
+    vertex, and the number of components.
     """
     k = d.k
-    groups = list(d.blocks)
-    groups += [[k + v for v in b] for b in blocks]
-    root = _roots(2 * k + 1, groups)
+    blocks = tuple(blocks)
+    below = [0] * k
+    for i, b in enumerate(blocks):
+        for v in b:
+            below[v - 1] = i
+    parent, components = _fuse(d, below, len(blocks))
+    n = len(d.blocks)
+    root = [0]
+    for r in chain(_block_owner(d)[1 : k + 1], [n + i for i in below]):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        root.append(r)
     tops = {}
     for v in range(1, k + 1):
         r = root[v]
@@ -225,7 +240,7 @@ def _stack(d, blocks):
             tops[r] += (v,)
         else:
             tops[r] = (v,)
-    return root, tops
+    return root, tops, components
 
 
 @lru_cache(maxsize=1 << 16)
@@ -236,11 +251,11 @@ def _conjugate(d, w):
     # holds a propagating block of w; a middle-only component without one
     # is deleted, and its mirror image is not counted
     k = d.k
-    root, tops = _stack(d, w.top)
+    root, tops, components = _stack(d, w.top)
     reached = {root[k + b[0]] for b in w.propagating}
     prop = tuple(b for r, b in tops.items() if r in reached)
     w_prime = SymmetricMDiagram._canonical(k, tuple(tops.values()), prop)
-    deleted = len(set(root[k + 1 : 2 * k + 1]).difference(tops, reached))
+    deleted = components - len(reached.union(tops))
     twist = None
     if len(prop) == w.m:
         new = {root[b[0]]: j for j, b in enumerate(w_prime.prop_max_order(), 1)}
@@ -336,6 +351,10 @@ class SetPartitionTableau:
 
     def __setattr__(self, name, value):
         raise AttributeError("SetPartitionTableau is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the checks
+        return (SetPartitionTableau, (self.k, self.first_row, self.body))
 
     @property
     def lambda_star(self):
@@ -444,14 +463,15 @@ def act_tableau(d, tab):
             "diagram on %d strands against a tableau on %d" % (d.k, tab.k)
         )
     k = d.k
-    root, tops = _stack(d, chain(tab.first_row, *tab.body))
+    root, tops, components = _stack(d, chain(tab.first_row, *tab.body))
     cells = [root[k + b[0]] for row in tab.body for b in row]
     taken = set(cells)
     if len(taken) < len(cells) or not taken.issubset(tops):
         return None, 0
     body = tuple(tuple(tops[root[k + b[0]]] for b in row) for row in tab.body)
     first_row = sorted((b for r, b in tops.items() if r not in taken), key=max)
-    deleted = len(set(root[k + 1 : 2 * k + 1]).difference(tops))
+    # every component without a top vertex lay in the middle
+    deleted = components - len(tops)
     return SetPartitionTableau._canonical(k, tuple(first_row), body), deleted
 
 
@@ -523,20 +543,14 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
 
 def rep_columns_element(elem, lam_star, basis=TWISTED):
     """Sparse matrix of an algebra element (linear combination)."""
-    total = None
+    family, k = elem.family, elem.k
+    lam_star = check_label(family, k, lam_star)
+    basis = _normalize_basis(basis)
+    total = [{} for _ in _module_basis(family, k, lam_star, basis)[0]]
     for diag, coeff in elem.terms():
-        cols = rep_columns(diag, elem.family, elem.k, lam_star, basis)
-        if total is None:
-            total = [{} for _ in cols]
-        for j, col in enumerate(cols):
+        for j, col in enumerate(rep_columns(diag, family, k, lam_star, basis)):
             for i, c in col.items():
                 total[j][i] = total[j].get(i, ZERO) + coeff * c
-    if total is None:
-        m = sum(check_partition(lam_star))
-        size = len(enumerate_symmetric(elem.family, elem.k, m)) * len(
-            standard_tableaux(tuple(lam_star))
-        )
-        total = [{} for _ in range(size)]
     return [
         {i: c for i, c in col.items() if c} for col in total
     ]

@@ -562,3 +562,11 @@ def test_rep_columns_errors():
         rep_columns(identity_diagram(3), PARTITION, 3, (7,))
     with pytest.raises(ValueError):
         rep_columns(identity_diagram(3), PARTITION, 3, (1,), basis="spam")
+    # an element is checked the same way, the zero element (no terms) too
+    for make in (Element.zero, Element.identity):
+        with pytest.raises(errors.LabelNotInFamily):
+            rep_columns_element(make(2, TEMPERLEY_LIEB), (1, 1))
+        with pytest.raises(errors.LabelNotInFamily):
+            rep_columns_element(make(3, BRAUER), (2,))
+        with pytest.raises(ValueError):
+            rep_columns_element(make(2, PARTITION), (1,), basis="bogus")

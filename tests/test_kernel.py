@@ -4,7 +4,9 @@ enumeration against the reference implementations they replaced."""
 import copy
 import pickle
 import random
+from fractions import Fraction
 
+from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
     _SHAPES,
     BRAUER,
@@ -20,7 +22,6 @@ from diagramalg.diagrams import (
     Diagram,
     _matchings,
     _noncrossing,
-    _roots,
     concat,
     family_generators,
     enumerate_basis,
@@ -170,6 +171,15 @@ def random_diagram(rng, k):
     return Diagram(k, blocks.values())
 
 
+def twins(x):
+    """A shallow copy, a deep copy and a pickle round trip of x, each
+    checked equal to x."""
+    out = (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)))
+    for twin in out:
+        assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+    return out
+
+
 def test_concat_matches_reference_on_seeded_pairs_at_k4_and_k5():
     rng = random.Random(20181808)
     for k, family in ((4, PARTITION), (5, ROOK_BRAUER)):
@@ -192,9 +202,14 @@ def test_concat_matches_reference_on_seeded_pairs_at_k4_and_k5():
         for d in (products[-1], listed[-1]):
             concat(d, d)
             assert hasattr(d, "_owner")
-            for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
-                assert twin == d and hash(twin) == hash(d)
+            for twin in twins(d):
                 assert tuple(concat(twin, d)) == reference_concat(d, d)
+        # and the other immutable values copy through their constructors
+        poly = LaurentPoly({-1: Fraction(1, 2), 2: 3})
+        twins(poly)
+        twins(Element(k, family, {listed[-1]: poly, listed[0]: 1}))
+        twins(enumerate_symmetric(family, k, 1)[-1])
+        twins(enumerate_sspt(family, k, (1,))[-1])
 
 
 def reference_enumerate_basis(family, k):
@@ -268,6 +283,25 @@ def test_symmetric_tops_with_exactly_m_singles_match_the_filter():
                 )
 
 
+def reference_roots(size, groups):
+    """The root of every node 0..size-1 once the nodes of each group are
+    joined: a plain union-find, independent of the library's kernel."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for group in groups:
+        ra = find(group[0])
+        for v in group[1:]:
+            rv = find(v)
+            if rv != ra:
+                parent[rv] = ra
+    return [find(v) for v in range(size)]
+
+
 def reference_conjugate(d, w):
     """The full stack d w d^T over four layers of k nodes, read back through
     a validating Diagram, as conjugation was before it used the top half."""
@@ -285,7 +319,7 @@ def reference_conjugate(d, w):
         below = tuple(2 * k + v for v in b)
         groups.append(above + below if b in prop else above)
         groups.append(below)
-    root = _roots(4 * k + 1, groups)
+    root = reference_roots(4 * k + 1, groups)
     components = {}
     for v in range(1, 4 * k + 1):
         components.setdefault(root[v], []).append(v)
@@ -314,7 +348,7 @@ def reference_act_tableau(d, tab):
     conjugation."""
     k = d.k
     body = tab.body_blocks()
-    root = _roots(
+    root = reference_roots(
         2 * k + 1,
         d.blocks
         + tuple(tuple(k + v for v in b) for b in tab.first_row + tuple(body)),
