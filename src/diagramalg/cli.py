@@ -136,17 +136,25 @@ def _cmd_mul(args):
 
 
 def _cmd_basis(args):
+    # each diagram is joined from its blocks' strings, each block rendered
+    # once per listing; the bytes are those of json.dumps and format_diagram
     basis = diagrams.enumerate_basis(args.family, args.k)
     if args.format == "json":
-        payload = {
-            "family": args.family,
-            "k": args.k,
-            "count": len(basis),
-            "diagrams": [_diagram_json(d) for d in basis],
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
+        block = diagrams.block_json().__getitem__
+        head = '{"k":%d,"blocks":[' % args.k
+        listing = ",".join(
+            [head + ",".join(map(block, d.blocks)) + "]}" for d in basis]
+        )
+        _emit(
+            '{"family":%s,"k":%d,"count":%d,"diagrams":[%s]}'
+            % (json.dumps(args.family), args.k, len(basis), listing),
+            args.out,
+        )
         return 0
-    _emit("\n".join(d.text() for d in basis), args.out)
+    block = diagrams.block_text(args.k).__getitem__
+    _emit(
+        "\n".join([" | ".join(map(block, d.blocks)) for d in basis]), args.out
+    )
     return 0
 
 
@@ -212,11 +220,18 @@ def _cmd_irrep(args):
             for row in mat
         ]
         if args.format == "json":
-            payload = [
-                [{"num": v.numerator, "den": v.denominator} for v in row]
+            # the bytes of json.dumps, each row joined from cell strings
+            # and every zero cell one constant
+            cell = '{"num":%d,"den":%d}'
+            zero = cell % (0, 1)
+            rows = [
+                ",".join(
+                    [cell % (v.numerator, v.denominator) if v else zero
+                     for v in row]
+                )
                 for row in values
             ]
-            _emit(json.dumps(payload, separators=(",", ":")), args.out)
+            _emit("[[%s]]" % "],[".join(rows) if rows else "[]", args.out)
             return 0
         _emit(
             "\n".join(", ".join(str(v) for v in row) for row in values),
@@ -444,6 +459,13 @@ def _cmd_verify(args):
     if args.k is not None and args.k < 1:
         raise IndexOutOfRange(
             "k must be a positive integer, got %r" % (args.k,)
+        )
+    if args.suite == "table-regression" and (
+        args.family is not None or args.k is not None
+    ):
+        raise ValueError(
+            "table-regression checks only the %d frozen tables and takes "
+            "no --family or --k" % len(characters.REFERENCE_TABLES)
         )
     lines = []
     try:

@@ -205,15 +205,49 @@ def parse_diagram(text, k):
     return Diagram(k, blocks)
 
 
+class _Memo(dict):
+    """key -> make(key), each value made on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make, items=()):
+        super().__init__(items)
+        self.make = make
+
+    def __missing__(self, key):
+        out = self[key] = self.make(key)
+        return out
+
+    def take(self, key):
+        """The value for key, dropping every other value now: a make that
+        reads this memo forms a cycle with it, which only the garbage
+        collector would free."""
+        out = self[key]
+        self.clear()
+        return out
+
+
 @lru_cache(maxsize=None)
-def _vertex_names(k):
-    # index v holds vertex_name(v, k); index 0 is unused
-    return ("",) + tuple(vertex_name(v, k) for v in range(1, 2 * k + 1))
+def _block_renderer(k):
+    # the text of a block of a k-strand diagram: vertex names joined by
+    # spaces, read from a table of the names (index 0 unused)
+    name = ("",) + tuple(vertex_name(v, k) for v in range(1, 2 * k + 1))
+    return lambda block: " ".join(map(name.__getitem__, block))
+
+
+def block_text(k):
+    """A memo from each block of a k-strand diagram to its text, as in
+    format_diagram; one per listing renders each block once."""
+    return _Memo(_block_renderer(k))
+
+
+def block_json():
+    """A memo from each block to its compact JSON, e.g. [1,2]."""
+    return _Memo(lambda block: "[%s]" % ",".join(map(str, block)))
 
 
 def format_diagram(d):
-    name = _vertex_names(d.k).__getitem__
-    return " | ".join([" ".join(map(name, block)) for block in d.blocks])
+    return " | ".join(map(_block_renderer(d.k), d.blocks))
 
 
 def _block_owner(d):
@@ -396,85 +430,84 @@ def generator(kind, i, k):
 
 
 def set_partitions(n):
-    """All set partitions of {1..n} as tuples of tuples, generated
-    by assigning each element to an existing block or a new one."""
-    if n == 0:
-        yield ()
-        return
-    blocks = []
+    """All set partitions of {1..n}, canonical and in canonical order, as a
+    list.  The block of the least point takes its other members in
+    lexicographic order, and the points it leaves are covered the same way,
+    each cover built once per call, memoised by the points it covers."""
 
-    def rec(i):
-        if i > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
+    def cover(points):
+        rest = points[1:]
+        out = []
 
-    yield from rec(1)
+        def grow(block, left, start):
+            # left: the points of rest before start that block passed over
+            head = (block,)
+            out.extend([head + t for t in memo[left + rest[start:]]])
+            for i in range(start, len(rest)):
+                grow(block + (rest[i],), left + rest[start:i], i + 1)
+
+        grow(points[:1], (), 0)
+        return out
+
+    memo = _Memo(cover, {(): [()]})
+    return memo.take(tuple(range(1, n + 1)))
 
 
 def _matchings(k, points, singles, across, planar):
-    """Every way to cover points with blocks of one or two vertices.
+    """Every way to cover points with blocks of one or two vertices, as a
+    list.
 
     singles allows one-vertex blocks; across requires each pair to join a
     top vertex (at most k) to a bottom one; planar, with points listed in
     boundary order, requires that no two pairs cross, so the points a pair
     encloses are matched among themselves.  Each pair is in ascending order.
+    Each cover is built once per call, memoised by the points it covers.
     """
 
     def cover(points):
-        if not points:
-            yield ()
-            return
         first, rest = points[0], points[1:]
+        out = []
         if singles:
-            for tail in cover(rest):
-                yield ((first,),) + tail
+            head = ((first,),)
+            out.extend([head + t for t in memo[rest]])
         for idx, partner in enumerate(rest):
             if across and (first <= k) == (partner <= k):
                 continue
-            pair = ((first, partner) if first < partner else (partner, first),)
+            head = ((first, partner) if first < partner else (partner, first),)
             if planar:
-                for inner in cover(rest[:idx]):
-                    for outer in cover(rest[idx + 1 :]):
-                        yield pair + inner + outer
+                outer = memo[rest[idx + 1 :]]
+                for inner in memo[rest[:idx]]:
+                    prefix = head + inner
+                    out.extend([prefix + t for t in outer])
             else:
-                for tail in cover(rest[:idx] + rest[idx + 1 :]):
-                    yield pair + tail
+                out.extend([head + t for t in memo[rest[:idx] + rest[idx + 1 :]]])
+        return out
 
-    return cover(points)
+    memo = _Memo(cover, {(): [()]})
+    return memo.take(points)
 
 
 def _noncrossing(points):
     """Every non-crossing set partition of points, taken in their order,
-    with each block in ascending order.
+    with each block in ascending order, as a list.
 
     The block of the first point either ends, and the rest is covered on
     its own, or takes a next point, and the points it passes over are
-    covered among themselves (Kreweras's non-crossing partitions).
+    covered among themselves (Kreweras's non-crossing partitions).  Each
+    cover is built once per call, memoised by the run it covers.
     """
-
-    def cover(points):
-        if not points:
-            yield ()
-            return
-        yield from grow((points[0],), points[1:])
 
     def grow(block, rest):
         ended = (tuple(sorted(block)),)
-        for tail in cover(rest):
-            yield ended + tail
+        out = [ended + t for t in memo[rest]]
         for idx, nxt in enumerate(rest):
-            for inner in cover(rest[:idx]):
-                for outer in grow(block + (nxt,), rest[idx + 1 :]):
-                    yield inner + outer
+            outer = grow(block + (nxt,), rest[idx + 1 :])
+            for inner in memo[rest[:idx]]:
+                out.extend([inner + t for t in outer])
+        return out
 
-    return cover(points)
+    memo = _Memo(lambda run: grow(run[:1], run[1:]), {(): [()]})
+    return memo.take(points)
 
 
 def size_cap(default):
@@ -524,8 +557,8 @@ def enumerate_basis(family, k):
         points = tuple(range(1, 2 * k + 1))
         listing = _matchings(k, points, singles, across, False)
     else:
-        # set partitions come out canonical, but not in basis order
-        listing = sorted(set_partitions(2 * k))
+        # set partitions come out canonical and in basis order
+        listing = set_partitions(2 * k)
     return [Diagram._canonical(k, blocks) for blocks in listing]
 
 

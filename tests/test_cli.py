@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from diagramalg import cli
 from diagramalg.cli import run
+from diagramalg.diagrams import FAMILIES, enumerate_basis, format_diagram
 
 GOLDEN_B2_CSV = (
     "lambda*/kappa,[],[2],[1,1]\n"
@@ -102,6 +104,42 @@ def test_basis_counts(capsys):
     assert len(payload["diagrams"]) == 15
 
 
+def expected_listing(family, k):
+    """The text and JSON bytes of a basis listing, built from
+    format_diagram and json.dumps."""
+    basis = enumerate_basis(family, k)
+    text = "\n".join(format_diagram(d) for d in basis) + "\n"
+    payload = {
+        "family": family,
+        "k": k,
+        "count": len(basis),
+        "diagrams": [{"k": d.k, "blocks": d.blocks} for d in basis],
+    }
+    return text, json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_basis_bytes_match_format_diagram_and_json_dumps(family, capsys):
+    for k in range(1, 5):
+        text, as_json = expected_listing(family, k)
+        args = ["basis", "--family", family, "--k", str(k)]
+        assert run(args) == 0
+        assert capsys.readouterr().out == text, (family, k)
+        assert run(args + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == as_json, (family, k)
+
+
+def test_basis_bytes_through_an_alias_and_out(tmp_path, capsys):
+    text, as_json = expected_listing("TemperleyLieb", 4)
+    target = tmp_path / "tl.txt"
+    args = ["basis", "--family", "tl", "--k", "4", "--out", str(target)]
+    assert run(args) == 0
+    assert target.read_text(encoding="utf-8") == text
+    assert run(args + ["--format", "json"]) == 0
+    assert target.read_text(encoding="utf-8") == as_json
+    assert capsys.readouterr().out == ""
+
+
 def test_dims(capsys):
     code = run(["dims", "--family", "partition", "--k", "3"])
     assert code == 0
@@ -161,6 +199,28 @@ def test_irrep_numeric_json(capsys):
     assert len(payload) == 3 and all(len(row) == 3 for row in payload)
     assert all("num" in cell and "den" in cell for row in payload
                for cell in row)
+
+
+@pytest.mark.parametrize("n", ["3", "7/2"])
+def test_dense_irrep_json_bytes_match_json_dumps(n, capsys):
+    base = [
+        "irrep", "--family", "partition", "--k", "3", "--lambda-star", "1",
+        "--d", "1 2 | 3 1' | 2' 3'", "--n", n,
+    ]
+    assert run(base) == 0
+    rows = [
+        [Fraction(cell) for cell in line.split(", ")]
+        for line in capsys.readouterr().out.splitlines()
+    ]
+    assert any(v == 0 for row in rows for v in row)
+    assert any(v.denominator > 1 for row in rows for v in row) == (n == "7/2")
+    assert run(base + ["--format", "json"]) == 0
+    payload = [
+        [{"num": v.numerator, "den": v.denominator} for v in row]
+        for row in rows
+    ]
+    expected = json.dumps(payload, separators=(",", ":")) + "\n"
+    assert capsys.readouterr().out == expected
 
 
 def test_char(capsys):
@@ -289,6 +349,25 @@ def test_verify_checks_k_before_any_suite(suite, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: k must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize("flags", [["--family", "brauer"], ["--k", "3"]])
+def test_verify_table_regression_refuses_family_and_k(flags, capsys):
+    assert run(["verify", "--suite", "table-regression"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: table-regression checks only the 4 frozen tables and "
+        "takes no --family or --k\n"
+    )
+
+
+def test_bare_verify_runs_table_regression_once(capsys):
+    assert run(["verify", "--cases", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    regression = [line for line in lines if "table-regression" in line]
+    assert regression == ["ok table-regression (4 frozen tables)"]
+    assert lines[-1] == "all checks passed"
 
 
 def test_verify_keeps_the_lines_of_suites_that_finished(tmp_path, capsys):

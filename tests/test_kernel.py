@@ -5,6 +5,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
@@ -212,22 +213,41 @@ def test_concat_matches_reference_on_seeded_pairs_at_k4_and_k5():
         twins(enumerate_sspt(family, k, (1,))[-1])
 
 
-def reference_enumerate_basis(family, k):
-    """Validate every generated diagram and sort the Diagram objects, as
-    enumerate_basis did before it built canonical blocks in basis order."""
+@lru_cache(maxsize=None)
+def restricted_growth_partitions(n):
+    """Every set partition of {1..n}, from its restricted growth string:
+    vertex 1 opens block 0, and each later vertex joins a block opened
+    before it or opens the next one."""
+    found = [()]
+    for v in range(1, n + 1):
+        found = [
+            p[:i] + (p[i] + (v,),) + p[i + 1 :] if i < len(p) else p + ((v,),)
+            for p in found
+            for i in range(len(p) + 1)
+        ]
+    return found
+
+
+def reference_has_shape(blocks, k, family):
+    """The four block facts of the family, checked one by one."""
     pairs, singles, across, planar = _SHAPES[family]
-    if pairs:
-        bottom = range(2 * k, k, -1) if planar else range(k + 1, 2 * k + 1)
-        points = tuple(range(1, k + 1)) + tuple(bottom)
-        diagrams = (
-            Diagram(k, blocks)
-            for blocks in _matchings(k, points, singles, across, planar)
-        )
-    else:
-        diagrams = (Diagram(k, blocks) for blocks in set_partitions(2 * k))
-        if planar:
-            diagrams = (d for d in diagrams if is_planar(d))
-    return sorted(diagrams)
+    if pairs and any(len(b) > 2 for b in blocks):
+        return False
+    if pairs and not singles and any(len(b) == 1 for b in blocks):
+        return False
+    if across and any(len(b) == 2 and (b[0] <= k) == (b[1] <= k) for b in blocks):
+        return False
+    return not planar or reference_is_planar(Diagram(k, blocks))
+
+
+def reference_enumerate_basis(family, k):
+    """Every set partition of the 2k vertices with the family's shape,
+    validated and sorted as Diagram objects."""
+    return sorted(
+        Diagram(k, blocks)
+        for blocks in restricted_growth_partitions(2 * k)
+        if reference_has_shape(blocks, k, family)
+    )
 
 
 def test_enumerate_basis_matches_validating_reference():
@@ -237,6 +257,102 @@ def test_enumerate_basis_matches_validating_reference():
             assert basis == reference_enumerate_basis(family, k), (family, k)
             assert all(Diagram(k, d.blocks) == d for d in basis), (family, k)
             assert all(a < b for a, b in zip(basis, basis[1:])), (family, k)
+
+
+def reference_set_partitions(n):
+    """Recursive generator: each element joins an existing block or opens
+    a new one, as set_partitions once was."""
+    if n == 0:
+        yield ()
+        return
+    blocks = []
+
+    def rec(i):
+        if i > n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    yield from rec(1)
+
+
+def reference_matchings(k, points, singles, across, planar):
+    """Recursive generator chains, as _matchings once was."""
+
+    def cover(points):
+        if not points:
+            yield ()
+            return
+        first, rest = points[0], points[1:]
+        if singles:
+            for tail in cover(rest):
+                yield ((first,),) + tail
+        for idx, partner in enumerate(rest):
+            if across and (first <= k) == (partner <= k):
+                continue
+            pair = ((first, partner) if first < partner else (partner, first),)
+            if planar:
+                for inner in cover(rest[:idx]):
+                    for outer in cover(rest[idx + 1 :]):
+                        yield pair + inner + outer
+            else:
+                for tail in cover(rest[:idx] + rest[idx + 1 :]):
+                    yield pair + tail
+
+    return cover(points)
+
+
+def reference_noncrossing(points):
+    """Recursive generator chains, as _noncrossing once was."""
+
+    def cover(points):
+        if not points:
+            yield ()
+            return
+        yield from grow((points[0],), points[1:])
+
+    def grow(block, rest):
+        ended = (tuple(sorted(block)),)
+        for tail in cover(rest):
+            yield ended + tail
+        for idx, nxt in enumerate(rest):
+            for inner in cover(rest[:idx]):
+                for outer in grow(block + (nxt,), rest[idx + 1 :]):
+                    yield inner + outer
+
+    return cover(points)
+
+
+def test_list_generators_match_the_recursive_ones_in_order():
+    for family in FAMILIES:
+        pairs, singles, across, planar = _SHAPES[family]
+        for k in range(1, 6 if pairs else 5):
+            tops = tuple(range(1, k + 1))
+            bottom = range(2 * k, k, -1) if planar else range(k + 1, 2 * k + 1)
+            points = tops + tuple(bottom)
+            if pairs:
+                for pts, single in ((points, singles), (tops, True)):
+                    found = _matchings(k, pts, single, across, planar)
+                    expected = list(
+                        reference_matchings(k, pts, single, across, planar)
+                    )
+                    assert type(found) is list, (family, k)
+                    assert found == expected, (family, k, pts)
+            elif planar:
+                found = _noncrossing(points)
+                assert found == list(reference_noncrossing(points)), k
+            else:
+                for n in (k, 2 * k):
+                    found = set_partitions(n)
+                    assert type(found) is list, n
+                    assert found == sorted(reference_set_partitions(n)), n
+                    assert all(a < b for a, b in zip(found, found[1:])), n
 
 
 def test_noncrossing_partitions_are_counted_by_catalan():
