@@ -74,15 +74,12 @@ def gamma_diagram(kappa):
     return perm_diagram(gamma_perm(kappa))
 
 
-def _class_kappa(family, kappa=(), k=None, exact=False):
-    """The guard on class labels: refuse PlanarPartition, which carries no
-    class elements, then validate kappa and return it as a tuple.
+def _class_kappa(family, kappa, k=None, exact=False):
+    """Validate the class label kappa and return it as a tuple.
 
     With k given, |kappa| must equal k when exact and be at most k
     otherwise; the planar families take only all-ones cycle types.
     """
-    if family == PLANAR_PARTITION:
-        raise FamilyUnsupported("PlanarPartition carries no class elements")
     kappa = check_partition(kappa)
     r = sum(kappa)
     if exact and r != k:
@@ -182,8 +179,14 @@ def fixed_points(family, k, m, kappa):
 
 def f_coeff_planar(family, r, m):
     """Number of symmetric m-diagrams of the planar family fixed by the
-    identity on r strands."""
+    identity on r strands.
+
+    PlanarPartition counts as Temperley-Lieb at 2r strands and rank 2m:
+    Jones's isomorphism of P_k(n^2) with TL_2k(n) doubles each vertex.
+    """
     family = normalize_family(family)
+    if family == PLANAR_PARTITION:
+        family, r, m = TEMPERLEY_LIEB, 2 * r, 2 * m
     if family == TEMPERLEY_LIEB:
         if m > r or (r - m) % 2:
             return 0
@@ -342,7 +345,6 @@ def class_labels(family, k):
     """Column labels (cycle types kappa) in table order: |kappa| ascending
     through the rank set, descending lexicographic within a size."""
     family = normalize_family(family)
-    _class_kappa(family)
     labels = []
     for r in rank_set(family, k):
         if _SHAPES[family].planar:

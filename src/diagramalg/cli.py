@@ -433,8 +433,6 @@ def _suite_determinant(family, k, rng, cases, report):
     return False
 
 
-_MODULE_FAMILIES = tuple(f for f in diagrams.FAMILIES if f != diagrams.PLANAR_PARTITION)
-
 _PARTITION_ONLY = (diagrams.PARTITION,)
 
 # suite -> (runner, default families, default k of a family), in the
@@ -446,12 +444,12 @@ _SUITES = {
     "basis-equivalence": (_suite_basis_equivalence, _PARTITION_ONLY, lambda f: 3),
     "wedderburn": (
         _suite_wedderburn,
-        _MODULE_FAMILIES,
+        diagrams.FAMILIES,
         lambda f: 3 if f == diagrams.PARTITION else 4,
     ),
     "fixedpoint-vs-formula": (_suite_fixedpoint, _PARTITION_ONLY, lambda f: 3),
     "table-regression": (_suite_table_regression, (None,), lambda f: None),
-    "determinant": (_suite_determinant, _MODULE_FAMILIES, lambda f: 3),
+    "determinant": (_suite_determinant, diagrams.FAMILIES, lambda f: 3),
 }
 
 

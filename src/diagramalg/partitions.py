@@ -11,8 +11,8 @@ from functools import cache
 from math import comb
 from operator import lt
 
-from .diagrams import _SHAPES, PLANAR_PARTITION, normalize_family
-from .errors import FamilyUnsupported, IndexOutOfRange, LabelNotInFamily
+from .diagrams import _SHAPES, normalize_family
+from .errors import IndexOutOfRange, LabelNotInFamily
 
 
 def check_partition(p):
@@ -128,10 +128,6 @@ def lambda_star_labels(family, k):
     planar families only carry (m,).
     """
     family = normalize_family(family)
-    if family == PLANAR_PARTITION:
-        raise FamilyUnsupported(
-            "PlanarPartition has no module labelling here"
-        )
     labels = []
     for m in rank_set(family, k):
         if _SHAPES[family].planar:
@@ -162,7 +158,3 @@ def index_set(family, k, n):
         m = sum(star)
         out.append((n - m,) + star)
     return out
-
-
-def num_partitions(m):
-    return len(partitions(m))

@@ -23,6 +23,7 @@ from diagramalg.characters import (
 from diagramalg.diagrams import family_generators
 from diagramalg.coeff import LaurentPoly
 from diagramalg.diagrams import (
+    _SHAPES,
     BRAUER,
     FAMILIES,
     MOTZKIN,
@@ -62,8 +63,6 @@ from diagramalg.symrep import sym_character, sym_dim
 
 N = LaurentPoly.monomial(1)
 ONE = LaurentPoly.const(1)
-
-MODULE_FAMILIES = tuple(f for f in FAMILIES if f != PLANAR_PARTITION)
 
 XI_P3 = [
     [1, 1, 2, 2, 2, 3, 5],
@@ -174,6 +173,9 @@ def symmetric_count(family, k, m):
         return total
     if family in (ROOK, PLANAR_ROOK):
         return binom(k, m)
+    if family == PLANAR_PARTITION:
+        # P_k(n^2) is TL_2k(n), so these are the TL counts at (2k, 2m)
+        return symmetric_count(TEMPERLEY_LIEB, 2 * k, 2 * m)
     if family == SYMMETRIC_GROUP:
         return 1
     raise AssertionError(family)
@@ -222,8 +224,8 @@ def test_fixed_point_spot_value_and_diagrams():
 
 def test_character_trace_oracle_equals_closed_form():
     start = time.monotonic()
-    for family in MODULE_FAMILIES:
-        top = 5 if family in (TEMPERLEY_LIEB, MOTZKIN, PLANAR_ROOK, ROOK) else 4
+    for family in FAMILIES:
+        top = 5 if _SHAPES[family].planar or family == ROOK else 4
         for k in range(1, top + 1):
             for lam in lambda_star_labels(family, k):
                 for kappa in class_labels(family, k):
@@ -238,10 +240,10 @@ def test_character_trace_oracle_equals_closed_form():
 def test_fixed_point_counts_match_closed_formula(monkeypatch):
     monkeypatch.setenv("DIAGRAMALG_CAP", "6")
     start = time.monotonic()
-    for family in MODULE_FAMILIES:
+    for family in FAMILIES:
         for k in range(1, 7):
             for kappa in partitions(k):
-                if family in (TEMPERLEY_LIEB, MOTZKIN, PLANAR_ROOK):
+                if _SHAPES[family].planar:
                     if kappa != (1,) * k:
                         continue
                 for m in rank_set(family, k):
@@ -264,6 +266,7 @@ def test_wedderburn_dimension_sums():
         TEMPERLEY_LIEB: 6,
         MOTZKIN: 6,
         PLANAR_ROOK: 6,
+        PLANAR_PARTITION: 5,
     }
     assert algebra_dim(PARTITION, 4) == 4140
     assert algebra_dim(BRAUER, 5) == 945
@@ -280,8 +283,10 @@ def test_wedderburn_dimension_sums():
 
 
 def test_symmetric_diagram_counts_match_formulas():
-    for family in MODULE_FAMILIES:
-        for k in range(1, 9):
+    for family in FAMILIES:
+        # PlanarPartition k=8 takes seconds: its symmetric diagrams are
+        # still the planar ones among the non-planar candidates
+        for k in range(1, 8 if family == PLANAR_PARTITION else 9):
             for m in rank_set(family, k):
                 found = enumerate_symmetric(family, k, m)
                 assert len(found) == symmetric_count(family, k, m), (
@@ -291,7 +296,7 @@ def test_symmetric_diagram_counts_match_formulas():
 
 
 def test_twisted_and_tableau_bases_agree():
-    for family in MODULE_FAMILIES:
+    for family in FAMILIES:
         for k in range(1, 5):
             gens = family_generators(family, k)
             for lam in lambda_star_labels(family, k):
@@ -303,7 +308,7 @@ def test_twisted_and_tableau_bases_agree():
 
 def test_representation_is_multiplicative():
     rng = random.Random(20240816)
-    for family in MODULE_FAMILIES:
+    for family in FAMILIES:
         for k in (3, 4):
             basis = enumerate_basis(family, k)
             labels = lambda_star_labels(family, k)
@@ -441,7 +446,7 @@ def test_worked_action_examples():
 
 
 def test_character_table_determinant_identity():
-    for family in MODULE_FAMILIES:
+    for family in FAMILIES:
         for k in range(1, 5):
             check = table_determinant_check(family, k)
             assert check.ok, (family, k, check)

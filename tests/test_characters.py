@@ -25,7 +25,6 @@ from diagramalg.diagrams import (
     FAMILIES,
     MOTZKIN,
     PARTITION,
-    PLANAR_PARTITION,
     PLANAR_ROOK,
     ROOK,
     ROOK_BRAUER,
@@ -176,8 +175,8 @@ def test_class_diagram_invalid_labels():
         class_diagram("SymmetricGroup", 4, (2, 1))
     with pytest.raises(errors.InvalidClassLabel):
         class_diagram("Brauer", 4, (2,), s=2)
-    with pytest.raises(errors.FamilyUnsupported):
-        class_diagram("PlanarPartition", 3, (1, 1, 1))
+    with pytest.raises(errors.InvalidClassLabel):
+        class_diagram("PlanarPartition", 3, (2, 1))
 
 
 def test_fixed_points_worked_example():
@@ -204,8 +203,8 @@ def test_fixed_points_errors():
         fixed_points("Brauer", 4, 1, (2, 2))
     with pytest.raises(errors.InvalidClassLabel):
         fixed_points("TemperleyLieb", 4, 2, (2, 1, 1))
-    with pytest.raises(errors.FamilyUnsupported):
-        fixed_points("PlanarPartition", 3, 0, (1, 1, 1))
+    with pytest.raises(errors.InvalidClassLabel):
+        fixed_points("PlanarPartition", 3, 0, (2, 1))
 
 
 def test_f_coeff_examples():
@@ -220,13 +219,23 @@ def test_f_coeff_examples():
     assert f_coeff("PlanarRook", (1, 1, 1), (1, 1)) == 3
     assert f_coeff("TemperleyLieb", (1, 1, 1), (2, 1)) == 0
     assert f_coeff_planar("Motzkin", 3, 1) == 5
+    # C(2r, r - m) - C(2r, r - m - 1), the TemperleyLieb count at (2r, 2m)
+    assert f_coeff("PlanarPartition", (1, 1, 1), (1,)) == 9
+    assert f_coeff("PlanarPartition", (1, 1, 1), (2,)) == 0
+    assert f_coeff_planar("PlanarPartition", 4, 2) == 20
+    assert f_coeff_planar("PlanarPartition", 3, 4) == 0
     with pytest.raises(errors.InvalidClassLabel):
         f_coeff("Motzkin", (2, 1), (1,))
+
+
+def test_f_coeff_planar_refuses_non_planar_families():
     with pytest.raises(errors.FamilyUnsupported):
-        f_coeff("PlanarPartition", (1,), (1,))
+        f_coeff_planar("Partition", 3, 1)
 
 
-@pytest.mark.parametrize("family", ["TemperleyLieb", "Motzkin", "PlanarRook"])
+@pytest.mark.parametrize(
+    "family", ["TemperleyLieb", "Motzkin", "PlanarRook", "PlanarPartition"]
+)
 def test_planar_classes_need_all_ones_cycle_types(family):
     with pytest.raises(errors.InvalidClassLabel, match="all-ones"):
         f_coeff(family, (2, 1), (1,))
@@ -335,8 +344,9 @@ def test_class_labels_order():
     assert class_labels("Brauer", 4) == REFERENCE_TABLES[(BRAUER, 4)]["cols"]
     assert class_labels("TemperleyLieb", 4) == [(), (1, 1), (1, 1, 1, 1)]
     assert class_labels("SymmetricGroup", 3) == [(3,), (2, 1), (1, 1, 1)]
-    with pytest.raises(errors.FamilyUnsupported):
-        class_labels("PlanarPartition", 3)
+    assert class_labels("PlanarPartition", 3) == [
+        (), (1,), (1, 1), (1, 1, 1),
+    ]
 
 
 def test_character_oracle_matches_closed_form():
@@ -418,9 +428,7 @@ def test_table_text_factor_golden():
     assert GOLDEN_B2_TEXT_FACTOR.startswith(table.to_text())
 
 
-@pytest.mark.parametrize(
-    "family", [f for f in FAMILIES if f != PLANAR_PARTITION]
-)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_table_cells_match_irr_character(family):
     for k in range(1, 6):
         table = character_table(family, k)

@@ -6,6 +6,7 @@ import pytest
 from diagramalg import cli
 from diagramalg.cli import run
 from diagramalg.diagrams import FAMILIES, enumerate_basis, format_diagram
+from diagramalg.errors import CapExceeded
 
 GOLDEN_B2_CSV = (
     "lambda*/kappa,[],[2],[1,1]\n"
@@ -370,16 +371,23 @@ def test_bare_verify_runs_table_regression_once(capsys):
     assert lines[-1] == "all checks passed"
 
 
-def test_verify_keeps_the_lines_of_suites_that_finished(tmp_path, capsys):
-    args = ["verify", "--family", "planarpartition", "--k", "2"]
+def test_verify_keeps_the_lines_of_suites_that_finished(
+    monkeypatch, tmp_path, capsys
+):
+    def refuse(family, k, rng, cases, report):
+        raise CapExceeded("module-axiom at k=%d exceeds the cap" % k)
+
+    _, families, default_k = cli._SUITES["module-axiom"]
+    monkeypatch.setitem(
+        cli._SUITES, "module-axiom", (refuse, families, default_k)
+    )
+    args = ["verify", "--family", "partition", "--k", "2"]
     assert run(args) == 1
     captured = capsys.readouterr()
     assert captured.out == (
-        "ok ring-axioms (PlanarPartition, k=2, 25 random triples)\n"
+        "ok ring-axioms (Partition, k=2, 25 random triples)\n"
     )
-    assert captured.err == (
-        "error: PlanarPartition has no module labelling here\n"
-    )
+    assert captured.err == "error: module-axiom at k=2 exceeds the cap\n"
     target = tmp_path / "verify.txt"
     assert run(args + ["--out", str(target)]) == 1
     assert capsys.readouterr().out == ""
@@ -415,11 +423,14 @@ def test_verify_cases_must_be_positive(cases, capsys):
     ],
 )
 def test_verify_refuses_planar_partition_modules(suite, capsys):
+    # named for the refusal it once checked: every suite now runs
     code = run(["verify", "--suite", suite, "--family", "planarpartition"])
-    assert code == 1
+    assert code == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "PlanarPartition" in captured.err
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("ok %s (PlanarPartition, k=" % suite)
+    assert lines[1:] == ["all checks passed"]
 
 
 PARSER_REUSE_SEQUENCE = (

@@ -125,8 +125,9 @@ def test_f_coeff_matches_reference(family):
         (PLANAR_ROOK, (2, 2), errors.InvalidClassLabel,
          "PlanarRook classes are labelled by all-ones cycle types,"
          " got (2, 2)"),
-        (PLANAR_PARTITION, (1,), errors.FamilyUnsupported,
-         "PlanarPartition carries no class elements"),
+        (PLANAR_PARTITION, (2, 1), errors.InvalidClassLabel,
+         "PlanarPartition classes are labelled by all-ones cycle types,"
+         " got (2, 1)"),
     ],
 )
 def test_planar_refusals_unchanged(family, kappa, error, message):

@@ -120,6 +120,9 @@ def symmetric_count(family, k, m):
         return total
     if family in (ROOK, PLANAR_ROOK):
         return binom(k, m)
+    if family == PLANAR_PARTITION:
+        # P_k(n^2) is TL_2k(n), so these are the TL counts at (2k, 2m)
+        return symmetric_count(TEMPERLEY_LIEB, 2 * k, 2 * m)
     if family == SYMMETRIC_GROUP:
         return 1
     raise AssertionError(family)
@@ -167,8 +170,6 @@ def test_symmetric_diagram_validation():
 
 def test_enumerate_symmetric_counts():
     for family in FAMILIES:
-        if family == PLANAR_PARTITION:
-            continue
         for k in range(1, 6):
             for m in rank_set(family, k):
                 found = enumerate_symmetric(family, k, m)
@@ -474,8 +475,6 @@ def test_enumerate_sspt():
 
 def test_bases_agree_on_generators():
     for family in FAMILIES:
-        if family == PLANAR_PARTITION:
-            continue
         for k in (2, 3):
             for lam in lambda_star_labels(family, k):
                 for g in family_generators(family, k):

@@ -46,8 +46,6 @@ from diagramalg.irreps import (
 )
 from diagramalg.partitions import catalan, lambda_star_labels, rank_set
 
-MODULE_FAMILIES = tuple(f for f in FAMILIES if f != PLANAR_PARTITION)
-
 
 def reference_concat(d1, d2):
     """Vertex-level union-find with a class per stack, as concat once was."""
@@ -551,7 +549,7 @@ def module_vectors(family, k):
 
 
 def test_conjugate_and_act_tableau_match_reference_up_to_k3():
-    for family in MODULE_FAMILIES:
+    for family in FAMILIES:
         for k in range(1, 4):
             ws, tabs = module_vectors(family, k)
             for d in enumerate_basis(family, k):
@@ -572,7 +570,7 @@ def random_word(rng, family, k):
 
 def test_conjugate_and_act_tableau_match_reference_on_seeded_samples():
     rng = random.Random(20181807)
-    for family in MODULE_FAMILIES:
+    for family in FAMILIES:
         for k in (4, 5, 6):
             ws, tabs = module_vectors(family, k)
             for _ in range(120):
@@ -588,7 +586,7 @@ def test_conjugate_and_act_tableau_match_reference_on_seeded_samples():
 
 
 def test_cached_tableau_basis_matches_enumerate_sspt():
-    for family in MODULE_FAMILIES:
+    for family in FAMILIES:
         for k in range(1, 6):
             for lam in lambda_star_labels(family, k):
                 tabs, index = _module_basis(family, k, lam, TABLEAU)

@@ -3,7 +3,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from diagramalg import errors
 from diagramalg.partitions import (
     bell,
     binom,
@@ -140,9 +139,8 @@ def test_lambda_star_label_order():
     ]
 
 
-def test_lambda_star_labels_planar_partition_unsupported():
-    with pytest.raises(errors.FamilyUnsupported):
-        lambda_star_labels("planarpartition", 3)
+def test_lambda_star_labels_planar_partition():
+    assert lambda_star_labels("planarpartition", 3) == [(), (1,), (2,), (3,)]
 
 
 def test_index_set_full_partitions():
@@ -165,5 +163,6 @@ def test_index_set_full_partitions():
 def test_index_set_requires_stable_n():
     with pytest.raises(ValueError):
         index_set("partition", 3, 5)
-    with pytest.raises(errors.FamilyUnsupported):
-        index_set("planarpartition", 2, 5)
+    assert index_set("planarpartition", 2, 5) == [(5,), (4, 1), (3, 2)]
+    with pytest.raises(ValueError):
+        index_set("planarpartition", 2, 3)
