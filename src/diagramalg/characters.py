@@ -212,22 +212,13 @@ def f_coeff(family, kappa, mu):
     """Closed form for the number of fixed symmetric diagrams whose twist
     has cycle type mu, under conjugation by gamma_kappa."""
     family = normalize_family(family)
-    kappa = check_partition(kappa)
-    mu = check_partition(mu)
-    if _SHAPES[family].planar:
-        # only the planar families can refuse kappa here; calling the guard
-        # in this branch alone keeps it off the hot non-planar path
-        _class_kappa(family, kappa)
-        m = sum(mu)
-        if mu != (1,) * m:
-            return 0
-        return f_coeff_planar(family, len(kappa), m)
-    return _f_column(family, kappa).get(mu, 0)
+    kappa = _class_kappa(family, kappa)
+    return _f_column(family, kappa).get(check_partition(mu), 0)
 
 
 @cache
 def _f_column(family, kappa):
-    """Column kappa of F for a non-planar family, as {mu: count}.
+    """Column kappa of F, as {mu: count}.
 
     A count is a weighted sum of terms, one per multiset of parts nu: the
     coordinatewise divisors of kappa grouped by multiset for Partition,
@@ -263,10 +254,13 @@ _EVEN_WEIGHT = {BRAUER: (1, 0), ROOK_BRAUER: (2, 1)}
 @cache
 def _part_factor(family, n, m, i):
     """The factor of a term of F from its n parts of size i, of which the
-    twist's cycle type has m: a Stirling x binomial sum for Partition,
-    [n = m] for SymmetricGroup, C(n, m) for Rook, and for Brauer and
-    RookBrauer C(n, m) times a weighted count of the pairings among the
-    n - m other parts."""
+    twist's cycle type has m: the planar count on n strands for a planar
+    family (its classes are all ones, so i is 1), a Stirling x binomial sum
+    for Partition, [n = m] for SymmetricGroup, C(n, m) for Rook, and for
+    Brauer and RookBrauer C(n, m) times a weighted count of the pairings
+    among the n - m other parts."""
+    if _SHAPES[family].planar:
+        return f_coeff_planar(family, n, m)
     if family == PARTITION:
         return sum(
             stirling2(n, t) * binom(t, m) * i ** (n - t)
@@ -286,47 +280,33 @@ def _part_factor(family, n, m, i):
     )
 
 
-def _s_and_f(family, lams, mus, kappas):
-    """The blocks of chi = S . F on the given labels.
-
-    S[i][l] is the symmetric-group character of lams[i] at mus[l], zero
-    across sizes; F[l][j] counts the symmetric diagrams fixed by
-    gamma_kappas[j] whose twist has cycle type mus[l], zero when
-    |mus[l]| > |kappas[j]|.  A planar module label (m,) stands for the
-    all-ones twist, so there F is the planar count and S is the identity.
-    """
-    s_block = [
-        [sym_character(lam, mu) if sum(lam) == sum(mu) else 0 for mu in mus]
-        for lam in lams
-    ]
-    if _SHAPES[family].planar:
-        f_block = [
-            [f_coeff_planar(family, sum(kappa), sum(mu)) for kappa in kappas]
-            for mu in mus
-        ]
-    else:
-        f_block = [
-            [f_coeff(family, kappa, mu) for kappa in kappas] for mu in mus
-        ]
-    return CharacterTableFactor(s_block, f_block)
+def _twist(family, label):
+    """The twist cycle type a module label stands for: a planar label (m,)
+    stands for the all-ones twist (1^m), any other label for itself."""
+    return (1,) * sum(label) if _SHAPES[family].planar else label
 
 
-def _product(fac):
-    """S . F, reading only the nonzero entries of S."""
-    width = len(fac.f_block[0])
-    values = []
-    for s_row in fac.s_block:
-        terms = [(s, fac.f_block[l]) for l, s in enumerate(s_row) if s]
-        values.append(
-            [sum(s * f_row[j] for s, f_row in terms) for j in range(width)]
-        )
+def _values(family, rows, cols):
+    """chi = S . F, column by column: each entry (mu, c) of column kappa of
+    F adds c chi^lam(mu) into every row lam of size |mu|.  S is the
+    block-diagonal symmetric-group character tables, F[mu][kappa] counts
+    the symmetric diagrams fixed by gamma_kappa whose twist has cycle type
+    mu."""
+    by_size = {}
+    for i, lam in enumerate(rows):
+        by_size.setdefault(sum(lam), []).append((i, lam))
+    values = [[0] * len(cols) for _ in rows]
+    for j, kappa in enumerate(cols):
+        for mu, count in _f_column(family, kappa).items():
+            for i, lam in by_size.get(sum(mu), ()):
+                values[i][j] += count * sym_character(lam, mu)
     return values
 
 
 def irr_character(family, k, lam_star, kappa, s=None):
-    """Character of the lam_star module at the class (kappa, s): row
-    lam_star of S times column kappa of F, over the labels of size
-    |lam_star|.
+    """Character of the lam_star module at the class (kappa, s): the sum
+    over the twists mu of the labels of size |lam_star| of
+    chi^lam_star(mu) F[mu][kappa].
 
     The value does not depend on n; it vanishes when |kappa| < |lam_star|
     and otherwise equals the value at the smaller algebra on |kappa|
@@ -337,8 +317,11 @@ def irr_character(family, k, lam_star, kappa, s=None):
     kappa = _class_kappa(family, kappa, k)
     _class_tail_size(family, k, kappa, s)
     m = sum(lam_star)
-    mus = [mu for mu in lambda_star_labels(family, k) if sum(mu) == m]
-    return _product(_s_and_f(family, [lam_star], mus, [kappa]))[0][0]
+    labels = lambda_star_labels(family, k)
+    mus = [_twist(family, mu) for mu in labels if sum(mu) == m]
+    return sum(
+        sym_character(lam_star, mu) * f_coeff(family, kappa, mu) for mu in mus
+    )
 
 
 def class_labels(family, k):
@@ -373,13 +356,13 @@ class CharacterTable:
     size.
     """
 
-    def __init__(self, family, k, row_labels, col_labels, values, factor=None):
+    def __init__(self, family, k, row_labels, col_labels, values):
         self.family = family
         self.k = k
         self.row_labels = list(row_labels)
         self.col_labels = list(col_labels)
         self.values = [list(row) for row in values]
-        self._factor = factor
+        self._factor = None
 
     def __eq__(self, other):
         return (
@@ -393,11 +376,22 @@ class CharacterTable:
 
     def factor(self):
         """The table as S . F with S the block-diagonal symmetric group
-        character tables and F the fixed-point count matrix: the blocks the
-        values were computed from, built once per table."""
+        character tables and F the fixed-point count matrix, rows of F and
+        columns of S indexed by the twists of the row labels; built from
+        the cached columns of F when first asked for."""
         if self._factor is None:
-            rows = self.row_labels
-            self._factor = _s_and_f(self.family, rows, rows, self.col_labels)
+            rows, family = self.row_labels, self.family
+            mus = [_twist(family, label) for label in rows]
+            s_block = [
+                [
+                    sym_character(lam, mu) if sum(lam) == sum(mu) else 0
+                    for mu in mus
+                ]
+                for lam in rows
+            ]
+            columns = [_f_column(family, kappa) for kappa in self.col_labels]
+            f_block = [[col.get(mu, 0) for col in columns] for mu in mus]
+            self._factor = CharacterTableFactor(s_block, f_block)
         return self._factor
 
     def determinant(self):
@@ -477,8 +471,7 @@ def character_table(family, k):
     family = normalize_family(family)
     rows = lambda_star_labels(family, k)
     cols = class_labels(family, k)
-    fac = _s_and_f(family, rows, rows, cols)
-    return CharacterTable(family, k, rows, cols, _product(fac), fac)
+    return CharacterTable(family, k, rows, cols, _values(family, rows, cols))
 
 
 def _det_bareiss(matrix):
@@ -512,13 +505,10 @@ def table_determinant_check(family, k):
     """Compare |det| of the table with its predicted closed form."""
     table = character_table(family, k)
     det = abs(table.determinant())
-    if _SHAPES[table.family].planar:
-        expected = 1
-    else:
-        expected = 1
-        for lam in table.row_labels:
-            for part, mult in multiplicities(lam).items():
-                expected *= part**mult
+    expected = 1
+    for label in table.row_labels:
+        for part in _twist(table.family, label):
+            expected *= part
     return DeterminantCheck(det, expected, det == expected)
 
 

@@ -99,6 +99,10 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it must hash as its value
+        value = self.constant_value()
+        if value is not None:
+            return hash(value)
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):

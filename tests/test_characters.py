@@ -25,6 +25,7 @@ from diagramalg.diagrams import (
     FAMILIES,
     MOTZKIN,
     PARTITION,
+    PLANAR_PARTITION,
     PLANAR_ROOK,
     ROOK,
     ROOK_BRAUER,
@@ -276,6 +277,7 @@ def test_table_factorization_product():
         (TEMPERLEY_LIEB, 4),
         (MOTZKIN, 3),
         (PLANAR_ROOK, 3),
+        (PLANAR_PARTITION, 3),
         (SYMMETRIC_GROUP, 4),
     ]:
         table = character_table(family, k)
@@ -284,7 +286,11 @@ def test_table_factorization_product():
 
 
 def test_f_block_unitriangular():
-    for family, k in list(F_FROZEN) + [(TEMPERLEY_LIEB, 4), (MOTZKIN, 3)]:
+    for family, k in list(F_FROZEN) + [
+        (TEMPERLEY_LIEB, 4),
+        (MOTZKIN, 3),
+        (PLANAR_PARTITION, 3),
+    ]:
         table = character_table(family, k)
         f = table.factor().f_block
         size = len(f)
@@ -308,6 +314,7 @@ def test_determinants():
         (TEMPERLEY_LIEB, 4): 1,
         (MOTZKIN, 3): 1,
         (PLANAR_ROOK, 4): 1,
+        (PLANAR_PARTITION, 4): 1,
     }
     for (family, k), expected in cases.items():
         check = table_determinant_check(family, k)
@@ -440,6 +447,8 @@ def test_table_cells_match_irr_character(family):
 
 
 def test_table_evaluates_each_f_entry_once(monkeypatch):
+    """The table reads F by cached columns, not cell by cell through
+    f_coeff, and builds the dense S and F only when factor() asks."""
     calls = []
     real = characters.f_coeff
 
@@ -449,10 +458,29 @@ def test_table_evaluates_each_f_entry_once(monkeypatch):
 
     monkeypatch.setattr(characters, "f_coeff", counting)
     table = character_table("Brauer", 6)
+    assert table._factor is None
     fac = table.factor()
-    assert len(calls) <= len(table.row_labels) * len(table.col_labels)
+    assert calls == []
     assert matmul(fac.s_block, fac.f_block) == table.values
     direct = CharacterTable(
         BRAUER, 6, table.row_labels, table.col_labels, table.values
     )
     assert direct.factor() == fac
+
+
+@pytest.mark.parametrize(
+    "family", [f for f in FAMILIES if f != SYMMETRIC_GROUP]
+)
+def test_tables_are_stable_in_k(family):
+    """A value depends only on (lambda*, kappa), so the table at k - step is
+    a labelled sub-block of the table at k; SymmetricGroup is left out, as
+    its labels all have size k."""
+    step = 2 if family in (BRAUER, TEMPERLEY_LIEB) else 1
+    for k in range(1 + step, 11):
+        small = character_table(family, k - step)
+        big = character_table(family, k)
+        rows = dict(zip(big.row_labels, big.values))
+        cols = {kappa: j for j, kappa in enumerate(big.col_labels)}
+        for lam, row in zip(small.row_labels, small.values):
+            got = [rows[lam][cols[kappa]] for kappa in small.col_labels]
+            assert got == row, (family, k, lam)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_kernel import reference_concat
 
 from diagramalg import errors
-from diagramalg.coeff import Element, LaurentPoly
+from diagramalg.coeff import ZERO, Element, LaurentPoly
 from diagramalg.diagrams import (
     FAMILIES,
     concat,
@@ -57,6 +57,19 @@ def test_laurent_constant_value():
     assert LaurentPoly.const(Fraction(3, 4)).constant_value() == Fraction(3, 4)
     assert LaurentPoly().constant_value() == 0
     assert LaurentPoly.monomial(2).constant_value() is None
+
+
+def test_constant_polynomials_hash_as_their_values():
+    for poly, value in (
+        (LaurentPoly.const(2), 2),
+        (LaurentPoly.const(Fraction(3, 4)), Fraction(3, 4)),
+        (LaurentPoly.const(Fraction(4, 2)), 2),
+        (ZERO, 0),
+    ):
+        assert poly == value
+        assert hash(poly) == hash(value)
+        assert len({poly, value}) == 1
+    assert {LaurentPoly.const(-1): "a"}[-1] == "a"
 
 
 def test_laurent_json_roundtrip():
