@@ -328,13 +328,7 @@ def class_labels(family, k):
     """Column labels (cycle types kappa) in table order: |kappa| ascending
     through the rank set, descending lexicographic within a size."""
     family = normalize_family(family)
-    labels = []
-    for r in rank_set(family, k):
-        if _SHAPES[family].planar:
-            labels.append((1,) * r)
-        else:
-            labels.extend(partitions(r))
-    return labels
+    return [_twist(family, label) for label in lambda_star_labels(family, k)]
 
 
 def format_partition(p):

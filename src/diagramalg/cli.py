@@ -160,13 +160,13 @@ def _cmd_basis(args):
 
 def _module_dims(family, k):
     """Each module's (label, rank m, symmetric diagrams, tableaux, dim),
-    the sum of the squared dims and the algebra's dimension.  The symmetric
-    diagrams are counted by listing them, so that Wedderburn's sum checks
-    the enumeration against the closed-form algebra dimension."""
+    the sum of the squared dims and the algebra's dimension.  F at the
+    identity class counts the diagrams and chi^lam the tableaux, so
+    Wedderburn's sum checks F against the closed-form algebra dimension."""
     rows = []
     for lam in lambda_star_labels(family, k):
         m = sum(lam)
-        count_w = len(irreps.enumerate_symmetric(family, k, m))
+        count_w = characters.f_coeff(family, (1,) * k, (1,) * m)
         f = symrep.sym_dim(lam)
         rows.append((lam, m, count_w, f, count_w * f))
     total = sum(row[-1] ** 2 for row in rows)
@@ -347,7 +347,16 @@ def _suite_basis_equivalence(family, k, rng, cases, report):
 
 
 def _suite_wedderburn(family, k, rng, cases, report):
-    _, total, alg = _module_dims(family, k)
+    rows, total, alg = _module_dims(family, k)
+    # the listed diagrams and tableaux are the oracle for the closed forms
+    if not all(
+        len(irreps.enumerate_symmetric(family, k, m)) == count_w
+        and len(symrep.standard_tableaux(lam)) == f
+        for lam, m, count_w, f, _ in rows
+    ):
+        report("FAIL wedderburn: %s, k=%d, sizes differ from the lists"
+               % (family, k))
+        return False
     if total == alg:
         report("ok wedderburn (%s, k=%d, dim=%d)" % (family, k, alg))
         return True

@@ -199,9 +199,9 @@ def parse_diagram(text, k):
             seen.add(v)
             block.append(v)
         blocks.append(tuple(block))
-    missing = [v for v in range(1, 2 * k + 1) if v not in seen]
-    if missing:
-        raise MissingVertex("vertex %s missing" % vertex_name(missing[0], k))
+    missing = next((v for v in range(1, 2 * k + 1) if v not in seen), None)
+    if missing is not None:
+        raise MissingVertex("vertex %s missing" % vertex_name(missing, k))
     return Diagram(k, blocks)
 
 

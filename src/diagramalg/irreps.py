@@ -443,12 +443,7 @@ def enumerate_sspt(family, k, lam_star):
     ordered to match the twisted basis (w outer, tableau inner)."""
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
-    m = sum(lam_star)
-    return [
-        tableau_from_pair(w, t)
-        for w in enumerate_symmetric(family, k, m)
-        for t in standard_tableaux(lam_star)
-    ]
+    return list(_module_basis(family, k, lam_star, TABLEAU)[0])
 
 
 def act_tableau(d, tab):

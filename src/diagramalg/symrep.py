@@ -282,5 +282,6 @@ def sym_character(lam, mu):
 
 
 def sym_dim(shape):
-    """Number of standard tableaux of the shape."""
-    return len(standard_tableaux(check_partition(shape)))
+    """Number of standard tableaux of the shape: chi^shape at the identity."""
+    shape = check_partition(shape)
+    return sym_character(shape, (1,) * sum(shape))

@@ -282,6 +282,19 @@ def test_wedderburn_dimension_sums():
     assert time.monotonic() - start < 60.0
 
 
+def test_closed_form_wedderburn_identity():
+    # F at the identity class counts the symmetric diagrams and sym_dim
+    # the tableaux, so the module dimensions need no listing
+    for family in FAMILIES:
+        for k in range(1, 13):
+            total = sum(
+                (f_coeff(family, (1,) * k, (1,) * sum(lam)) * sym_dim(lam))
+                ** 2
+                for lam in lambda_star_labels(family, k)
+            )
+            assert total == algebra_dim(family, k), (family, k)
+
+
 def test_symmetric_diagram_counts_match_formulas():
     for family in FAMILIES:
         # PlanarPartition k=8 takes seconds: its symmetric diagrams are

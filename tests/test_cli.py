@@ -1,11 +1,18 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from diagramalg import cli
+from diagramalg import characters, cli, irreps, symrep
 from diagramalg.cli import run
-from diagramalg.diagrams import FAMILIES, enumerate_basis, format_diagram
+from diagramalg.diagrams import (
+    FAMILIES,
+    PARTITION,
+    PLANAR_PARTITION,
+    enumerate_basis,
+    format_diagram,
+)
 from diagramalg.errors import CapExceeded
 
 GOLDEN_B2_CSV = (
@@ -64,6 +71,22 @@ def test_mul_missing_vertex_is_domain_error(capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--family", "partition", "--k", "100000000",
+         "--lhs", "1", "--rhs", "1"],
+        ["irrep", "--family", "partition", "--k", "99999999999999999999",
+         "--lambda-star", "1", "--d", "1"],
+    ],
+)
+def test_missing_vertex_at_huge_k_is_reported_at_once(argv, capsys):
+    start = time.monotonic()
+    assert run(argv) == 1
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().err == "error: vertex 2 missing\n"
 
 
 def test_mul_family_membership_is_domain_error(capsys):
@@ -147,6 +170,54 @@ def test_dims(capsys):
     out = capsys.readouterr().out
     assert "sum_of_squares=203 algebra_dim=203 ok=true" in out
     assert "lambda_star=[1] m=1 symmetric=10 tableaux=1 dim=10" in out
+
+
+def test_module_dims_rows_match_the_lists():
+    for family in FAMILIES:
+        top = 5 if family in (PARTITION, PLANAR_PARTITION) else 6
+        for k in range(1, top + 1):
+            rows, _, _ = cli._module_dims(family, k)
+            for lam, m, count_w, f, dim in rows:
+                listed = len(irreps.enumerate_symmetric(family, k, m))
+                tableaux = len(symrep.standard_tableaux(lam))
+                assert (count_w, f, dim) == (
+                    listed, tableaux, listed * tableaux
+                ), (family, k, lam)
+
+
+def test_dims_builds_no_list(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("dims listed %r" % (args,))
+
+    monkeypatch.setattr(irreps, "enumerate_symmetric", refuse)
+    monkeypatch.setattr(symrep, "standard_tableaux", refuse)
+    assert run(["dims", "--family", "partition", "--k", "12"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "sum_of_squares=445958869294805289 algebra_dim=445958869294805289"
+        " ok=true\n"
+    )
+
+
+def test_dims_symmetric_group_k30(capsys):
+    assert run(["dims", "--family", "symmetricgroup", "--k", "30"]) == 0
+    assert capsys.readouterr().out.endswith(" ok=true\n")
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(characters, "f_coeff"), (symrep, "sym_dim")],
+    ids=["f_coeff", "sym_dim"],
+)
+def test_wedderburn_suite_checks_f_against_the_lists(
+    module, name, monkeypatch, capsys
+):
+    closed_form = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: closed_form(*args) + 1)
+    args = ["verify", "--suite", "wedderburn", "--family", "brauer", "--k", "3"]
+    assert run(args) == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL wedderburn: Brauer, k=3, sizes differ from the lists\n"
+    )
 
 
 def test_symdiag(capsys):

@@ -43,8 +43,10 @@ from diagramalg.irreps import (
     conjugate,
     enumerate_sspt,
     enumerate_symmetric,
+    tableau_from_pair,
 )
 from diagramalg.partitions import catalan, lambda_star_labels, rank_set
+from diagramalg.symrep import standard_tableaux
 
 
 def reference_concat(d1, d2):
@@ -586,13 +588,17 @@ def test_conjugate_and_act_tableau_match_reference_on_seeded_samples():
 
 
 def test_cached_tableau_basis_matches_enumerate_sspt():
+    # enumerate_sspt reads the cached basis, so both are checked against
+    # the pairs (w outer, tableau inner) built here
     for family in FAMILIES:
         for k in range(1, 6):
             for lam in lambda_star_labels(family, k):
+                expected = [
+                    tableau_from_pair(w, t)
+                    for w in enumerate_symmetric(family, k, sum(lam))
+                    for t in standard_tableaux(lam)
+                ]
                 tabs, index = _module_basis(family, k, lam, TABLEAU)
-                assert list(tabs) == enumerate_sspt(family, k, lam), (
-                    family,
-                    k,
-                    lam,
-                )
+                assert list(tabs) == expected, (family, k, lam)
+                assert enumerate_sspt(family, k, lam) == expected
                 assert [index[tab] for tab in tabs] == list(range(len(tabs)))

@@ -195,6 +195,12 @@ def test_sym_dim_known_values():
     assert sym_dim(()) == 1
 
 
+def test_sym_dim_counts_the_standard_tableaux():
+    for m in range(11):
+        for shape in partitions(m):
+            assert sym_dim(shape) == len(standard_tableaux(shape)), shape
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.permutations(range(1, 7)).map(tuple))
 def test_perm_helpers(sigma):
