@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import characters, diagrams, irreps, symrep
-from .coeff import Element, LaurentPoly
+from .coeff import ONE, Element, LaurentPoly
 from .errors import DiagramAlgebraError, IndexOutOfRange
 from .partitions import lambda_star_labels, rank_set
 
@@ -328,18 +328,22 @@ def _suite_basis_equivalence(family, k, rng, cases, report):
     ok = True
     for lam in lambda_star_labels(family, k):
         for g in diagrams.family_generators(family, k):
+            where = "%s at %s, k=%d, %s" % (
+                g.text(), family, k, characters.format_partition(lam)
+            )
             twisted = irreps.rep_columns(g, family, k, lam, "Twisted")
             tableau = irreps.rep_columns(g, family, k, lam, "Tableau")
             if twisted != tableau:
-                report(
-                    "FAIL basis-equivalence: %s at %s, k=%d, %s"
-                    % (
-                        g.text(),
-                        family,
-                        k,
-                        characters.format_partition(lam),
-                    )
-                )
+                report("FAIL basis-equivalence: " + where)
+                ok = False
+            # below rank m rep_columns answers zero without acting, so the
+            # full actions are what its zero columns are compared with
+            if diagrams.rank(g) < sum(lam) and any(
+                irreps.act_twisted(g, {v: ONE})
+                or irreps.act_natural(g, {irreps.tableau_from_pair(*v): ONE})
+                for v in irreps._module_basis(family, k, lam, "Twisted")[0]
+            ):
+                report("FAIL basis-equivalence: %s, rank below m acts non-zero" % where)
                 ok = False
     if ok:
         report("ok basis-equivalence (%s, k=%d)" % (family, k))

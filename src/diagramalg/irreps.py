@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .coeff import ONE, ZERO, LaurentPoly
+from .coeff import ONE, ZERO, LaurentPoly, _from_sums
 from .diagrams import (
     _SHAPES,
     Diagram,
@@ -24,6 +24,7 @@ from .diagrams import (
     in_family,
     is_planar,
     normalize_family,
+    rank,
     set_partitions,
 )
 from .errors import (
@@ -289,19 +290,21 @@ def act_twisted(d, v, family=None):
         raise AlgebraMismatch(
             "diagram %s is not in the %s family" % (d.text(), family)
         )
+    # raw {exponent: coefficient} sums per output key, one polynomial each
     out = {}
     for (w, t), coeff in v.items():
         res = conjugate(d, w)
         if res.twist is None:
             continue
-        factor = LaurentPoly.coerce(coeff).shift(res.deleted)
+        terms = LaurentPoly.coerce(coeff).terms
         relabeled = tuple(
             tuple(res.twist[x - 1] for x in row) for row in t
         )
         for ts, c in straighten(relabeled).items():
-            key = (res.w_prime, ts)
-            out[key] = out.get(key, ZERO) + factor * c
-    return {key: c for key, c in out.items() if c}
+            acc = out.setdefault((res.w_prime, ts), {})
+            for e, a in terms.items():
+                acc[e + res.deleted] = acc.get(e + res.deleted, 0) + a * c
+    return {key: p for key, acc in out.items() if (p := _from_sums(acc))}
 
 
 class SetPartitionTableau:
@@ -477,18 +480,20 @@ def act_natural(d, v, family=None):
         raise AlgebraMismatch(
             "diagram %s is not in the %s family" % (d.text(), family)
         )
-    out = {}
+    out = {}  # summed as in act_twisted
     for tab, coeff in v.items():
         moved, deleted = act_tableau(d, tab)
         if moved is None:
             continue
-        factor = LaurentPoly.coerce(coeff).shift(deleted)
+        terms = LaurentPoly.coerce(coeff).terms
         order = sorted(moved.body_blocks(), key=max)
         for ustd, c in straighten(moved.body_filling()).items():
             body = tuple(tuple(order[x - 1] for x in row) for row in ustd)
             tstd = SetPartitionTableau._canonical(moved.k, moved.first_row, body)
-            out[tstd] = out.get(tstd, ZERO) + factor * c
-    return {key: c for key, c in out.items() if c}
+            acc = out.setdefault(tstd, {})
+            for e, a in terms.items():
+                acc[e + deleted] = acc.get(e + deleted, 0) + a * c
+    return {key: p for key, acc in out.items() if (p := _from_sums(acc))}
 
 
 TWISTED = "Twisted"
@@ -529,6 +534,9 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
             "diagram %s is not in the %s family" % (d.text(), family)
         )
     vectors, index = _module_basis(family, k, lam_star, basis)
+    if rank(d) < sum(lam_star):
+        # fewer than m propagating blocks is zero in the paper's quotient
+        return [{} for _ in vectors]
     act = act_twisted if basis == TWISTED else act_natural
     return [
         {index[key]: c for key, c in act(d, {v: ONE}).items()}

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from diagramalg import characters, cli, irreps, symrep
+from diagramalg import characters, cli, diagrams, irreps, symrep
 from diagramalg.cli import run
+from diagramalg.coeff import LaurentPoly
 from diagramalg.diagrams import (
     FAMILIES,
     PARTITION,
@@ -526,3 +527,28 @@ def test_one_parser_serves_every_run_like_a_fresh_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     for argv, seen in zip(PARSER_REUSE_SEQUENCE, shared):
         assert (run(argv), capsys.readouterr()) == seen, argv
+
+
+def test_basis_equivalence_checks_the_full_action_below_rank_m(
+    monkeypatch, capsys
+):
+    # rep_columns never acts below rank m, so only the suite's own check
+    # reaches this one non-zero term
+    real = irreps.act_natural
+
+    def nonzero_below_m(d, v, family=None):
+        tab = next(iter(v))
+        if diagrams.rank(d) < tab.m:
+            return {tab: LaurentPoly.const(1)}
+        return real(d, v, family)
+
+    monkeypatch.setattr(irreps, "act_natural", nonzero_below_m)
+    args = ["verify", "--suite", "basis-equivalence", "--family", "brauer"]
+    assert run(args + ["--k", "3"]) == 1
+    expected = [
+        "FAIL basis-equivalence: %s at Brauer, k=3, %s, rank below m acts"
+        " non-zero" % (g, lam)
+        for lam in ("[3]", "[2,1]", "[1,1,1]")
+        for g in ("1 2 | 3 3' | 1' 2'", "1 1' | 2 3 | 2' 3'")
+    ]
+    assert capsys.readouterr().out.splitlines() == expected + ["FAILURES above"]

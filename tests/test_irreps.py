@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from diagramalg import errors
+from diagramalg import errors, irreps
 from diagramalg.diagrams import family_generators
-from diagramalg.coeff import Element, LaurentPoly
+from diagramalg.coeff import ONE, ZERO, Element, LaurentPoly
 from diagramalg.diagrams import (
     BRAUER,
     FAMILIES,
@@ -22,10 +23,12 @@ from diagramalg.diagrams import (
     identity_diagram,
     parse_diagram,
     perm_diagram,
+    rank,
 )
 from diagramalg.irreps import (
     SetPartitionTableau,
     SymmetricMDiagram,
+    _module_basis,
     act_natural,
     act_tableau,
     act_twisted,
@@ -47,7 +50,7 @@ from diagramalg.partitions import (
     rank_set,
     stirling2,
 )
-from diagramalg.symrep import rep_matrix, standard_tableaux
+from diagramalg.symrep import rep_matrix, standard_tableaux, straighten
 
 N = LaurentPoly.monomial(1)
 
@@ -569,3 +572,150 @@ def test_rep_columns_errors():
             rep_columns_element(make(3, BRAUER), (2,))
         with pytest.raises(ValueError):
             rep_columns_element(make(2, PARTITION), (1,), basis="bogus")
+
+
+def _low_rank_cases(family, k):
+    """Each label with m >= 1 and the basis diagrams of rank below m."""
+    basis = enumerate_basis(family, k)
+    for lam in lambda_star_labels(family, k):
+        low = [d for d in basis if rank(d) < sum(lam)]
+        if low:
+            yield lam, low
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_below_rank_m_acts_as_zero_through_the_full_path(family):
+    # rep_columns answers these with empty columns and no stack; the full
+    # actions are the computation that answer stands for
+    top = 3 if family in (PARTITION, PLANAR_PARTITION) else 4
+    seen = 0
+    for k in range(1, top + 1):
+        for lam, low in _low_rank_cases(family, k):
+            for basis, act in (("Twisted", act_twisted), ("Tableau", act_natural)):
+                vectors = _module_basis(family, k, lam, basis)[0]
+                for d in low:
+                    assert all(act(d, {v: ONE}) == {} for v in vectors)
+                    cols = rep_columns(d, family, k, lam, basis)
+                    assert cols == [{} for _ in vectors]
+                    seen += 1
+    if family != SYMMETRIC_GROUP:
+        assert seen
+
+
+def test_below_rank_m_needs_no_stack(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stacked a diagram of rank below m")
+
+    monkeypatch.setattr(irreps, "conjugate", refuse)
+    monkeypatch.setattr(irreps, "act_tableau", refuse)
+    for lam, low in _low_rank_cases(BRAUER, 4):
+        size = len(enumerate_sspt(BRAUER, 4, lam))
+        for d in low:
+            for basis in ("Twisted", "Tableau"):
+                assert rep_columns(d, BRAUER, 4, lam, basis) == [{}] * size
+    # a diagram of full rank still acts through the stack
+    with pytest.raises(AssertionError):
+        rep_columns(identity_diagram(4), BRAUER, 4, (2, 2))
+
+
+def reference_act_twisted(d, v):
+    """The action summed in LaurentPoly arithmetic, one term at a time."""
+    out = {}
+    for (w, t), coeff in v.items():
+        res = conjugate(d, w)
+        if res.twist is None:
+            continue
+        factor = LaurentPoly.coerce(coeff).shift(res.deleted)
+        relabeled = tuple(tuple(res.twist[x - 1] for x in row) for row in t)
+        for ts, c in straighten(relabeled).items():
+            key = (res.w_prime, ts)
+            out[key] = out.get(key, ZERO) + factor * c
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_act_natural(d, v):
+    out = {}
+    for tab, coeff in v.items():
+        moved, deleted = act_tableau(d, tab)
+        if moved is None:
+            continue
+        factor = LaurentPoly.coerce(coeff).shift(deleted)
+        order = sorted(moved.body_blocks(), key=max)
+        for ustd, c in straighten(moved.body_filling()).items():
+            body = tuple(tuple(order[x - 1] for x in row) for row in ustd)
+            tstd = SetPartitionTableau(moved.k, moved.first_row, body)
+            out[tstd] = out.get(tstd, ZERO) + factor * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _random_coeff(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice([-3, -1, 1, 2])
+    if kind == 1:
+        return Fraction(rng.choice([-5, 1, 7]), rng.choice([2, 3]))
+    values = [-2, 1, Fraction(1, 2), Fraction(-4, 3)]
+    return LaurentPoly(
+        {rng.randint(-3, 3): rng.choice(values) for _ in range(rng.randint(1, 3))}
+    )
+
+
+def _assert_clean(result):
+    for c in result.values():
+        assert c
+        for value in c.terms.values():
+            assert type(value) is int or value.denominator != 1
+
+
+def _colliding_pair(d, vectors):
+    """Two basis vectors that d sends to the same non-zero vector."""
+    images = [(x, act_twisted(d, {x: ONE})) for x in vectors]
+    for i, (x, image) in enumerate(images):
+        for y, other in images[i + 1 :]:
+            if image and image == other:
+                return x, y
+    return None
+
+
+@pytest.mark.parametrize(
+    "family, k",
+    [
+        (PARTITION, 3),
+        (BRAUER, 4),
+        (ROOK_BRAUER, 4),
+        (MOTZKIN, 4),
+        (TEMPERLEY_LIEB, 4),
+    ],
+)
+def test_integer_sums_match_laurent_arithmetic(family, k):
+    rng = random.Random(1808)
+    basis = enumerate_basis(family, k)
+    collisions = 0
+    for lam in lambda_star_labels(family, k):
+        twisted = _module_basis(family, k, lam, "Twisted")[0]
+        for d in rng.sample(basis, min(12, len(basis))):
+            # seeded vectors of Laurent, Fraction and int coefficients
+            picks = rng.sample(twisted, min(4, len(twisted)))
+            v = {x: _random_coeff(rng) for x in picks}
+            vectors = [v]
+            pair = _colliding_pair(d, twisted)
+            if pair:
+                # p and -p cancel to zero; two halves sum to an integer
+                x, y = pair
+                p = _random_coeff(rng)
+                half = Fraction(1, 2)
+                assert act_twisted(d, {x: p, y: -p}) == {}
+                assert act_twisted(d, {x: half, y: half}) == act_twisted(
+                    d, {x: ONE}
+                )
+                vectors += [{x: half, y: half}, {**v, x: p, y: -p}]
+                collisions += 1
+            for vec in vectors:
+                got = act_twisted(d, vec)
+                assert got == reference_act_twisted(d, vec)
+                _assert_clean(got)
+                nat = {tableau_from_pair(*x): c for x, c in vec.items()}
+                got = act_natural(d, nat)
+                assert got == reference_act_natural(d, nat)
+                _assert_clean(got)
+    assert collisions
