@@ -3,7 +3,8 @@
 Subcommands cover diagram multiplication, basis and module enumeration,
 representation matrices, characters, character tables, and a self-check
 suite.  Exit codes: 0 on success, 1 for domain errors (bad diagrams,
-labels outside a family, caps), 2 for usage errors.
+labels outside a family, caps) and an --out that cannot be written, 2 for
+usage errors.
 """
 
 import argparse
@@ -599,7 +600,7 @@ def run(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (DiagramAlgebraError, ValueError) as exc:
+    except (DiagramAlgebraError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -16,7 +16,8 @@ product term is divided once by the two denominators at the end.
 from fractions import Fraction
 from math import lcm
 
-from .diagrams import Diagram, concat, identity_diagram, in_family, normalize_family
+from .diagrams import Diagram, _Value, concat, identity_diagram, in_family
+from .diagrams import normalize_family
 from .errors import (
     AlgebraMismatch,
     RankMismatch,
@@ -24,7 +25,7 @@ from .errors import (
 )
 
 
-class LaurentPoly:
+class LaurentPoly(_Value):
     """Laurent polynomial in n over Q, stored as {exponent: coefficient}.
 
     A coefficient is an int when it is integral and a Fraction otherwise;
@@ -68,13 +69,6 @@ class LaurentPoly:
         poly = object.__new__(cls)
         _set_terms(poly, terms)
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        # rebuilt through the checks
-        return (LaurentPoly, (self.terms,))
 
     @classmethod
     def monomial(cls, exp, coeff=1):
@@ -226,7 +220,7 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)
 
 
-class Element:
+class Element(_Value):
     """A linear combination of diagrams on k strands inside one family."""
 
     __slots__ = ("k", "family", "combo")
@@ -251,13 +245,6 @@ class Element:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "combo", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
-
-    def __reduce__(self):
-        # rebuilt through the checks
-        return (Element, (self.k, self.family, self.combo))
 
     @classmethod
     def from_diagram(cls, d, family, coeff=1):

@@ -14,6 +14,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 
 from .errors import (
     CapExceeded,
@@ -87,14 +88,42 @@ def normalize_family(name):
         raise ValueError("unknown family: %r" % (name,)) from None
 
 
-class Diagram:
+class _Value:
+    """An immutable value.  Its fields, the public names in its __slots__
+    (a private slot, as Diagram's _owner, is a cache), are set once by the
+    constructor; copies and pickles are rebuilt from them through the
+    checking constructor, and values of one class order by them.  Each
+    class keeps its own __eq__ and __hash__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) < self._key(other)
+
+
+class Diagram(_Value):
     """A set partition of {1..2k}, hashed and compared in canonical form.
 
     blocks is a tuple of tuples of ints: each block sorted ascending (top
     vertices 1..k precede bottom vertices k+1..2k automatically), blocks
     sorted by their least vertex.  The block layout that stacking reads
     (_owner, see _block_owner) is cached on first use and takes no part in
-    equality or hashing.
+    equality, hashing, order or copies.
     """
 
     __slots__ = ("k", "blocks", "_owner")
@@ -103,12 +132,7 @@ class Diagram:
         if not isinstance(k, int) or k < 1:
             raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
         canon = tuple(sorted(map(tuple, map(sorted, blocks))))
-        seen = sorted(chain.from_iterable(canon))
-        if seen != list(range(1, 2 * k + 1)):
-            raise ValueError("blocks must partition {1..%d}" % (2 * k))
-        if not canon[0]:  # an empty block sorts first
-            raise ValueError("blocks must not be empty")
-        _check_int_vertices(seen)
+        _check_cover(canon, 2 * k)
         _set_k(self, k)
         _set_blocks(self, canon)
 
@@ -121,13 +145,6 @@ class Diagram:
         _set_blocks(d, blocks)
         return d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Diagram is immutable")
-
-    def __reduce__(self):
-        # rebuilt through the checks, without the cached layout
-        return (Diagram, (self.k, self.blocks))
-
     def __eq__(self, other):
         return (
             isinstance(other, Diagram)
@@ -137,9 +154,6 @@ class Diagram:
 
     def __hash__(self):
         return hash((self.k, self.blocks))
-
-    def __lt__(self, other):
-        return (self.k, self.blocks) < (other.k, other.blocks)
 
     def text(self):
         return format_diagram(self)
@@ -154,9 +168,20 @@ _set_blocks = Diagram.blocks.__set__
 _set_owner = Diagram._owner.__set__
 
 
+def _check_cover(blocks, n):
+    """Refuse, in this order, an empty block, blocks that do not cover
+    {1..n} exactly once, and a vertex that is not an int."""
+    if () in blocks:
+        raise ValueError("blocks must not be empty")
+    seen = sorted(chain.from_iterable(blocks))
+    if seen != list(range(1, n + 1)):
+        raise ValueError("blocks must partition {1..%d}" % n)
+    _check_int_vertices(seen)
+
+
 def _check_int_vertices(vertices):
     # 1.0 and True compare and hash like 1 but are not vertices
-    if set(map(type, vertices)) != {int}:
+    if not set(map(type, vertices)) <= {int}:
         bad = next(v for v in vertices if type(v) is not int)
         raise ValueError("vertices must be integers, got %r" % (bad,))
 

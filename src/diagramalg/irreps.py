@@ -18,9 +18,11 @@ from .diagrams import (
     _SHAPES,
     Diagram,
     _block_owner,
+    _check_cover,
     _check_int_vertices,
     _fuse,
     _matchings,
+    _Value,
     in_family,
     is_planar,
     normalize_family,
@@ -37,7 +39,7 @@ from .partitions import check_label, rank_set
 from .symrep import standard_tableaux, straighten, tableau_shape
 
 
-class SymmetricMDiagram:
+class SymmetricMDiagram(_Value):
     """A mirror-symmetric diagram, stored as its top half.
 
     top is a set partition of {1..k}; propagating lists the blocks that
@@ -51,13 +53,9 @@ class SymmetricMDiagram:
         if not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer, got %r" % (k,))
         canon_top = tuple(sorted(tuple(sorted(b)) for b in top))
-        seen = [v for b in canon_top for v in b]
-        if sorted(seen) != list(range(1, k + 1)):
-            raise ValueError("top blocks must partition {1..%d}" % k)
-        if not canon_top[0]:  # an empty block sorts first
-            raise ValueError("top blocks must not be empty")
+        _check_cover(canon_top, k)
         canon_prop = tuple(sorted(tuple(sorted(b)) for b in propagating))
-        _check_int_vertices(seen + [v for b in canon_prop for v in b])
+        _check_int_vertices([v for b in canon_prop for v in b])
         top_set = set(canon_top)
         for b in canon_prop:
             if b not in top_set:
@@ -77,13 +75,6 @@ class SymmetricMDiagram:
         object.__setattr__(w, "top", top)
         object.__setattr__(w, "propagating", propagating)
         return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricMDiagram is immutable")
-
-    def __reduce__(self):
-        # rebuilt through the checks
-        return (SymmetricMDiagram, (self.k, self.top, self.propagating))
 
     @property
     def m(self):
@@ -139,13 +130,6 @@ class SymmetricMDiagram:
 
     def __hash__(self):
         return hash((self.k, self.top, self.propagating))
-
-    def __lt__(self, other):
-        return (self.k, self.top, self.propagating) < (
-            other.k,
-            other.top,
-            other.propagating,
-        )
 
     def text(self):
         prop = set(self.propagating)
@@ -307,7 +291,7 @@ def act_twisted(d, v, family=None):
     return {key: p for key, acc in out.items() if (p := _from_sums(acc))}
 
 
-class SetPartitionTableau:
+class SetPartitionTableau(_Value):
     """Blocks of {1..k} arranged as a first row plus a tableau body.
 
     The first row holds the non-propagating blocks (always kept sorted by
@@ -324,20 +308,13 @@ class SetPartitionTableau:
         rows = tuple(
             tuple(tuple(sorted(b)) for b in row) for row in body
         )
-        if () in first or any(() in row for row in rows):
-            raise ValueError("blocks must not be empty")
+        _check_cover(first + [b for row in rows for b in row], k)
         first = tuple(sorted(first, key=max))
         shape = tuple(len(row) for row in rows)
         if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or (
             shape and shape[-1] == 0
         ):
             raise ValueError("body rows must form a partition shape")
-        everything = [v for b in first for v in b] + [
-            v for row in rows for b in row for v in b
-        ]
-        if sorted(everything) != list(range(1, k + 1)):
-            raise ValueError("blocks must partition {1..%d}" % k)
-        _check_int_vertices(everything)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "first_row", first)
         object.__setattr__(self, "body", rows)
@@ -351,13 +328,6 @@ class SetPartitionTableau:
         object.__setattr__(tab, "first_row", first_row)
         object.__setattr__(tab, "body", body)
         return tab
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartitionTableau is immutable")
-
-    def __reduce__(self):
-        # rebuilt through the checks
-        return (SetPartitionTableau, (self.k, self.first_row, self.body))
 
     @property
     def lambda_star(self):
@@ -394,13 +364,6 @@ class SetPartitionTableau:
 
     def __hash__(self):
         return hash((self.k, self.first_row, self.body))
-
-    def __lt__(self, other):
-        return (self.k, self.first_row, self.body) < (
-            other.k,
-            other.first_row,
-            other.body,
-        )
 
     def text(self):
         def fmt_blocks(blocks):

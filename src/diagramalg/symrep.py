@@ -11,6 +11,7 @@ removal on beta-sets.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import factorial, prod
 
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition
@@ -260,6 +261,16 @@ def sym_character(lam, mu):
         )
     if not mu:
         return 1
+    if mu[0] == 1:
+        # the identity class: f^lam by the hook length formula, where every
+        # rim-hook recursion ends
+        cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+        hooks = prod(
+            part - j + cols[j] - i - 1
+            for i, part in enumerate(lam)
+            for j in range(part)
+        )
+        return factorial(len(mu)) // hooks
     r = mu[0]
     rest = mu[1:]
     nrows = len(lam)

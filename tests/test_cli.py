@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diagramalg import characters, cli, diagrams, irreps, symrep
 from diagramalg.cli import run
@@ -334,6 +335,40 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == GOLDEN_B2_CSV
 
 
+UNWRITABLE_OUT_COMMANDS = {
+    "basis": ["basis", "--family", "brauer", "--k", "2"],
+    "table": ["table", "--family", "brauer", "--k", "2"],
+    "verify": [
+        "verify", "--suite", "ring-axioms", "--family", "brauer",
+        "--k", "2", "--cases", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUT_COMMANDS))
+def test_unwritable_out_is_a_domain_error(command, where, tmp_path, capsys):
+    target = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+    code = run(UNWRITABLE_OUT_COMMANDS[command] + ["--out", str(target)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(target) in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("family", ["planarrook", "temperleylieb"])
+def test_char_at_the_identity_class_of_k1200(family, capsys):
+    symrep.sym_character.cache_clear()
+    args = [
+        "char", "--family", family, "--k", "1200", "--lambda-star", "[1200]",
+        "--kappa", "[%s]" % ",".join(["1"] * 1200),
+    ]
+    assert run(args) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
 def test_verify_single_suites(capsys):
     assert run(["verify", "--suite", "table-regression"]) == 0
     out = capsys.readouterr().out
@@ -552,3 +587,95 @@ def test_basis_equivalence_checks_the_full_action_below_rank_m(
         for g in ("1 2 | 3 3' | 1' 2'", "1 1' | 2 3 | 2' 3'")
     ]
     assert capsys.readouterr().out.splitlines() == expected + ["FAILURES above"]
+
+
+# a grammar of argv for the fuzz test below: every family and an unknown
+# one, small k and bad k, and good and bad values for every option
+FUZZ_DIAGRAMS = [
+    "1 1'", "1 | 1'", "1 2 | 1' 2'", "1 1' | 2 2'", "1 2' | 2 1'",
+    "1 2 | 1' | 2'", "1 1' | 2 2' | 3 3'", "1 2 3 | 1' 2' 3'",
+    "1 2' | 2 3' | 3 1'", "", "|", "1 1' |", "1 3'", "1 1' | 1 2'", "x",
+]
+FUZZ_LABELS = [
+    "[]", "[1]", "[2]", "[1,1]", "[2,1]", "[3]", "[1,1,1]", "[1,2]", "[0]",
+    "x",
+]
+FUZZ_K = ["-1", "0", "1", "2", "3", "x"]
+FUZZ_VALUES = {
+    "--n": ["2", "1/2", "-1", "0", "1/0", "x"],
+    "--format": ["text", "json", "csv", "xml"],
+    "--lhs": FUZZ_DIAGRAMS,
+    "--rhs": FUZZ_DIAGRAMS,
+    "--d": FUZZ_DIAGRAMS,
+    "--lambda-star": FUZZ_LABELS,
+    "--kappa": FUZZ_LABELS,
+    "--m": ["-1", "0", "1", "2", "x"],
+    "--basis": ["twisted", "tableau", "natural"],
+    "--s": ["-1", "0", "1", "x"],
+    "--factor": [],
+    "--family": [f.lower() for f in FAMILIES] + ["nosuch"],
+    "--k": FUZZ_K,
+}
+# command -> (required flags, optional flags)
+FUZZ_FLAGS = {
+    "mul": (["--lhs", "--rhs"], ["--n", "--format"]),
+    "basis": ([], ["--format"]),
+    "dims": ([], []),
+    "symdiag": (["--m"], ["--format"]),
+    "sspt": (["--lambda-star"], ["--format"]),
+    "irrep": (["--lambda-star", "--d"], ["--n", "--format", "--basis"]),
+    "char": (["--lambda-star", "--kappa"], ["--s"]),
+    "table": ([], ["--format", "--factor"]),
+    "verify": ([], ["--family", "--k"]),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """(argv without --out, where --out points or None)."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    if command == "verify":
+        argv = [
+            "verify",
+            "--suite", draw(st.sampled_from(sorted(cli._SUITES))),
+            "--cases", draw(st.sampled_from(["1", "2"])),
+        ]
+    else:
+        argv = [
+            command,
+            "--family", draw(st.sampled_from(FUZZ_VALUES["--family"])),
+            "--k", draw(st.sampled_from(FUZZ_K)),
+        ]
+    required, optional = FUZZ_FLAGS[command]
+    for flag in required + [f for f in optional if draw(st.booleans())]:
+        argv.append(flag)
+        if FUZZ_VALUES[flag]:
+            argv.append(draw(st.sampled_from(FUZZ_VALUES[flag])))
+    out = draw(st.sampled_from([None, "file", "missing-directory", "directory"]))
+    return argv, out
+
+
+@settings(
+    max_examples=600,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(fuzz_argv())
+def test_fuzzed_argv_ends_in_an_exit_code_and_no_traceback(
+    tmp_path, capsys, drawn
+):
+    argv, out = drawn
+    if out is not None:
+        target = {
+            "file": tmp_path / "out.txt",
+            "missing-directory": tmp_path / "missing" / "out.txt",
+            "directory": tmp_path,
+        }[out]
+        argv = argv + ["--out", str(target)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert captured.err.startswith("error:"), (argv, captured.err)
+    if out in ("missing-directory", "directory"):
+        assert code != 0 and captured.out == "", argv

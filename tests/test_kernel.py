@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
     _SHAPES,
@@ -21,6 +23,7 @@ from diagramalg.diagrams import (
     SYMMETRIC_GROUP,
     TEMPERLEY_LIEB,
     Diagram,
+    _block_owner,
     _matchings,
     _noncrossing,
     concat,
@@ -43,6 +46,7 @@ from diagramalg.irreps import (
     conjugate,
     enumerate_sspt,
     enumerate_symmetric,
+    rep_columns,
     tableau_from_pair,
 )
 from diagramalg.partitions import catalan, lambda_star_labels, rank_set
@@ -602,3 +606,85 @@ def test_cached_tableau_basis_matches_enumerate_sspt():
                 assert list(tabs) == expected, (family, k, lam)
                 assert enumerate_sspt(family, k, lam) == expected
                 assert [index[tab] for tab in tabs] == list(range(len(tabs)))
+
+
+def five_values():
+    """One value of each immutable type, with the names of its fields."""
+    d = enumerate_basis(BRAUER, 3)[-1]
+    poly = LaurentPoly({-1: Fraction(1, 2), 2: 3})
+    return [
+        (d, ("k", "blocks")),
+        (enumerate_symmetric(BRAUER, 3, 1)[0], ("k", "top", "propagating")),
+        (enumerate_sspt(BRAUER, 3, (1,))[0], ("k", "first_row", "body")),
+        (poly, ("terms",)),
+        (Element(3, BRAUER, {d: poly}), ("k", "family", "combo")),
+    ]
+
+
+def test_no_field_of_a_value_can_be_set_or_deleted():
+    for value, fields in five_values():
+        before = copy.copy(value)
+        message = "^%s is immutable$" % type(value).__name__
+        for name in fields:
+            with pytest.raises(AttributeError, match=message):
+                delattr(value, name)
+            with pytest.raises(AttributeError, match=message):
+                setattr(value, name, None)
+        assert value == before and hash(value) == hash(before)
+        assert type(value)._fields == fields
+
+
+def test_del_cannot_poison_a_cached_symmetric_diagram():
+    ws = enumerate_symmetric(BRAUER, 3, 1)
+    with pytest.raises(AttributeError, match="immutable"):
+        del ws[0].top
+    assert ws[0].top == ((1,), (2, 3))
+    assert enumerate_symmetric(BRAUER, 3, 1)[0] is ws[0]
+    for d in enumerate_basis(BRAUER, 3):
+        for basis in ("Twisted", TABLEAU):
+            assert len(rep_columns(d, BRAUER, 3, (1,), basis)) == len(ws)
+
+
+def test_owner_cache_takes_no_part_in_equality_order_or_pickle():
+    blocks = ((1, 5), (2, 3), (4, 6))
+    cached, fresh = Diagram(3, blocks), Diagram(3, blocks)
+    _block_owner(cached)
+    assert hasattr(cached, "_owner") and not hasattr(fresh, "_owner")
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert not cached < fresh and not fresh < cached
+    assert pickle.dumps(cached) == pickle.dumps(fresh)
+    assert not hasattr(pickle.loads(pickle.dumps(cached)), "_owner")
+    assert cached.__reduce__() == (Diagram, (3, blocks))
+
+
+def test_values_of_one_type_order_by_their_fields():
+    ws = enumerate_symmetric(PARTITION, 3, 1)
+    tabs = enumerate_sspt(PARTITION, 3, (1,))
+    ds = enumerate_basis(PARTITION, 2)
+    for values, key in (
+        (ws, lambda w: (w.k, w.top, w.propagating)),
+        (tabs, lambda t: (t.k, t.first_row, t.body)),
+        (ds, lambda d: (d.k, d.blocks)),
+    ):
+        shuffled = list(values)
+        random.Random(15).shuffle(shuffled)
+        assert sorted(shuffled) == sorted(values, key=key)
+    with pytest.raises(TypeError):
+        ds[0] < ws[0]
+    with pytest.raises(TypeError):
+        ds[0] < (2, ds[0].blocks)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Diagram(2, [(), (1, 2)]),
+        lambda: SymmetricMDiagram(2, [(), (1,)], []),
+        lambda: SetPartitionTableau(2, [(), (1,)], []),
+    ],
+    ids=["Diagram", "SymmetricMDiagram", "SetPartitionTableau"],
+)
+def test_an_empty_block_is_refused_before_the_cover(make):
+    # neither a cover of {1..n} nor free of empty blocks
+    with pytest.raises(ValueError, match="^blocks must not be empty$"):
+        make()

@@ -195,6 +195,16 @@ def test_sym_dim_known_values():
     assert sym_dim(()) == 1
 
 
+def test_identity_class_needs_no_recursion_on_a_cleared_cache():
+    # 1200 rim hooks of length 1 would recurse past Python's limit
+    sym_character.cache_clear()
+    assert sym_dim((1200,)) == 1
+    assert sym_dim((1199, 1)) == 1199
+    assert sym_dim((1,) * 1200) == 1
+    # f^lam = f^(lam transposed)
+    assert sym_character((3,) * 400, (1,) * 1200) == sym_dim((400, 400, 400))
+
+
 def test_sym_dim_counts_the_standard_tableaux():
     for m in range(11):
         for shape in partitions(m):
