@@ -30,12 +30,7 @@ from .diagrams import (
     perm_diagram,
     size_cap,
 )
-from .errors import (
-    CapExceeded,
-    FamilyUnsupported,
-    InvalidClassLabel,
-    InvalidRank,
-)
+from .errors import CapExceeded, FamilyUnsupported, InvalidClassLabel
 from .irreps import (
     column_trace,
     conjugate,
@@ -43,15 +38,16 @@ from .irreps import (
     rep_columns_element,
 )
 from .partitions import (
+    _ranks,
     binom,
     check_label,
     check_partition,
+    check_rank,
     divisors,
     double_factorial,
     lambda_star_labels,
     multiplicities,
     partitions,
-    rank_set,
     stirling2,
 )
 from .symrep import cycle_type, sym_character
@@ -74,56 +70,35 @@ def gamma_diagram(kappa):
     return perm_diagram(gamma_perm(kappa))
 
 
-def _class_kappa(family, kappa, k=None, exact=False):
-    """Validate the class label kappa and return it as a tuple.
+def _check_class(family, kappa, k=None, s=None):
+    """Validate the class label (kappa, s); return kappa as a tuple and the
+    tail length, or None for the tail when k is not given.
 
-    With k given, |kappa| must equal k when exact and be at most k
-    otherwise; the planar families take only all-ones cycle types.
+    The planar families take only all-ones cycle types.  With k given,
+    |kappa| must be a rank of the family, and the tail fills the k - |kappa|
+    strands gamma_kappa leaves: one strand per generator, or two in a
+    family without one-vertex blocks.  A given s must equal the tail.
     """
     kappa = check_partition(kappa)
-    r = sum(kappa)
-    if exact and r != k:
-        raise InvalidClassLabel(
-            "fixed points need |kappa| = k, got %r at k=%d" % (kappa, k)
-        )
-    if k is not None and r > k:
-        raise InvalidClassLabel(
-            "cycle type %r too large for k=%d" % (kappa, k)
-        )
     if _SHAPES[family].planar and any(part != 1 for part in kappa):
         raise InvalidClassLabel(
             "%s classes are labelled by all-ones cycle types, got %r"
             % (family, kappa)
         )
-    return kappa
-
-
-def _class_tail_size(family, k, kappa, s):
-    """The tail length of the class (kappa, s), checked against s when
-    given: single strands fill the k - |kappa| strands left by gamma_kappa,
-    or pairs of strands in a family without one-vertex blocks."""
+    if k is None:
+        return kappa, None
     r = sum(kappa)
-    shape = _SHAPES[family]
-    if shape.singles:
-        computed = k - r
-    elif shape.across:
-        if r != k:
-            raise InvalidClassLabel(
-                "%s classes need |kappa| = k, got %r" % (family, kappa)
-            )
-        computed = 0
-    else:
-        if (k - r) % 2:
-            raise InvalidClassLabel(
-                "%s needs k - |kappa| even, got %r at k=%d"
-                % (family, kappa, k)
-            )
-        computed = (k - r) // 2
-    if s is not None and s != computed:
+    if r not in _ranks(family, k):
+        raise InvalidClassLabel(
+            "cycle type %r has size %d, not a %s rank at k=%d"
+            % (kappa, r, family, k)
+        )
+    tail = k - r if _SHAPES[family].singles else (k - r) // 2
+    if s is not None and s != tail:
         raise InvalidClassLabel(
             "tail length %r does not match |kappa|=%d at k=%d" % (s, r, k)
         )
-    return computed
+    return kappa, tail
 
 
 def class_diagram(family, k, kappa, s=None):
@@ -134,8 +109,7 @@ def class_diagram(family, k, kappa, s=None):
     (Brauer and Temperley-Lieb).
     """
     family = normalize_family(family)
-    kappa = _class_kappa(family, kappa, k)
-    s = _class_tail_size(family, k, kappa, s)
+    kappa, s = _check_class(family, kappa, k, s)
     r = sum(kappa)
     blocks = []
     perm = gamma_perm(kappa)
@@ -161,11 +135,9 @@ def fixed_points(family, k, m, kappa):
     Every partition of m appears as a key, possibly with an empty list.
     """
     family = normalize_family(family)
-    kappa = _class_kappa(family, kappa, k, exact=True)
-    if m not in rank_set(family, k):
-        raise InvalidRank(
-            "%s diagrams on %d strands have no rank %r" % (family, k, m)
-        )
+    # the class of a permutation gamma_kappa alone has no tail
+    kappa, _ = _check_class(family, kappa, k, 0)
+    check_rank(family, k, m)
     if k > enumeration_cap(family):
         raise CapExceeded("fixed_points at k=%d exceeds the cap" % k)
     gamma = gamma_diagram(kappa)
@@ -212,7 +184,7 @@ def f_coeff(family, kappa, mu):
     """Closed form for the number of fixed symmetric diagrams whose twist
     has cycle type mu, under conjugation by gamma_kappa."""
     family = normalize_family(family)
-    kappa = _class_kappa(family, kappa)
+    kappa, _ = _check_class(family, kappa)
     return _f_column(family, kappa).get(check_partition(mu), 0)
 
 
@@ -305,8 +277,8 @@ def _values(family, rows, cols):
 
 def irr_character(family, k, lam_star, kappa, s=None):
     """Character of the lam_star module at the class (kappa, s): the sum
-    over the twists mu of the labels of size |lam_star| of
-    chi^lam_star(mu) F[mu][kappa].
+    over the twists mu of size m = |lam_star| (every partition of m, or
+    (1^m) in a planar family) of chi^lam_star(mu) F[mu][kappa].
 
     The value does not depend on n; it vanishes when |kappa| < |lam_star|
     and otherwise equals the value at the smaller algebra on |kappa|
@@ -314,11 +286,9 @@ def irr_character(family, k, lam_star, kappa, s=None):
     """
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
-    kappa = _class_kappa(family, kappa, k)
-    _class_tail_size(family, k, kappa, s)
+    kappa, _ = _check_class(family, kappa, k, s)
     m = sum(lam_star)
-    labels = lambda_star_labels(family, k)
-    mus = [_twist(family, mu) for mu in labels if sum(mu) == m]
+    mus = [(1,) * m] if _SHAPES[family].planar else partitions(m)
     return sum(
         sym_character(lam_star, mu) * f_coeff(family, kappa, mu) for mu in mus
     )

@@ -8,7 +8,9 @@ usage errors.
 """
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +19,7 @@ from functools import lru_cache
 from . import characters, diagrams, irreps, symrep
 from .coeff import ONE, Element, LaurentPoly
 from .errors import DiagramAlgebraError, IndexOutOfRange
-from .partitions import lambda_star_labels, rank_set
+from .partitions import check_partition, lambda_star_labels, rank_set
 
 
 def _family_type(text):
@@ -40,15 +42,10 @@ def _partition_type(text):
         raise argparse.ArgumentTypeError(
             "expected a partition like [2,1], got %r" % (text,)
         ) from None
-    if any(p < 1 for p in parts):
-        raise argparse.ArgumentTypeError(
-            "partition parts must be positive, got %r" % (text,)
-        )
-    if any(a < b for a, b in zip(parts, parts[1:])):
-        raise argparse.ArgumentTypeError(
-            "partition parts must weakly decrease, got %r" % (text,)
-        )
-    return parts
+    try:
+        return check_partition(parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text):
@@ -73,6 +70,21 @@ def _basis_type(text):
         return irreps._normalize_basis(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _check_out(path):
+    """Refuse an --out that cannot be written before any work starts,
+    creating and truncating nothing, with the error open() would give."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _emit(text, out_path):
@@ -599,8 +611,11 @@ def run(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
-    except (DiagramAlgebraError, ValueError, OSError) as exc:
+    # a k too large for a range overflows (no budget bounds it yet)
+    except (DiagramAlgebraError, ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

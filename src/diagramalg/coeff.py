@@ -260,7 +260,8 @@ class Element(_Value):
 
     def terms(self):
         """Canonically ordered (diagram, coefficient) pairs."""
-        return [(d, self.combo[d]) for d in sorted(self.combo)]
+        combo = self.combo
+        return [(d, combo[d]) for d in sorted(combo, key=Diagram._key)]
 
     def is_zero(self):
         return not self.combo
@@ -336,7 +337,7 @@ class Element(_Value):
     def evaluate(self, value):
         """Substitute a rational n; returns {diagram: Fraction}, leaving
         out the diagrams whose coefficient vanishes at n."""
-        values = ((d, c.evaluate(value)) for d, c in sorted(self.combo.items()))
+        values = ((d, c.evaluate(value)) for d, c in self.terms())
         return {d: v for d, v in values if v}
 
     def __str__(self):

@@ -29,13 +29,8 @@ from .diagrams import (
     rank,
     set_partitions,
 )
-from .errors import (
-    AlgebraMismatch,
-    InvalidRank,
-    RankMismatch,
-    ShapeMismatch,
-)
-from .partitions import check_label, rank_set
+from .errors import AlgebraMismatch, RankMismatch, ShapeMismatch
+from .partitions import check_label, check_rank
 from .symrep import standard_tableaux, straighten, tableau_shape
 
 
@@ -184,10 +179,7 @@ def _enumerate_symmetric(family, k, m):
 def enumerate_symmetric(family, k, m):
     """All symmetric diagrams of the family with m propagating blocks."""
     family = normalize_family(family)
-    if m not in rank_set(family, k):
-        raise InvalidRank(
-            "%s diagrams on %d strands have no rank %r" % (family, k, m)
-        )
+    check_rank(family, k, m)
     return list(_enumerate_symmetric(family, k, m))
 
 

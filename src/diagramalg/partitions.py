@@ -12,7 +12,7 @@ from math import comb
 from operator import lt
 
 from .diagrams import _SHAPES, normalize_family
-from .errors import IndexOutOfRange, LabelNotInFamily
+from .errors import IndexOutOfRange, InvalidRank, LabelNotInFamily
 
 
 def check_partition(p):
@@ -103,22 +103,38 @@ def bell(n):
     return sum(stirling2(n, j) for j in range(n + 1))
 
 
-def rank_set(family, k):
-    """Possible numbers of propagating blocks for diagrams of the family.
+def _ranks(family, k):
+    """Possible numbers of propagating blocks for diagrams of the family,
+    as a range, so a membership test is closed form at any k.
 
     With one-vertex blocks every rank 0..k occurs.  Without them, pairs
     that must join the two rows leave only rank k, and otherwise each pair
     within a row takes two vertices of it, so the rank has the parity of k.
     """
-    family = normalize_family(family)
     if not isinstance(k, int) or k < 1:
         raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
     shape = _SHAPES[family]
     if shape.singles:
-        return list(range(k + 1))
+        return range(k + 1)
     if shape.across:
-        return [k]
-    return list(range(k % 2, k + 1, 2))
+        return range(k, k + 1)
+    return range(k % 2, k + 1, 2)
+
+
+def rank_set(family, k):
+    """Possible numbers of propagating blocks, ascending, as a list."""
+    return list(_ranks(normalize_family(family), k))
+
+
+def check_rank(family, k, m):
+    """Refuse m unless it is an int rank of the family at k; the type is
+    tested first, as a range tests any other type by scanning it."""
+    family = normalize_family(family)
+    ranks = _ranks(family, k)
+    if type(m) is not int or m not in ranks:
+        raise InvalidRank(
+            "%s diagrams on %d strands have no rank %r" % (family, k, m)
+        )
 
 
 def lambda_star_labels(family, k):
@@ -129,6 +145,7 @@ def lambda_star_labels(family, k):
     """
     family = normalize_family(family)
     labels = []
+    # the list overflows at once at a huge k, where the range would run on
     for m in rank_set(family, k):
         if _SHAPES[family].planar:
             labels.append((m,) if m else ())
@@ -138,9 +155,13 @@ def lambda_star_labels(family, k):
 
 
 def check_label(family, k, lam_star):
-    """Validate and return lam_star as a module label of the family at k."""
+    """Validate and return lam_star as a module label of the family at k:
+    its size is a rank, and a planar label has at most one part."""
     lam_star = check_partition(lam_star)
-    if lam_star not in lambda_star_labels(family, k):
+    family = normalize_family(family)
+    if sum(lam_star) not in _ranks(family, k) or (
+        _SHAPES[family].planar and len(lam_star) > 1
+    ):
         raise LabelNotInFamily(
             "%r does not label a %s module at k=%d" % (lam_star, family, k)
         )

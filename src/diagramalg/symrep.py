@@ -140,14 +140,7 @@ def _straighten(filling):
         new_a = rest
         if new_a == a_vals:
             continue
-        order = [old.index(x) for x in list(new_a) + list(new_b)]
-        inv = sum(
-            1
-            for a in range(len(order))
-            for b in range(a + 1, len(order))
-            if order[a] > order[b]
-        )
-        move_sign = -1 if inv % 2 else 1
+        move_sign, _ = _sort_sign([old.index(x) for x in new_a + list(new_b)])
         moved = [list(row) for row in grid]
         for offset, value in enumerate(new_a):
             moved[i + offset][j] = value

@@ -6,6 +6,7 @@ from diagramalg import characters, errors
 from diagramalg.characters import (
     REFERENCE_TABLES,
     CharacterTable,
+    _check_class,
     character_oracle,
     character_table,
     class_diagram,
@@ -35,7 +36,13 @@ from diagramalg.diagrams import (
     perm_diagram,
 )
 from diagramalg.irreps import SymmetricMDiagram
-from diagramalg.partitions import lambda_star_labels
+from diagramalg.partitions import (
+    check_label,
+    check_rank,
+    lambda_star_labels,
+    partitions,
+    rank_set,
+)
 from diagramalg.symrep import cycle_type, sym_character
 
 GAMMA_18 = (
@@ -178,6 +185,41 @@ def test_class_diagram_invalid_labels():
         class_diagram("Brauer", 4, (2,), s=2)
     with pytest.raises(errors.InvalidClassLabel):
         class_diagram("PlanarPartition", 3, (2, 1))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rank_checks_accept_exactly_the_listings(family):
+    # the checks decide membership without listing; the listings are the
+    # oracle for every partition of size up to k + 1
+    for k in range(1, 9):
+        labels = lambda_star_labels(family, k)
+        classes = class_labels(family, k)
+        for p in [p for m in range(k + 2) for p in partitions(m)]:
+            try:
+                check_label(family, k, p)
+            except errors.LabelNotInFamily:
+                assert p not in labels, (k, p)
+            else:
+                assert p in labels, (k, p)
+            if p not in classes:
+                with pytest.raises(errors.InvalidClassLabel):
+                    _check_class(family, p, k)
+                continue
+            kappa, tail = _check_class(family, p, k)
+            [(_, coeff)] = class_diagram(family, k, kappa, tail).terms()
+            assert coeff == LaurentPoly.monomial(-tail), (k, p)
+            with pytest.raises(errors.InvalidClassLabel):
+                _check_class(family, p, k, tail + 1)
+        ranks = rank_set(family, k)
+        for m in range(-1, k + 2):
+            if m in ranks:
+                check_rank(family, k, m)
+            else:
+                with pytest.raises(errors.InvalidRank):
+                    check_rank(family, k, m)
+        for m in (float(ranks[-1]), str(ranks[-1])):
+            with pytest.raises(errors.InvalidRank):
+                check_rank(family, k, m)
 
 
 def test_fixed_points_worked_example():

@@ -358,6 +358,57 @@ def test_unwritable_out_is_a_domain_error(command, where, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_out_is_checked_before_the_work(monkeypatch, tmp_path, capsys):
+    def refuse(family, k):
+        raise CapExceeded("enumerate_basis ran before --out was checked")
+
+    monkeypatch.setattr(diagrams, "enumerate_basis", refuse)
+    args = ["basis", "--family", "partition", "--k", "5", "--out"]
+    target = tmp_path / "missing" / "x"
+    assert run(args + [str(target)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: [Errno 2] No such file or directory: %r\n" % str(target)
+    )
+    # a writable --out is neither created nor truncated by a failing command
+    kept = tmp_path / "kept.txt"
+    kept.write_text("kept\n", encoding="utf-8")
+    assert run(args + [str(kept)]) == 1
+    assert "enumerate_basis ran" in capsys.readouterr().err
+    assert kept.read_text(encoding="utf-8") == "kept\n"
+    assert run(args + [str(tmp_path / "new.txt")]) == 1
+    assert not (tmp_path / "new.txt").exists()
+
+
+HUGE_K = "99999999999999999999"
+
+
+@pytest.mark.parametrize("k", ["55", HUGE_K])
+def test_char_at_a_large_k_lists_no_labels(k, capsys):
+    args = [
+        "char", "--family", "partition", "--k", k,
+        "--lambda-star", "[1]", "--kappa", "[1]",
+    ]
+    assert run(args) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["table", "--family", "brauer"],
+        ["dims", "--family", "partition"],
+        ["sspt", "--family", "rook", "--lambda-star", "[1]"],
+        ["symdiag", "--family", "brauer", "--m", "1"],
+    ],
+)
+def test_huge_k_is_an_error_line(command, capsys):
+    assert run(command + ["--k", HUGE_K]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("family", ["planarrook", "temperleylieb"])
 def test_char_at_the_identity_class_of_k1200(family, capsys):
     symrep.sym_character.cache_clear()

@@ -5,7 +5,7 @@ import pytest
 
 from diagramalg import errors
 from diagramalg.characters import (
-    _class_kappa,
+    _check_class,
     f_coeff,
     f_coeff_planar,
     irr_character,
@@ -43,7 +43,7 @@ def reference_f_coeff(family, kappa, mu):
     if family == SYMMETRIC_GROUP:
         return 1 if kappa == mu else 0
     if _SHAPES[family].planar:
-        _class_kappa(family, kappa)
+        _check_class(family, kappa)
         m = sum(mu)
         if mu != (1,) * m:
             return 0
