@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .coeff import ONE, ZERO, LaurentPoly, _from_sums
+from .coeff import ZERO, LaurentPoly, _from_sums
 from .diagrams import (
     _SHAPES,
     Diagram,
@@ -31,7 +31,7 @@ from .diagrams import (
 )
 from .errors import AlgebraMismatch, RankMismatch, ShapeMismatch
 from .partitions import check_label, check_rank
-from .symrep import standard_tableaux, straighten, tableau_shape
+from .symrep import relabel, standard_tableaux, straighten, tableau_shape
 
 
 class SymmetricMDiagram(_Value):
@@ -188,22 +188,24 @@ ConjugateResult = namedtuple(
 )
 
 
-def _stack(d, blocks):
-    """Stack d above a set partition of {1..k}.
+@lru_cache(maxsize=1 << 16)
+def _conjugate(d, top):
+    """Stack d above a set partition of {1..k}, given as its sorted blocks.
 
     The lower layer of the stacking kernel is the blocks of the partition,
     met at their vertices.  Returns the root of every vertex (top vertex v
-    of d at v, vertex v of the partition at k+v), the top vertices of each
-    component that reaches the top row keyed by root in order of least
-    vertex, and the number of components.
+    of d at v, vertex v of the partition at k+v), the blocks of the top
+    row in canonical order (the root of block b is root[b[0]]), and the
+    number of components.  Which blocks propagate, and where, is read off
+    afterwards, so one cached stack serves every symmetric diagram on that
+    top and every tableau whose blocks form it; all of it is immutable.
     """
     k = d.k
-    blocks = tuple(blocks)
     below = [0] * k
-    for i, b in enumerate(blocks):
+    for i, b in enumerate(top):
         for v in b:
             below[v - 1] = i
-    parent, components = _fuse(d, below, len(blocks))
+    parent, components = _fuse(d, below, len(top))
     n = len(d.blocks)
     root = [0]
     for r in chain(_block_owner(d)[1 : k + 1], [n + i for i in below]):
@@ -217,27 +219,7 @@ def _stack(d, blocks):
             tops[r] += (v,)
         else:
             tops[r] = (v,)
-    return root, tops, components
-
-
-@lru_cache(maxsize=1 << 16)
-def _conjugate(d, w):
-    # d w d^T is mirror-symmetric and its two halves meet only through the
-    # propagating blocks of w, so d stacked on the top of w decides it: a
-    # component reaching the top row is a block of w', propagating when it
-    # holds a propagating block of w; a middle-only component without one
-    # is deleted, and its mirror image is not counted
-    k = d.k
-    root, tops, components = _stack(d, w.top)
-    reached = {root[k + b[0]] for b in w.propagating}
-    prop = tuple(b for r, b in tops.items() if r in reached)
-    w_prime = SymmetricMDiagram._canonical(k, tuple(tops.values()), prop)
-    deleted = components - len(reached.union(tops))
-    twist = None
-    if len(prop) == w.m:
-        new = {root[b[0]]: j for j, b in enumerate(w_prime.prop_max_order(), 1)}
-        twist = tuple(new[root[k + b[0]]] for b in w.prop_max_order())
-    return ConjugateResult(w_prime, len(prop), deleted, twist)
+    return tuple(root), tuple(tops.values()), components
 
 
 def conjugate(d, w):
@@ -252,7 +234,55 @@ def conjugate(d, w):
         raise RankMismatch(
             "diagram on %d strands against w on %d" % (d.k, w.k)
         )
-    return _conjugate(d, w)
+    # d w d^T is mirror-symmetric and its two halves meet only through the
+    # propagating blocks of w, so d stacked on the top of w decides it: a
+    # component reaching the top row is a block of w', propagating when it
+    # holds a propagating block of w; a middle-only component without one
+    # is deleted, and its mirror image is not counted
+    k = d.k
+    root, top, components = _conjugate(d, w.top)
+    reached = {root[k + b[0]] for b in w.propagating}
+    prop = tuple(b for b in top if root[b[0]] in reached)
+    w_prime = SymmetricMDiagram._canonical(k, top, prop)
+    # each block of prop is the one top block of a reached component
+    deleted = components - len(top) - len(reached) + len(prop)
+    twist = None
+    if len(prop) == w.m:
+        new = {root[b[0]]: j for j, b in enumerate(w_prime.prop_max_order(), 1)}
+        twist = tuple(new[root[k + b[0]]] for b in w.prop_max_order())
+    return ConjugateResult(w_prime, len(prop), deleted, twist)
+
+
+def _check_family(d, family):
+    if family is not None and not in_family(d, family):
+        raise AlgebraMismatch(
+            "diagram %s is not in the %s family" % (d.text(), family)
+        )
+
+
+def _sum_images(pairs):
+    """Sum coeff times image over (coeff, image) pairs, each image a list
+    of (key, c, deleted) terms standing for c n^deleted at key: raw
+    {exponent: coefficient} sums per key, then one polynomial each."""
+    out = {}
+    for coeff, image in pairs:
+        for key, c, deleted in image:
+            acc = out.setdefault(key, {})
+            for e, a in LaurentPoly.coerce(coeff).terms.items():
+                acc[e + deleted] = acc.get(e + deleted, 0) + a * c
+    return {key: p for key, acc in out.items() if (p := _from_sums(acc))}
+
+
+def _twisted_image(d, w, t):
+    """The terms ((w', t'), c, deleted) of d . (w (x) n_t), with t' standard;
+    empty when the rank drops."""
+    res = conjugate(d, w)
+    if res.twist is None:
+        return []
+    return [
+        ((res.w_prime, ts), c, res.deleted)
+        for ts, c in straighten(relabel(res.twist, t)).items()
+    ]
 
 
 def act_twisted(d, v, family=None):
@@ -262,25 +292,8 @@ def act_twisted(d, v, family=None):
     twist permutation acts on the tableau factor, and each deleted middle
     component contributes a factor n.
     """
-    if family is not None and not in_family(d, family):
-        raise AlgebraMismatch(
-            "diagram %s is not in the %s family" % (d.text(), family)
-        )
-    # raw {exponent: coefficient} sums per output key, one polynomial each
-    out = {}
-    for (w, t), coeff in v.items():
-        res = conjugate(d, w)
-        if res.twist is None:
-            continue
-        terms = LaurentPoly.coerce(coeff).terms
-        relabeled = tuple(
-            tuple(res.twist[x - 1] for x in row) for row in t
-        )
-        for ts, c in straighten(relabeled).items():
-            acc = out.setdefault((res.w_prime, ts), {})
-            for e, a in terms.items():
-                acc[e + res.deleted] = acc.get(e + res.deleted, 0) + a * c
-    return {key: p for key, acc in out.items() if (p := _from_sums(acc))}
+    _check_family(d, family)
+    return _sum_images((c, _twisted_image(d, w, t)) for (w, t), c in v.items())
 
 
 class SetPartitionTableau(_Value):
@@ -416,7 +429,9 @@ def act_tableau(d, tab):
             "diagram on %d strands against a tableau on %d" % (d.k, tab.k)
         )
     k = d.k
-    root, tops, components = _stack(d, chain(tab.first_row, *tab.body))
+    blocks = tuple(sorted(chain(tab.first_row, *tab.body)))
+    root, top, components = _conjugate(d, blocks)
+    tops = {root[b[0]]: b for b in top}
     cells = [root[k + b[0]] for row in tab.body for b in row]
     taken = set(cells)
     if len(taken) < len(cells) or not taken.issubset(tops):
@@ -424,31 +439,28 @@ def act_tableau(d, tab):
     body = tuple(tuple(tops[root[k + b[0]]] for b in row) for row in tab.body)
     first_row = sorted((b for r, b in tops.items() if r not in taken), key=max)
     # every component without a top vertex lay in the middle
-    deleted = components - len(tops)
+    deleted = components - len(top)
     return SetPartitionTableau._canonical(k, tuple(first_row), body), deleted
+
+
+def _tableau_image(d, tab):
+    """The terms (tableau, c, deleted) of d . N_tab over standard tableaux;
+    empty when the action is zero."""
+    moved, deleted = act_tableau(d, tab)
+    if moved is None:
+        return []
+    order, first = sorted(moved.body_blocks(), key=max), moved.first_row
+    return [
+        (SetPartitionTableau._canonical(d.k, first, relabel(order, u)), c, deleted)
+        for u, c in straighten(moved.body_filling()).items()
+    ]
 
 
 def act_natural(d, v, family=None):
     """Act on a combinatorial vector {tableau: coeff} and rewrite any
     non-standard bodies over standard ones."""
-    if family is not None and not in_family(d, family):
-        raise AlgebraMismatch(
-            "diagram %s is not in the %s family" % (d.text(), family)
-        )
-    out = {}  # summed as in act_twisted
-    for tab, coeff in v.items():
-        moved, deleted = act_tableau(d, tab)
-        if moved is None:
-            continue
-        terms = LaurentPoly.coerce(coeff).terms
-        order = sorted(moved.body_blocks(), key=max)
-        for ustd, c in straighten(moved.body_filling()).items():
-            body = tuple(tuple(order[x - 1] for x in row) for row in ustd)
-            tstd = SetPartitionTableau._canonical(moved.k, moved.first_row, body)
-            acc = out.setdefault(tstd, {})
-            for e, a in terms.items():
-                acc[e + deleted] = acc.get(e + deleted, 0) + a * c
-    return {key: p for key, acc in out.items() if (p := _from_sums(acc))}
+    _check_family(d, family)
+    return _sum_images((c, _tableau_image(d, tab)) for tab, c in v.items())
 
 
 TWISTED = "Twisted"
@@ -484,18 +496,19 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
     basis = _normalize_basis(basis)
     if d.k != k:
         raise RankMismatch("diagram on %d strands, module at k=%d" % (d.k, k))
-    if not in_family(d, family):
-        raise AlgebraMismatch(
-            "diagram %s is not in the %s family" % (d.text(), family)
-        )
+    _check_family(d, family)
     vectors, index = _module_basis(family, k, lam_star, basis)
     if rank(d) < sum(lam_star):
         # fewer than m propagating blocks is zero in the paper's quotient
         return [{} for _ in vectors]
-    act = act_twisted if basis == TWISTED else act_natural
+    if basis == TWISTED:
+        images = (_twisted_image(d, w, t) for w, t in vectors)
+    else:
+        images = (_tableau_image(d, tab) for tab in vectors)
+    # the keys of one image are distinct, so each entry is one monomial
     return [
-        {index[key]: c for key, c in act(d, {v: ONE}).items()}
-        for v in vectors
+        {index[key]: LaurentPoly._from_clean({e: c}) for key, c, e in image}
+        for image in images
     ]
 
 

@@ -9,6 +9,7 @@ from diagramalg.coeff import ONE, ZERO, Element, LaurentPoly
 from diagramalg.diagrams import (
     BRAUER,
     FAMILIES,
+    Diagram,
     MOTZKIN,
     PARTITION,
     PLANAR_PARTITION,
@@ -719,3 +720,78 @@ def test_integer_sums_match_laurent_arithmetic(family, k):
                 assert got == reference_act_natural(d, nat)
                 _assert_clean(got)
     assert collisions
+
+
+def test_cached_stacks_are_immutable():
+    # one entry serves every vector on its top, in both bases, so no
+    # caller may be handed a part it could change
+    for w in enumerate_symmetric(PARTITION, 3, 1):
+        hash(irreps._conjugate(identity_diagram(3), w.top))
+    hash(irreps._conjugate(D13, W13.top))
+
+
+def _random_partition_diagram(rng, k):
+    owner = [rng.randrange(k) for _ in range(2 * k)]
+    blocks = {}
+    for v, b in enumerate(owner, 1):
+        blocks.setdefault(b, []).append(v)
+    return Diagram(k, blocks.values())
+
+
+def _acting_diagrams(rng, family, k, m, count=4):
+    """Seeded diagrams of rank at least m: below it every column is empty
+    and no stack is read."""
+    if family == PARTITION and k == 5:
+        # 115,975 diagrams: draw set partitions instead of listing them
+        pool = [_random_partition_diagram(rng, k) for _ in range(4 * count)]
+    else:
+        pool = enumerate_basis(family, k)
+    pool = [d for d in pool if rank(d) >= m]
+    return rng.sample(pool, min(count, len(pool)))
+
+
+def _reference_columns(d, family, k, lam, monkeypatch):
+    """rep_columns of d in both bases from the reference actions, each
+    vector stacked afresh: the uncached stack stands in for _conjugate."""
+    refs = {"Twisted": reference_act_twisted, "Tableau": reference_act_natural}
+    with monkeypatch.context() as patch:
+        patch.setattr(irreps, "_conjugate", irreps._conjugate.__wrapped__)
+        out = {}
+        for basis, ref in refs.items():
+            vectors, index = _module_basis(family, k, lam, basis)
+            out[basis] = [
+                {index[key]: c for key, c in ref(d, {v: ONE}).items()}
+                for v in vectors
+            ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "family, ks",
+    [pytest.param(family, range(1, 5), id=family + "-k<=4") for family in FAMILIES]
+    + [pytest.param(PARTITION, (5,), id="Partition-k5")],
+)
+def test_shared_stacks_match_the_uncached_reference(family, ks, monkeypatch):
+    # both bases read one _conjugate entry per (d, top); a key that let one
+    # vector read another's stack would show in the columns read off a
+    # cache that other diagrams, and the other basis, have filled
+    rng = random.Random(1817)
+    checked = 0
+    for k in ks:
+        for lam in lambda_star_labels(family, k):
+            if family == PARTITION and k == 5 and sum(lam) != 2:
+                continue  # at m = 2, 51 tops carry 160 symmetric diagrams
+            ds = _acting_diagrams(rng, family, k, sum(lam))
+            expected = [
+                _reference_columns(d, family, k, lam, monkeypatch) for d in ds
+            ]
+            for order in (("Twisted", "Tableau"), ("Tableau", "Twisted")):
+                irreps._conjugate.cache_clear()
+                for basis in order:
+                    for d, want in zip(ds, expected):
+                        got = rep_columns(d, family, k, lam, basis)
+                        assert len(got) == len(want[basis])
+                        for j, column in enumerate(got):
+                            assert column == want[basis][j], (d, basis, j)
+            checked += len(ds)
+    assert checked
