@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import characters, diagrams, irreps, symrep
-from .coeff import ONE, Element, LaurentPoly
+from .coeff import ONE, ZERO, Element, LaurentPoly
 from .errors import DiagramAlgebraError, IndexOutOfRange
 from .partitions import check_partition, lambda_star_labels, rank_set
 
@@ -226,40 +226,35 @@ def _cmd_irrep(args):
     mat = irreps.rep_matrix_irrep(
         d, args.family, args.k, args.lambda_star, args.basis
     )
+    # every zero cell of mat is the constant ZERO: it is rendered once (and
+    # not evaluated at a numeric n); any other zero renders the same bytes
+    zero = ZERO
     if args.n is not None:
-        # a zero cell is written as 0 without evaluating it
-        values = [
-            [entry.evaluate(args.n) if entry else 0 for entry in row]
+        zero = 0
+        mat = [
+            [zero if entry is ZERO else entry.evaluate(args.n) for entry in row]
             for row in mat
         ]
-        if args.format == "json":
-            # the bytes of json.dumps, each row joined from cell strings
-            # and every zero cell one constant
-            cell = '{"num":%d,"den":%d}'
-            zero = cell % (0, 1)
-            rows = [
-                ",".join(
-                    [cell % (v.numerator, v.denominator) if v else zero
-                     for v in row]
-                )
-                for row in values
-            ]
-            _emit("[[%s]]" % "],[".join(rows) if rows else "[]", args.out)
-            return 0
-        _emit(
-            "\n".join(", ".join(str(v) for v in row) for row in values),
-            args.out,
-        )
-        return 0
     if args.format == "json":
-        payload = [[entry.to_json_obj() for entry in row] for row in mat]
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-        return 0
-    _emit(
-        "\n".join(", ".join(str(entry) for entry in row) for row in mat),
-        args.out,
-    )
+        # the bytes of json.dumps, each row joined from cell strings
+        cell, sep = _poly_json if args.n is None else _fraction_json, ","
+    else:
+        cell, sep = str, ", "
+    blank = cell(zero)
+    rows = [sep.join([blank if v is zero else cell(v) for v in row]) for row in mat]
+    if args.format == "json":
+        _emit("[[%s]]" % "],[".join(rows) if rows else "[]", args.out)
+    else:
+        _emit("\n".join(rows), args.out)
     return 0
+
+
+def _poly_json(p):
+    return json.dumps(p.to_json_obj(), separators=(",", ":"))
+
+
+def _fraction_json(v):
+    return '{"num":%d,"den":%d}' % (v.numerator, v.denominator)
 
 
 def _cmd_char(args):

@@ -12,6 +12,7 @@ components in the middle row and each deletion contributes a factor n.
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, combinations
+from operator import itemgetter
 
 from .coeff import ZERO, LaurentPoly, _from_sums
 from .diagrams import (
@@ -22,6 +23,7 @@ from .diagrams import (
     _check_int_vertices,
     _fuse,
     _matchings,
+    _Memo,
     _Value,
     in_family,
     is_planar,
@@ -31,7 +33,16 @@ from .diagrams import (
 )
 from .errors import AlgebraMismatch, RankMismatch, ShapeMismatch
 from .partitions import check_label, check_rank
-from .symrep import relabel, standard_tableaux, straighten, tableau_shape
+from .symrep import (
+    natural_columns,
+    relabel,
+    standard_tableaux,
+    straighten,
+    tableau_shape,
+)
+
+# every stored block is an ascending tuple, so its last entry is its largest
+_last = itemgetter(-1)
 
 
 class SymmetricMDiagram(_Value):
@@ -77,7 +88,7 @@ class SymmetricMDiagram(_Value):
 
     def prop_max_order(self):
         """Propagating blocks sorted by largest entry."""
-        return tuple(sorted(self.propagating, key=max))
+        return tuple(sorted(self.propagating, key=_last))
 
     def to_diagram(self):
         k = self.k
@@ -314,7 +325,7 @@ class SetPartitionTableau(_Value):
             tuple(tuple(sorted(b)) for b in row) for row in body
         )
         _check_cover(first + [b for row in rows for b in row], k)
-        first = tuple(sorted(first, key=max))
+        first = tuple(sorted(first, key=_last))
         shape = tuple(len(row) for row in rows)
         if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or (
             shape and shape[-1] == 0
@@ -348,9 +359,13 @@ class SetPartitionTableau(_Value):
     def body_filling(self):
         """The body with each block replaced by its rank in max-entry
         order, as an integer tableau."""
-        order = sorted(self.body_blocks(), key=max)
-        index = {b: i + 1 for i, b in enumerate(order)}
-        return tuple(tuple(index[b] for b in row) for row in self.body)
+        return self._ordered_body()[1]
+
+    def _ordered_body(self):
+        # the body blocks in max-entry order, and the body_filling
+        order = tuple(sorted(self.body_blocks(), key=_last))
+        index = {b: i for i, b in enumerate(order, 1)}
+        return order, tuple(tuple(index[b] for b in row) for row in self.body)
 
     def is_standard(self):
         """Rows increase left to right and columns top to bottom, in the
@@ -437,7 +452,7 @@ def act_tableau(d, tab):
     if len(taken) < len(cells) or not taken.issubset(tops):
         return None, 0
     body = tuple(tuple(tops[root[k + b[0]]] for b in row) for row in tab.body)
-    first_row = sorted((b for r, b in tops.items() if r not in taken), key=max)
+    first_row = sorted((b for r, b in tops.items() if r not in taken), key=_last)
     # every component without a top vertex lay in the middle
     deleted = components - len(top)
     return SetPartitionTableau._canonical(k, tuple(first_row), body), deleted
@@ -449,10 +464,10 @@ def _tableau_image(d, tab):
     moved, deleted = act_tableau(d, tab)
     if moved is None:
         return []
-    order, first = sorted(moved.body_blocks(), key=max), moved.first_row
+    (order, filling), first = moved._ordered_body(), moved.first_row
     return [
         (SetPartitionTableau._canonical(d.k, first, relabel(order, u)), c, deleted)
-        for u, c in straighten(moved.body_filling()).items()
+        for u, c in straighten(filling).items()
     ]
 
 
@@ -476,16 +491,44 @@ def _normalize_basis(basis):
     raise ValueError("unknown basis %r" % (basis,))
 
 
+class _ModuleBasis(namedtuple("_ModuleBasis", ["vectors", "index"])):
+    """The basis vectors of a module in basis order, and the index of each.
+
+    The vector on symmetric diagram w and standard tableau t has index
+    base[w] + position[t]; base is keyed by w in the twisted basis, in
+    basis order, and by (first row, propagating blocks in max-entry order)
+    in the tableau basis.
+    """
+
+    def __new__(cls, vectors, index, base, position):
+        record = super().__new__(cls, vectors, index)
+        record.base = base
+        record.position = position
+        return record
+
+
 @lru_cache(maxsize=None)
 def _module_basis(family, k, lam_star, basis):
-    """The basis vectors of a module in basis order, and the index of each."""
-    ws = enumerate_symmetric(family, k, sum(lam_star))
     ts = standard_tableaux(lam_star)
-    if basis == TWISTED:
-        vectors = tuple((w, t) for w in ws for t in ts)
-    else:
-        vectors = tuple(tableau_from_pair(w, t) for w in ws for t in ts)
-    return vectors, {v: i for i, v in enumerate(vectors)}
+    vectors, base = [], {}
+    for w in enumerate_symmetric(family, k, sum(lam_star)):
+        if basis == TWISTED:
+            base[w] = len(vectors)
+            vectors.extend((w, t) for t in ts)
+            continue
+        # tableau_from_pair, on blocks already canonical
+        prop = w.prop_max_order()
+        first = tuple(sorted((b for b in w.top if b not in prop), key=_last))
+        base[first, prop] = len(vectors)
+        vectors.extend(
+            SetPartitionTableau._canonical(k, first, relabel(prop, t)) for t in ts
+        )
+    return _ModuleBasis(
+        tuple(vectors),
+        {v: i for i, v in enumerate(vectors)},
+        base,
+        {t: i for i, t in enumerate(ts)},
+    )
 
 
 def rep_columns(d, family, k, lam_star, basis=TWISTED):
@@ -497,19 +540,41 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
     if d.k != k:
         raise RankMismatch("diagram on %d strands, module at k=%d" % (d.k, k))
     _check_family(d, family)
-    vectors, index = _module_basis(family, k, lam_star, basis)
+    record = _module_basis(family, k, lam_star, basis)
+    vectors, base, position = record.vectors, record.base, record.position
     if rank(d) < sum(lam_star):
         # fewer than m propagating blocks is zero in the paper's quotient
         return [{} for _ in vectors]
+    # every entry is one monomial c n^deleted, and one polynomial per
+    # (deleted, c) serves them all
+    monomial = _Memo(lambda key: LaurentPoly._from_clean({key[0]: key[1]}))
+    columns = []
     if basis == TWISTED:
-        images = (_twisted_image(d, w, t) for w, t in vectors)
-    else:
-        images = (_tableau_image(d, tab) for tab in vectors)
-    # the keys of one image are distinct, so each entry is one monomial
-    return [
-        {index[key]: LaurentPoly._from_clean({e: c}) for key, c, e in image}
-        for image in images
-    ]
+        # d . (w (x) n_t) = n^deleted w' (x) (twist . n_t): one conjugation
+        # per w, and the tableau factor is a column of the twist's natural
+        # matrix, whatever t is
+        for w in base:
+            res = conjugate(d, w)
+            if res.twist is None:
+                columns.extend({} for _ in position)
+                continue
+            row, e = base[res.w_prime], res.deleted
+            columns.extend(
+                {row + i: monomial[e, c] for i, c in col}
+                for col in natural_columns(res.twist, lam_star)
+            )
+        return columns
+    for tab in vectors:
+        moved, e = act_tableau(d, tab)
+        if moved is None:
+            columns.append({})
+            continue
+        order, filling = moved._ordered_body()
+        row = base[moved.first_row, order]
+        columns.append(
+            {row + position[u]: monomial[e, c] for u, c in straighten(filling).items()}
+        )
+    return columns
 
 
 def rep_columns_element(elem, lam_star, basis=TWISTED):

@@ -172,9 +172,11 @@ def act(sigma, v):
     return {t: c for t, c in out.items() if c}
 
 
-def rep_matrix(sigma, shape):
-    """Matrix of sigma on the natural basis; column j is the image of
-    the j-th standard tableau."""
+@cache
+def natural_columns(sigma, shape):
+    """Young's natural matrix of sigma, column by column: for each standard
+    tableau t of the shape, in standard_tableaux order, the (row index,
+    int) pairs of n_{sigma t} over the standard basis."""
     shape = check_partition(shape)
     if len(sigma) != sum(shape):
         raise DegreeMismatch(
@@ -183,11 +185,20 @@ def rep_matrix(sigma, shape):
         )
     basis = standard_tableaux(shape)
     index = {t: i for i, t in enumerate(basis)}
-    size = len(basis)
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for jcol, t in enumerate(basis):
-        for s, c in act(sigma, {t: 1}).items():
-            mat[index[s]][jcol] = Fraction(c)
+    return tuple(
+        tuple((index[s], c) for s, c in straighten(relabel(sigma, t)).items())
+        for t in basis
+    )
+
+
+def rep_matrix(sigma, shape):
+    """Matrix of sigma on the natural basis; column j is the image of
+    the j-th standard tableau."""
+    cols = natural_columns(tuple(sigma), check_partition(shape))
+    mat = [[Fraction(0)] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            mat[i][j] = Fraction(c)
     return mat
 
 

@@ -297,6 +297,27 @@ def test_dense_irrep_json_bytes_match_json_dumps(n, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("basis", ["Twisted", "Tableau"])
+def test_dense_irrep_without_n_matches_the_matrix_cell_by_cell(basis, capsys):
+    # every zero cell is one constant, and the rows are joined by hand
+    args = ["--family", "partition", "--k", "4", "--lambda-star", "[2,1]",
+            "--d", "1 2' | 2 1' | 3 3' | 4 | 4'", "--basis", basis]
+    d = diagrams.parse_diagram(args[7], 4)
+    mat = irreps.rep_matrix_irrep(d, "Partition", 4, (2, 1), basis)
+    cells = [entry for row in mat for entry in row]
+    assert not all(cells)
+    assert any(set(c.terms) - {0} for c in cells)
+    assert any(-1 in c.terms.values() for c in cells)
+    assert run(["irrep"] + args) == 0
+    assert capsys.readouterr().out == "\n".join(
+        ", ".join(str(entry) for entry in row) for row in mat
+    ) + "\n"
+    assert run(["irrep"] + args + ["--format", "json"]) == 0
+    payload = [[entry.to_json_obj() for entry in row] for row in mat]
+    expected = json.dumps(payload, separators=(",", ":")) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 def test_char(capsys):
     code = run(
         [

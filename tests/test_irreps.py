@@ -779,8 +779,11 @@ def test_shared_stacks_match_the_uncached_reference(family, ks, monkeypatch):
     checked = 0
     for k in ks:
         for lam in lambda_star_labels(family, k):
-            if family == PARTITION and k == 5 and sum(lam) != 2:
-                continue  # at m = 2, 51 tops carry 160 symmetric diagrams
+            if family == PARTITION and k == 5 and lam not in ((2,), (1, 1), (2, 1)):
+                # at m = 2, 51 tops carry 160 symmetric diagrams; (2, 1) has
+                # two standard tableaux, so a wrong base or tableau index in
+                # a symmetric diagram's block of rows shows
+                continue
             ds = _acting_diagrams(rng, family, k, sum(lam))
             expected = [
                 _reference_columns(d, family, k, lam, monkeypatch) for d in ds

@@ -14,6 +14,7 @@ from diagramalg.symrep import (
     identity_perm,
     inverse_perm,
     is_standard,
+    natural_columns,
     perm_from_cycle_type,
     relabel,
     rep_matrix,
@@ -101,6 +102,8 @@ def test_act_degree_mismatch():
         act((1, 2, 3), {T4: 1})
     with pytest.raises(errors.DegreeMismatch):
         rep_matrix((1, 2, 3), (3, 2))
+    with pytest.raises(errors.DegreeMismatch):
+        natural_columns((1, 2, 3), (3, 2))
 
 
 def test_rep_matrix_identity():
@@ -250,3 +253,68 @@ def test_act_is_a_group_action(data):
     b = data.draw(st.permutations(range(1, m + 1)).map(tuple))
     t = data.draw(st.sampled_from(standard_tableaux(shape)))
     assert act(a, act(b, {t: 1})) == act(compose_perms(a, b), {t: 1})
+
+
+def _shapes_and_perms(top=5):
+    for m in range(top + 1):
+        for shape in partitions(m):
+            yield shape, perms(m)
+
+
+def test_natural_columns_are_the_action_on_each_standard_tableau():
+    for shape, sigmas in _shapes_and_perms():
+        basis = standard_tableaux(shape)
+        for sigma in sigmas:
+            cols = natural_columns(sigma, shape)
+            assert len(cols) == len(basis)
+            for t, col in zip(basis, cols):
+                assert all(type(c) is int and c for _, c in col)
+                assert {basis[i]: c for i, c in col} == act(sigma, {t: 1})
+
+
+def _times(a_cols, b_cols):
+    """Columns of A B from the (row, value) columns of A and B."""
+    out = []
+    for col in b_cols:
+        acc = {}
+        for i, c in col:
+            for r, a in a_cols[i]:
+                acc[r] = acc.get(r, 0) + a * c
+        out.append({r: v for r, v in acc.items() if v})
+    return out
+
+
+def test_natural_columns_of_a_product_are_the_product_of_the_columns():
+    # every permutation times each generator of S_m (the adjacent
+    # transpositions and the long cycle), which by induction covers every
+    # product
+    for shape, sigmas in _shapes_and_perms():
+        m = sum(shape)
+        gens = [
+            tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, m + 1))
+            for i in range(1, m)
+        ] + [tuple(range(2, m + 1)) + (1,)] if m else [()]
+        for sigma in sigmas:
+            for tau in gens:
+                want = _times(natural_columns(sigma, shape), natural_columns(tau, shape))
+                got = [dict(col) for col in natural_columns(compose_perms(sigma, tau), shape)]
+                assert got == want, (shape, sigma, tau)
+
+
+def test_trace_of_natural_columns_is_the_character():
+    for shape, sigmas in _shapes_and_perms():
+        for sigma in sigmas:
+            cols = natural_columns(sigma, shape)
+            trace = sum(c for j, col in enumerate(cols) for i, c in col if i == j)
+            assert trace == sym_character(shape, cycle_type(sigma)), (shape, sigma)
+
+
+def test_rep_matrix_is_the_dense_natural_columns():
+    for shape, sigmas in _shapes_and_perms(4):
+        for sigma in sigmas:
+            mat = rep_matrix(list(sigma), list(shape))
+            assert all(type(v) is Fraction for row in mat for v in row)
+            assert [
+                {i: row[j] for i, row in enumerate(mat) if row[j]}
+                for j in range(len(mat))
+            ] == [dict(col) for col in natural_columns(sigma, shape)]
