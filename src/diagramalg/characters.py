@@ -11,6 +11,8 @@ independent oracle.
 import json
 from collections import Counter, namedtuple
 from functools import cache
+from itertools import groupby, repeat
+from operator import add, mul
 
 from .coeff import Element, LaurentPoly
 from .diagrams import (
@@ -50,7 +52,7 @@ from .partitions import (
     partitions,
     stirling2,
 )
-from .symrep import cycle_type, sym_character
+from .symrep import character_column, cycle_type, sym_character
 
 def gamma_perm(kappa):
     """One-line permutation whose diagram has consecutive kappa_i cycles."""
@@ -258,21 +260,53 @@ def _twist(family, label):
     return (1,) * sum(label) if _SHAPES[family].planar else label
 
 
+def _labels(family, m):
+    """The module labels of size m: (m,) alone in a planar family, every
+    partition of m otherwise."""
+    if _SHAPES[family].planar:
+        return ((m,) if m else (),)
+    return partitions(m)
+
+
+def _label_column(family, mu):
+    """chi^lam(mu) for the labels lam of size |mu|, in _labels order; the
+    planar label (m,) stands for the trivial character."""
+    return (1,) if _SHAPES[family].planar else character_column(mu)
+
+
+@cache
+def _chi_column(family, kappa):
+    """Column kappa of S . F by size: each size n maps to the tuple, over
+    _labels(family, n), of the sum of c chi^lam(mu) over the entries
+    (mu, c) of column kappa of F with |mu| = n.  S is the block-diagonal
+    symmetric-group character tables, F[mu][kappa] counts the symmetric
+    diagrams fixed by gamma_kappa whose twist has cycle type mu."""
+    sums = {}
+    for mu, count in _f_column(family, kappa).items():
+        terms = map(mul, _label_column(family, mu), repeat(count))
+        n = sum(mu)
+        sums[n] = tuple(map(add, sums[n], terms) if n in sums else terms)
+    return sums
+
+
+def _rows_at(family, labels, columns):
+    """The rows at the labels of a matrix given by its columns, each a map
+    from a size n to a tuple over _labels(family, n), zeros at a size it
+    lacks: one transpose per run of labels of one size, no loop per cell."""
+    rows = []
+    for n, run in groupby(labels, sum):
+        index = {lam: i for i, lam in enumerate(_labels(family, n))}
+        positions = [index[lam] for lam in run]
+        zeros = (0,) * (max(positions) + 1)
+        block = list(zip(*map(dict.get, columns, repeat(n), repeat(zeros))))
+        rows += map(block.__getitem__, positions)
+    return rows
+
+
 def _values(family, rows, cols):
-    """chi = S . F, column by column: each entry (mu, c) of column kappa of
-    F adds c chi^lam(mu) into every row lam of size |mu|.  S is the
-    block-diagonal symmetric-group character tables, F[mu][kappa] counts
-    the symmetric diagrams fixed by gamma_kappa whose twist has cycle type
-    mu."""
-    by_size = {}
-    for i, lam in enumerate(rows):
-        by_size.setdefault(sum(lam), []).append((i, lam))
-    values = [[0] * len(cols) for _ in rows]
-    for j, kappa in enumerate(cols):
-        for mu, count in _f_column(family, kappa).items():
-            for i, lam in by_size.get(sum(mu), ()):
-                values[i][j] += count * sym_character(lam, mu)
-    return values
+    """chi = S . F, read off the cached chi columns."""
+    columns = [_chi_column(family, kappa) for kappa in cols]
+    return _rows_at(family, rows, columns)
 
 
 def irr_character(family, k, lam_star, kappa, s=None):
@@ -302,7 +336,7 @@ def class_labels(family, k):
 
 
 def format_partition(p):
-    return "[%s]" % ",".join(str(x) for x in p)
+    return "[%s]" % ",".join(map(str, p))
 
 
 CharacterTableFactor = namedtuple("CharacterTableFactor", ["s_block", "f_block"])
@@ -341,21 +375,26 @@ class CharacterTable:
     def factor(self):
         """The table as S . F with S the block-diagonal symmetric group
         character tables and F the fixed-point count matrix, rows of F and
-        columns of S indexed by the twists of the row labels; built from
-        the cached columns of F when first asked for."""
+        columns of S indexed by the twists of the row labels; built when
+        first asked for, S from the character columns the table reads and
+        F from the cached columns of F."""
         if self._factor is None:
             rows, family = self.row_labels, self.family
             mus = [_twist(family, label) for label in rows]
-            s_block = [
-                [
-                    sym_character(lam, mu) if sum(lam) == sum(mu) else 0
-                    for mu in mus
-                ]
-                for lam in rows
-            ]
-            columns = [_f_column(family, kappa) for kappa in self.col_labels]
-            f_block = [[col.get(mu, 0) for col in columns] for mu in mus]
-            self._factor = CharacterTableFactor(s_block, f_block)
+            s_block = _rows_at(
+                family,
+                rows,
+                [{sum(mu): _label_column(family, mu)} for mu in mus],
+            )
+            f_block = zip(
+                *(
+                    map(_f_column(family, kappa).get, mus, repeat(0))
+                    for kappa in self.col_labels
+                )
+            )
+            self._factor = CharacterTableFactor(
+                list(map(list, s_block)), list(map(list, f_block))
+            )
         return self._factor
 
     def determinant(self):
@@ -379,12 +418,12 @@ class CharacterTable:
         lines = []
 
         def section(rows, cols, values, corner):
-            out = [",".join([corner] + [format_partition(c) for c in cols])]
-            for label, row in zip(rows, values):
-                out.append(
-                    ",".join([format_partition(label)] + [str(v) for v in row])
-                )
-            return out
+            out = [",".join([corner, *map(format_partition, cols)])]
+            labelled = [
+                (format_partition(label), *row)
+                for label, row in zip(rows, values)
+            ]
+            return out + _joined(",", labelled)
 
         lines += section(
             self.row_labels, self.col_labels, self.values, "lambda*/kappa"
@@ -404,30 +443,30 @@ class CharacterTable:
         return "\n".join(lines) + "\n"
 
     def to_text(self, factor=False):
-        headers = ["lambda*\\kappa"] + [
-            format_partition(c) for c in self.col_labels
-        ]
+        headers = ["lambda*\\kappa", *map(format_partition, self.col_labels)]
         rows = [
-            [format_partition(label)] + [str(v) for v in row]
+            (format_partition(label), *[str(v) for v in row])
             for label, row in zip(self.row_labels, self.values)
         ]
-        widths = [
-            max(len(r[i]) for r in [headers] + rows)
-            for i in range(len(headers))
-        ]
-        lines = [
-            "  ".join(h.rjust(widths[i]) for i, h in enumerate(headers))
-        ]
-        for row in rows:
-            lines.append(
-                "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
-            )
+        # each cell right-aligned to the widest entry of its column
+        line = "  ".join(
+            "%%%ds" % max(map(len, column)) for column in zip(headers, *rows)
+        )
+        lines = [line % tuple(headers)]
+        lines += map(line.__mod__, rows)
         if factor:
             fac = self.factor()
             for name, block in zip(fac._fields, fac):
                 lines += ["", name + ":"]
-                lines += ["  ".join(str(v) for v in row) for row in block]
+                lines += _joined("  ", block)
         return "\n".join(lines) + "\n"
+
+
+def _joined(sep, rows):
+    """The str of the cells of each row joined by sep, every row of one
+    length through one %-format (faster than a join per row)."""
+    line = sep.join(["%s"] * len(rows[0])) if rows else ""
+    return [line % tuple(row) for row in rows]
 
 
 def character_table(family, k):

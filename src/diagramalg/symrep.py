@@ -5,7 +5,7 @@ permutation acts by relabelling entries, and non-standard fillings are
 rewritten in the standard basis by column sorting followed by Garnir
 relations.  All matrix entries come out as integers.  Irreducible
 symmetric-group character values are computed independently by rim-hook
-removal on beta-sets.
+removal on beta-sets, one entry at a time or a whole column at once.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from itertools import combinations
 from math import factorial, prod
 
 from .errors import DegreeMismatch, SizeMismatch
-from .partitions import check_partition
+from .partitions import check_partition, partitions
 
 
 def tableau_shape(t):
@@ -254,6 +254,36 @@ def perm_from_cycle_type(kappa, m=None):
     return tuple(images)
 
 
+def _hook_dim(lam):
+    """f^lam, chi^lam at the identity class, by the hook length formula."""
+    cols = [
+        sum(1 for part in lam if part > j) for j in range(max(lam, default=0))
+    ]
+    hooks = prod(
+        part - j + cols[j] - i - 1
+        for i, part in enumerate(lam)
+        for j in range(part)
+    )
+    return factorial(sum(lam)) // hooks
+
+
+def _rim_hooks(lam, r):
+    """Yield (lam minus the hook, sign) for each rim hook of length r of lam:
+    on the beta-set a hook moves a bead b to an empty b - r, and its sign is
+    -1 to the number of beads it passes."""
+    nrows = len(lam)
+    beta = [lam[i] + (nrows - 1 - i) for i in range(nrows)]
+    bset = set(beta)
+    for b in beta:
+        nb = b - r
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        newbeta = sorted((bset - {b}) | {nb}, reverse=True)
+        newlam = (newbeta[i] - (nrows - 1 - i) for i in range(nrows))
+        yield tuple(x for x in newlam if x), -1 if height % 2 else 1
+
+
 @cache
 def sym_character(lam, mu):
     """Irreducible character of the symmetric group by rim-hook removal."""
@@ -263,37 +293,44 @@ def sym_character(lam, mu):
         raise SizeMismatch(
             "character of %r at a class of different size %r" % (lam, mu)
         )
-    if not mu:
-        return 1
-    if mu[0] == 1:
-        # the identity class: f^lam by the hook length formula, where every
-        # rim-hook recursion ends
-        cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
-        hooks = prod(
-            part - j + cols[j] - i - 1
-            for i, part in enumerate(lam)
-            for j in range(part)
+    if not mu or mu[0] == 1:
+        # the identity class, where every rim-hook recursion ends
+        return _hook_dim(lam)
+    return sum(
+        sign * sym_character(nu, mu[1:]) for nu, sign in _rim_hooks(lam, mu[0])
+    )
+
+
+@cache
+def _rim_hook_moves(n, r):
+    """For each lam in partitions(n), the (index in partitions(n - r), sign)
+    of lam minus each of its rim hooks of length r."""
+    index = {nu: i for i, nu in enumerate(partitions(n - r))}
+    return tuple(
+        tuple((index[nu], sign) for nu, sign in _rim_hooks(lam, r))
+        for lam in partitions(n)
+    )
+
+
+@cache
+def character_column(mu):
+    """chi^lam(mu) for every lam of |mu|, in partitions(|mu|) order.
+
+    The Murnaghan-Nakayama rule in a loop: the hook-length column of the
+    ones of mu, then for each part r > 1, smallest first, one step
+    chi^lam(nu + (r,)) = sum of sign chi^(lam - hook)(nu) over the rim
+    hooks of length r of lam.
+    """
+    mu = check_partition(mu)
+    n = mu.count(1)
+    column = tuple(map(_hook_dim, partitions(n)))
+    for r in reversed(mu[: len(mu) - n]):
+        n += r
+        column = tuple(
+            sum(sign * column[i] for i, sign in moves)
+            for moves in _rim_hook_moves(n, r)
         )
-        return factorial(len(mu)) // hooks
-    r = mu[0]
-    rest = mu[1:]
-    nrows = len(lam)
-    beta = [lam[i] + (nrows - 1 - i) for i in range(nrows)]
-    bset = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted((bset - {b}) | {nb}, reverse=True)
-        newlam = tuple(
-            newbeta[i] - (nrows - 1 - i) for i in range(nrows)
-        )
-        newlam = tuple(x for x in newlam if x > 0)
-        term = sym_character(newlam, rest)
-        total += -term if height % 2 else term
-    return total
+    return column
 
 
 def sym_dim(shape):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from diagramalg import characters, errors
+from diagramalg import characters, errors, symrep
 from diagramalg.characters import (
     REFERENCE_TABLES,
     CharacterTable,
@@ -526,3 +526,68 @@ def test_tables_are_stable_in_k(family):
         for lam, row in zip(small.row_labels, small.values):
             got = [rows[lam][cols[kappa]] for kappa in small.col_labels]
             assert got == row, (family, k, lam)
+
+
+def per_cell_values(family, rows, cols):
+    """chi = S . F one cell at a time: each entry (mu, c) of column kappa of
+    F adds c chi^lam(mu) into every row lam of size |mu|."""
+    by_size = {}
+    for i, lam in enumerate(rows):
+        by_size.setdefault(sum(lam), []).append((i, lam))
+    values = [[0] * len(cols) for _ in rows]
+    for j, kappa in enumerate(cols):
+        for mu, count in characters._f_column(family, kappa).items():
+            for i, lam in by_size.get(sum(mu), ()):
+                values[i][j] += count * sym_character(lam, mu)
+    return values
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_column_values_match_the_per_cell_sum(family):
+    for k in range(1, 9):
+        rows = lambda_star_labels(family, k)
+        cols = class_labels(family, k)
+        assert [list(row) for row in characters._values(family, rows, cols)] == (
+            per_cell_values(family, rows, cols)
+        ), (family, k)
+
+
+def test_tables_read_whole_columns_and_char_reads_entries(monkeypatch):
+    """character_table and factor() build S from whole Murnaghan-Nakayama
+    columns; irr_character keeps the per-entry sym_character."""
+    calls = []
+    real = symrep.sym_character
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symrep, "sym_character", counting)
+    monkeypatch.setattr(characters, "sym_character", counting)
+    characters._chi_column.cache_clear()
+    symrep.character_column.cache_clear()
+    tables = {}
+    for family in (PARTITION, BRAUER, SYMMETRIC_GROUP, MOTZKIN):
+        tables[family] = character_table(family, 5)
+        tables[family].factor()
+    assert calls == []
+    table = tables[PARTITION]
+    i, j = table.row_labels.index((2, 1)), table.col_labels.index((3, 2))
+    assert irr_character(PARTITION, 5, (2, 1), (3, 2)) == table.values[i][j]
+    assert calls
+
+
+def test_planar_tables_read_no_symmetric_group_column(monkeypatch):
+    """A planar label (m,) stands for the trivial character, so a planar
+    table lists no partition of m and reads no character column."""
+    def refuse(mu):
+        raise AssertionError("character_column(%r)" % (mu,))
+
+    monkeypatch.setattr(characters, "character_column", refuse)
+    characters._chi_column.cache_clear()
+    for family in (TEMPERLEY_LIEB, MOTZKIN, PLANAR_ROOK, PLANAR_PARTITION):
+        table = character_table(family, 8)
+        assert matmul(*table.factor()) == table.values
+    # partitions(120) would have 1,844,349,560 entries
+    table = character_table(PLANAR_ROOK, 120)
+    assert [row[-1] for row in table.values[:3]] == [1, 120, 7140]

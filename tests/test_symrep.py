@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from diagramalg import errors
 from diagramalg.partitions import partitions
 from diagramalg.symrep import (
     act,
+    character_column,
     column_word,
     compose_perms,
     cycle_type,
@@ -206,6 +208,53 @@ def test_identity_class_needs_no_recursion_on_a_cleared_cache():
     assert sym_dim((1,) * 1200) == 1
     # f^lam = f^(lam transposed)
     assert sym_character((3,) * 400, (1,) * 1200) == sym_dim((400, 400, 400))
+
+
+@cache
+def rim_hook_character(lam, mu):
+    """chi^lam(mu) one entry at a time: the hook length formula at the
+    identity class, otherwise the rim hooks of length mu[0] of lam removed
+    on its beta-set, recursing on the rest of mu."""
+    if not mu or mu[0] == 1:
+        cols = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+        hooks = prod(
+            part - j + cols[j] - i - 1
+            for i, part in enumerate(lam)
+            for j in range(part)
+        )
+        return factorial(len(mu)) // hooks
+    r, rest = mu[0], mu[1:]
+    nrows = len(lam)
+    beta = [lam[i] + (nrows - 1 - i) for i in range(nrows)]
+    bset = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - r
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        newbeta = sorted((bset - {b}) | {nb}, reverse=True)
+        newlam = tuple(newbeta[i] - (nrows - 1 - i) for i in range(nrows))
+        term = rim_hook_character(tuple(x for x in newlam if x > 0), rest)
+        total += -term if height % 2 else term
+    return total
+
+
+def test_character_column_matches_the_rim_hook_recursion():
+    for m in range(13):
+        for mu in partitions(m):
+            assert character_column(mu) == tuple(
+                rim_hook_character(lam, mu) for lam in partitions(m)
+            ), mu
+
+
+def test_character_column_is_the_sym_character_column():
+    for mu in [(), (1,), (5, 3, 3, 1), (2,) * 7, (9, 4), (1,) * 9]:
+        assert character_column(mu) == tuple(
+            sym_character(lam, mu) for lam in partitions(sum(mu))
+        )
+    with pytest.raises(ValueError):
+        character_column((1, 2))
 
 
 def test_sym_dim_counts_the_standard_tableaux():
