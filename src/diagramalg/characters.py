@@ -40,6 +40,7 @@ from .irreps import (
     rep_columns_element,
 )
 from .partitions import (
+    _labels,
     _ranks,
     binom,
     check_label,
@@ -258,14 +259,6 @@ def _twist(family, label):
     """The twist cycle type a module label stands for: a planar label (m,)
     stands for the all-ones twist (1^m), any other label for itself."""
     return (1,) * sum(label) if _SHAPES[family].planar else label
-
-
-def _labels(family, m):
-    """The module labels of size m: (m,) alone in a planar family, every
-    partition of m otherwise."""
-    if _SHAPES[family].planar:
-        return ((m,) if m else (),)
-    return partitions(m)
 
 
 def _label_column(family, mu):

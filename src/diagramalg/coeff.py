@@ -88,9 +88,12 @@ class LaurentPoly(_Value):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            # True, as 1.0, compares and hashes like 1 but is no coefficient
+            if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(other)
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its value, so it must hash as its value

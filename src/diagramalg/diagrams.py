@@ -417,11 +417,19 @@ def identity_diagram(k):
     return Diagram(k, [(i, k + i) for i in range(1, k + 1)])
 
 
+def _check_permutation(images):
+    """Refuse images unless they are the one-line images of a permutation
+    of 1..m, m their number; True and 1.0 compare like 1 but are not
+    images."""
+    m = len(images)
+    if set(map(type, images)) - {int} or sorted(images) != list(range(1, m + 1)):
+        raise ValueError("not a permutation of 1..%d: %r" % (m, images))
+
+
 def perm_diagram(images):
     """Diagram of a permutation: bottom j joins top images[j-1]."""
+    _check_permutation(images)
     k = len(images)
-    if sorted(images) != list(range(1, k + 1)):
-        raise ValueError("not a permutation of 1..%d: %r" % (k, images))
     return Diagram(k, [(images[j - 1], k + j) for j in range(1, k + 1)])
 
 
@@ -454,84 +462,52 @@ def generator(kind, i, k):
     return Diagram(k, blocks)
 
 
-def set_partitions(n):
-    """All set partitions of {1..n}, canonical and in canonical order, as a
-    list.  The block of the least point takes its other members in
-    lexicographic order, and the points it leaves are covered the same way,
-    each cover built once per call, memoised by the points it covers."""
+def _covers(k, points, shape):
+    """Every cover of points by the blocks that shape allows, as a list.
 
-    def cover(points):
-        rest = points[1:]
-        out = []
-
-        def grow(block, left, start):
-            # left: the points of rest before start that block passed over
-            head = (block,)
-            out.extend([head + t for t in memo[left + rest[start:]]])
-            for i in range(start, len(rest)):
-                grow(block + (rest[i],), left + rest[start:i], i + 1)
-
-        grow(points[:1], (), 0)
-        return out
-
-    memo = _Memo(cover, {(): [()]})
-    return memo.take(tuple(range(1, n + 1)))
-
-
-def _matchings(k, points, singles, across, planar):
-    """Every way to cover points with blocks of one or two vertices, as a
-    list.
-
-    singles allows one-vertex blocks; across requires each pair to join a
-    top vertex (at most k) to a bottom one; planar, with points listed in
-    boundary order, requires that no two pairs cross, so the points a pair
-    encloses are matched among themselves.  Each pair is in ascending order.
+    The block of the first point takes later points in order: it may end
+    when singles is set or it has two or more points, stops at two points
+    when pairs is set, and with across set a pair joins a top vertex (at
+    most k) to a bottom one.  Without planar, the points a block passes
+    over are left to the rest of the cover, so with points ascending every
+    cover is canonical and the covers come in canonical order.  With
+    planar, points in boundary order, each run a block passes over is
+    covered on its own and placed after the block, and each block is
+    sorted as it is emitted (the covers are then in no particular order).
     Each cover is built once per call, memoised by the points it covers.
     """
+    pairs, singles, across, planar = shape
 
     def cover(points):
-        first, rest = points[0], points[1:]
         out = []
-        if singles:
-            head = ((first,),)
-            out.extend([head + t for t in memo[rest]])
-        for idx, partner in enumerate(rest):
-            if across and (first <= k) == (partner <= k):
-                continue
-            head = ((first, partner) if first < partner else (partner, first),)
-            if planar:
-                outer = memo[rest[idx + 1 :]]
-                for inner in memo[rest[:idx]]:
-                    prefix = head + inner
-                    out.extend([prefix + t for t in outer])
-            else:
-                out.extend([head + t for t in memo[rest[:idx] + rest[idx + 1 :]]])
+
+        def grow(inner, block, left, rest):
+            # inner: the covers of the runs block passed over (planar);
+            # left: the points it passed over (otherwise)
+            if singles or len(block) > 1:
+                ended = (tuple(sorted(block)) if planar else block,)
+                tails = memo[left + rest]
+                for covered in inner:
+                    prefix = ended + covered
+                    out.extend([prefix + t for t in tails])
+            if pairs and len(block) == 2:
+                return
+            for i, nxt in enumerate(rest):
+                if across and (block[0] <= k) == (nxt <= k):
+                    continue
+                if planar:
+                    run = memo[rest[:i]]
+                    # a run without a cover leaves none for this block
+                    if run:
+                        inner_i = [c + r for c in inner for r in run]
+                        grow(inner_i, block + (nxt,), left, rest[i + 1 :])
+                else:
+                    grow(inner, block + (nxt,), left + rest[:i], rest[i + 1 :])
+
+        grow([()], points[:1], (), points[1:])
         return out
 
     memo = _Memo(cover, {(): [()]})
-    return memo.take(points)
-
-
-def _noncrossing(points):
-    """Every non-crossing set partition of points, taken in their order,
-    with each block in ascending order, as a list.
-
-    The block of the first point either ends, and the rest is covered on
-    its own, or takes a next point, and the points it passes over are
-    covered among themselves (Kreweras's non-crossing partitions).  Each
-    cover is built once per call, memoised by the run it covers.
-    """
-
-    def grow(block, rest):
-        ended = (tuple(sorted(block)),)
-        out = [ended + t for t in memo[rest]]
-        for idx, nxt in enumerate(rest):
-            outer = grow(block + (nxt,), rest[idx + 1 :])
-            for inner in memo[rest[:idx]]:
-                out.extend([inner + t for t in outer])
-        return out
-
-    memo = _Memo(lambda run: grow(run[:1], run[1:]), {(): [()]})
     return memo.take(points)
 
 
@@ -567,23 +543,15 @@ def enumerate_basis(family, k):
         raise CapExceeded(
             "enumerate_basis(%s, %d) exceeds cap %d" % (family, k, cap)
         )
-    pairs, singles, across, planar = _SHAPES[family]
-    if planar:
-        # generated in the boundary order 1..k, k'..1': each block comes
-        # out ascending, but neither the blocks nor the diagrams in order
+    shape = _SHAPES[family]
+    if shape.planar:
+        # covered in the boundary order 1..k, k'..1': each block comes out
+        # ascending, but neither the blocks nor the diagrams in order
         points = tuple(range(1, k + 1)) + tuple(range(2 * k, k, -1))
-        if pairs:
-            raw = _matchings(k, points, singles, across, True)
-        else:
-            raw = _noncrossing(points)
-        listing = sorted(tuple(sorted(blocks)) for blocks in raw)
-    elif pairs:
-        # in vertex order every matching is canonical and in basis order
-        points = tuple(range(1, 2 * k + 1))
-        listing = _matchings(k, points, singles, across, False)
+        listing = sorted(map(tuple, map(sorted, _covers(k, points, shape))))
     else:
-        # set partitions come out canonical and in basis order
-        listing = set_partitions(2 * k)
+        # in vertex order every cover is canonical and in basis order
+        listing = _covers(k, tuple(range(1, 2 * k + 1)), shape)
     return [Diagram._canonical(k, blocks) for blocks in listing]
 
 

@@ -21,15 +21,14 @@ from .diagrams import (
     _block_owner,
     _check_cover,
     _check_int_vertices,
+    _covers,
     _fuse,
-    _matchings,
     _Memo,
     _Value,
     in_family,
     is_planar,
     normalize_family,
     rank,
-    set_partitions,
 )
 from .errors import AlgebraMismatch, RankMismatch, ShapeMismatch
 from .partitions import check_label, check_rank
@@ -155,24 +154,22 @@ class SymmetricMDiagram(_Value):
 def _symmetric_candidates(family, k, m):
     # A top pair cannot propagate (its block would have four vertices), so
     # the pair families propagate top singles, and all of them when
-    # one-vertex blocks are not allowed.
-    shape = _SHAPES[family]
+    # one-vertex blocks are not allowed.  Planar families are filtered by
+    # the caller; the tops are covered in vertex order, so canonically.
+    shape = _SHAPES[family]._replace(planar=False)
     if shape.pairs and not shape.singles:
         # the m propagating points, then a perfect matching of the others
         for ends in combinations(range(1, k + 1), m):
-            prop = [(v,) for v in ends]
+            prop = tuple((v,) for v in ends)
             rest = tuple(v for v in range(1, k + 1) if v not in ends)
-            for pairs in _matchings(k, rest, False, shape.across, False):
-                yield SymmetricMDiagram(k, prop + list(pairs), prop)
+            for pairs in _covers(k, rest, shape):
+                top = tuple(sorted(prop + pairs))
+                yield SymmetricMDiagram._canonical(k, top, prop)
         return
-    if shape.pairs:
-        tops = _matchings(k, tuple(range(1, k + 1)), True, shape.across, False)
-    else:
-        tops = set_partitions(k)
-    for top in tops:
+    for top in _covers(k, tuple(range(1, k + 1)), shape._replace(singles=True)):
         ends = [b for b in top if len(b) == 1] if shape.pairs else top
         for prop in combinations(ends, m):
-            yield SymmetricMDiagram(k, top, prop)
+            yield SymmetricMDiagram._canonical(k, top, prop)
 
 
 @lru_cache(maxsize=None)
@@ -491,20 +488,11 @@ def _normalize_basis(basis):
     raise ValueError("unknown basis %r" % (basis,))
 
 
-class _ModuleBasis(namedtuple("_ModuleBasis", ["vectors", "index"])):
-    """The basis vectors of a module in basis order, and the index of each.
-
-    The vector on symmetric diagram w and standard tableau t has index
-    base[w] + position[t]; base is keyed by w in the twisted basis, in
-    basis order, and by (first row, propagating blocks in max-entry order)
-    in the tableau basis.
-    """
-
-    def __new__(cls, vectors, index, base, position):
-        record = super().__new__(cls, vectors, index)
-        record.base = base
-        record.position = position
-        return record
+# The basis vectors of a module in basis order.  The vector on symmetric
+# diagram w and standard tableau t has index base[w] + position[t]; base is
+# keyed by w in the twisted basis, in basis order, and by (first row,
+# propagating blocks in max-entry order) in the tableau basis.
+_ModuleBasis = namedtuple("_ModuleBasis", ["vectors", "base", "position"])
 
 
 @lru_cache(maxsize=None)
@@ -523,12 +511,7 @@ def _module_basis(family, k, lam_star, basis):
         vectors.extend(
             SetPartitionTableau._canonical(k, first, relabel(prop, t)) for t in ts
         )
-    return _ModuleBasis(
-        tuple(vectors),
-        {v: i for i, v in enumerate(vectors)},
-        base,
-        {t: i for i, t in enumerate(ts)},
-    )
+    return _ModuleBasis(tuple(vectors), base, {t: i for i, t in enumerate(ts)})
 
 
 def rep_columns(d, family, k, lam_star, basis=TWISTED):
@@ -540,8 +523,7 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
     if d.k != k:
         raise RankMismatch("diagram on %d strands, module at k=%d" % (d.k, k))
     _check_family(d, family)
-    record = _module_basis(family, k, lam_star, basis)
-    vectors, base, position = record.vectors, record.base, record.position
+    vectors, base, position = _module_basis(family, k, lam_star, basis)
     if rank(d) < sum(lam_star):
         # fewer than m propagating blocks is zero in the paper's quotient
         return [{} for _ in vectors]

@@ -137,6 +137,14 @@ def check_rank(family, k, m):
         )
 
 
+def _labels(family, m):
+    """The module labels of size m: (m,) alone in a planar family, every
+    partition of m, descending lexicographic, otherwise."""
+    if _SHAPES[family].planar:
+        return ((m,) if m else (),)
+    return partitions(m)
+
+
 def lambda_star_labels(family, k):
     """Module labels lambda* for the family, grouped by size ascending.
 
@@ -147,10 +155,7 @@ def lambda_star_labels(family, k):
     labels = []
     # the list overflows at once at a huge k, where the range would run on
     for m in rank_set(family, k):
-        if _SHAPES[family].planar:
-            labels.append((m,) if m else ())
-        else:
-            labels.extend(partitions(m))
+        labels.extend(_labels(family, m))
     return labels
 
 

@@ -13,6 +13,7 @@ from functools import cache
 from itertools import combinations
 from math import factorial, prod
 
+from .diagrams import _check_permutation
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition, partitions
 
@@ -159,6 +160,7 @@ def relabel(sigma, t):
 
 def act(sigma, v):
     """Act on a vector {tableau: coeff}; result is over standard tableaux."""
+    _check_permutation(sigma)
     out = {}
     for t, coeff in v.items():
         m = sum(len(row) for row in t)
@@ -183,6 +185,7 @@ def natural_columns(sigma, shape):
             "permutation of degree %d for shape of size %d"
             % (len(sigma), sum(shape))
         )
+    _check_permutation(sigma)
     basis = standard_tableaux(shape)
     index = {t: i for i, t in enumerate(basis)}
     return tuple(

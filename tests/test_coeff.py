@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_kernel import reference_concat
 
 from diagramalg import errors
-from diagramalg.coeff import ZERO, Element, LaurentPoly
+from diagramalg.coeff import ONE, ZERO, Element, LaurentPoly
 from diagramalg.diagrams import (
     FAMILIES,
     concat,
@@ -353,6 +353,17 @@ def test_laurent_refuses_floats_and_bool_exponents():
         with pytest.raises(ValueError):
             build()
     assert LaurentPoly({0: Fraction(1, 10)}).terms == {0: Fraction(1, 10)}
+
+
+def test_laurent_equals_no_bool_or_float():
+    # True and 1.0 hash like the constant 1, so a dict lookup compares them
+    assert (LaurentPoly.const(1) == True) is False  # noqa: E712
+    assert (LaurentPoly.const(1) != True) is True  # noqa: E712
+    assert (ONE == 1.0) is False
+    assert {True: "x"}.get(ONE) is None
+    assert {1.0: "x"}.get(ONE) is None
+    assert {1: "x"}.get(ONE) == "x"
+    assert ONE == 1 and ONE == Fraction(1)
 
 
 def test_element_str_is_deterministic():

@@ -224,8 +224,9 @@ def test_perm_diagram_composition():
             ab = tuple(a[b[i] - 1] for i in range(3))
             got = concat(perm_diagram(a), perm_diagram(b))
             assert got == (perm_diagram(ab), 0)
-    with pytest.raises(ValueError):
-        perm_diagram((1, 1, 3))
+    for images in ((1, 1, 3), (True, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation of 1..3"):
+            perm_diagram(images)
 
 
 EXPECTED_COUNTS = {

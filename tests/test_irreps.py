@@ -758,7 +758,8 @@ def _reference_columns(d, family, k, lam, monkeypatch):
         patch.setattr(irreps, "_conjugate", irreps._conjugate.__wrapped__)
         out = {}
         for basis, ref in refs.items():
-            vectors, index = _module_basis(family, k, lam, basis)
+            vectors = _module_basis(family, k, lam, basis).vectors
+            index = {v: i for i, v in enumerate(vectors)}
             out[basis] = [
                 {index[key]: c for key, c in ref(d, {v: ONE}).items()}
                 for v in vectors

@@ -108,6 +108,25 @@ def test_act_degree_mismatch():
         natural_columns((1, 2, 3), (3, 2))
 
 
+@pytest.mark.parametrize("sigma", [(1, 1, 3), (1, 2, 4), (0, 1, 2), (3, 2, 2)])
+def test_a_sigma_that_is_no_permutation_is_refused(sigma):
+    message = "not a permutation of 1..3"
+    with pytest.raises(ValueError, match=message):
+        rep_matrix(sigma, (2, 1))
+    with pytest.raises(ValueError, match=message):
+        natural_columns(sigma, (2, 1))
+    with pytest.raises(ValueError, match=message):
+        act(sigma, {((1, 2), (3,)): 1})
+
+
+def test_act_refuses_entries_that_only_compare_like_ints():
+    # natural_columns checks on a cache miss only: True or 1.0 there hits
+    # the entry of the equal permutation of ints, which is its matrix
+    for sigma in ((True, 2, 3), (1.0, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation of 1..3"):
+            act(sigma, {((1, 2), (3,)): 1})
+
+
 def test_rep_matrix_identity():
     for shape in [(3, 2), (2, 2), (2, 1, 1)]:
         m = sum(shape)
