@@ -18,13 +18,9 @@ from .coeff import Element, LaurentPoly
 from .diagrams import (
     _SHAPES,
     BRAUER,
-    MOTZKIN,
     PARTITION,
-    PLANAR_PARTITION,
-    PLANAR_ROOK,
     ROOK,
     ROOK_BRAUER,
-    SYMMETRIC_GROUP,
     TEMPERLEY_LIEB,
     Diagram,
     enumeration_cap,
@@ -53,19 +49,19 @@ from .partitions import (
     partitions,
     stirling2,
 )
-from .symrep import character_column, cycle_type, sym_character
+from .symrep import (
+    character_column,
+    cycle_type,
+    inverse_perm,
+    perm_from_cycle_type,
+    sym_character,
+)
 
 def gamma_perm(kappa):
     """One-line permutation whose diagram has consecutive kappa_i cycles."""
-    kappa = check_partition(kappa)
-    images = []
-    offset = 0
-    for part in kappa:
-        # bottom a+j+1 attaches to top a+j, bottom a+1 to top a+c
-        images.append(offset + part)
-        images.extend(range(offset + 1, offset + part))
-        offset += part
-    return tuple(images)
+    # bottom a+j+1 attaches to top a+j, bottom a+1 to top a+c: the inverse
+    # of the consecutive cycles a+1 -> a+2 -> ... -> a+c -> a+1
+    return inverse_perm(perm_from_cycle_type(check_partition(kappa)))
 
 
 def gamma_diagram(kappa):
@@ -154,32 +150,31 @@ def fixed_points(family, k, m, kappa):
 
 def f_coeff_planar(family, r, m):
     """Number of symmetric m-diagrams of the planar family fixed by the
-    identity on r strands.
+    identity on r strands, zero for a negative m: a sum over the number t
+    of pairs in the top, of C(r, m + 2t) choices of the points that pair or
+    propagate times the ballot number C(m + 2t, t) - C(m + 2t, t - 1) of
+    ways to pair 2t of them with no pair over a propagating one.  Only
+    t = 0 when every pair joins the two rows, and only m + 2t = r without
+    one-vertex blocks.
 
-    PlanarPartition counts as Temperley-Lieb at 2r strands and rank 2m:
-    Jones's isomorphism of P_k(n^2) with TL_2k(n) doubles each vertex.
+    A family without pairs (PlanarPartition) counts as Temperley-Lieb at
+    2r strands and rank 2m: Jones's isomorphism of P_k(n^2) with TL_2k(n)
+    doubles each vertex.
     """
     family = normalize_family(family)
-    if family == PLANAR_PARTITION:
-        family, r, m = TEMPERLEY_LIEB, 2 * r, 2 * m
-    if family == TEMPERLEY_LIEB:
-        if m > r or (r - m) % 2:
-            return 0
-        h = (r - m) // 2
-        return binom(r, h) - binom(r, h - 1)
-    if family == MOTZKIN:
-        total = 0
-        t = 0
-        while m + 2 * t <= r:
-            total += binom(r, m + 2 * t) * (
-                binom(m + 2 * t, t) - binom(m + 2 * t, t - 1)
-            )
-            t += 1
-        return total
-    if family == PLANAR_ROOK:
-        return binom(r, m)
-    raise FamilyUnsupported(
-        "%s has no planar fixed-point count" % family
+    pairs, singles, across, planar = _SHAPES[family]
+    if not planar:
+        raise FamilyUnsupported(
+            "%s has no planar fixed-point count" % family
+        )
+    if m < 0:
+        return 0
+    if not pairs:
+        return f_coeff_planar(TEMPERLEY_LIEB, 2 * r, 2 * m)
+    return sum(
+        binom(r, m + 2 * t) * (binom(m + 2 * t, t) - binom(m + 2 * t, t - 1))
+        for t in range((r - m) // 2 + 1)
+        if not (across and t) and (singles or m + 2 * t == r)
     )
 
 
@@ -196,14 +191,15 @@ def _f_column(family, kappa):
     """Column kappa of F, as {mu: count}.
 
     A count is a weighted sum of terms, one per multiset of parts nu: the
-    coordinatewise divisors of kappa grouped by multiset for Partition,
-    kappa alone otherwise.  A term is the product over the part sizes i of
-    nu of _part_factor(family, n_i, m_i, i), where n_i and m_i count the
-    parts of size i in nu and in mu, so running every m_i over 0..n_i
-    reaches each mu with a nonzero count.  The cached dict is shared by
-    every caller, which only reads it.
+    coordinatewise divisors of kappa grouped by multiset in a family
+    without pairs (an all-ones planar class is its own only divisor), kappa
+    alone otherwise.  A term is the product over the part sizes i of nu of
+    _part_factor(family, n_i, m_i, i), where n_i and m_i count the parts of
+    size i in nu and in mu, so running every m_i over 0..n_i reaches each
+    mu with a nonzero count.  The cached dict is shared by every caller,
+    which only reads it.
     """
-    if family == PARTITION:
+    if not _SHAPES[family].pairs:
         terms = Counter(
             tuple(sorted(nu, reverse=True)) for nu in divisors(kappa)
         )
@@ -223,35 +219,30 @@ def _f_column(family, kappa):
     return column
 
 
-_EVEN_WEIGHT = {BRAUER: (1, 0), ROOK_BRAUER: (2, 1)}
-
-
 @cache
 def _part_factor(family, n, m, i):
     """The factor of a term of F from its n parts of size i, of which the
     twist's cycle type has m: the planar count on n strands for a planar
-    family (its classes are all ones, so i is 1), a Stirling x binomial sum
-    for Partition, [n = m] for SymmetricGroup, C(n, m) for Rook, and for
-    Brauer and RookBrauer C(n, m) times a weighted count of the pairings
-    among the n - m other parts."""
-    if _SHAPES[family].planar:
+    family (its classes are all ones, so i is 1), and otherwise a count of
+    what the d = n - m other cycles of gamma_kappa become.  Without pairs it
+    is a Stirling x binomial sum.  With pairs, C(n, m) times a sum over the
+    t pairs among them: a cycle left as singles (with singles), folded onto
+    itself by the half-turn pairing (pairs within a row and i even), or
+    paired with another cycle in i ways (pairs within a row)."""
+    pairs, singles, across, planar = _SHAPES[family]
+    if planar:
         return f_coeff_planar(family, n, m)
-    if family == PARTITION:
+    if not pairs:
         return sum(
             stirling2(n, t) * binom(t, m) * i ** (n - t)
             for t in range(m, n + 1)
         )
-    if family == SYMMETRIC_GROUP:
-        return int(n == m)
-    count = binom(n, m)
-    if family == ROOK:
-        return count
     d = n - m
-    base = _EVEN_WEIGHT[family][i % 2]
-    return count * sum(
+    base = (not across and i % 2 == 0) + singles
+    return binom(n, m) * sum(
         binom(d, 2 * t) * double_factorial(2 * t - 1) * i**t
         * base ** (d - 2 * t)
-        for t in range(d // 2 + 1)
+        for t in range(1 if across else d // 2 + 1)
     )
 
 
@@ -314,10 +305,9 @@ def irr_character(family, k, lam_star, kappa, s=None):
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
     kappa, _ = _check_class(family, kappa, k, s)
-    m = sum(lam_star)
-    mus = [(1,) * m] if _SHAPES[family].planar else partitions(m)
     return sum(
-        sym_character(lam_star, mu) * f_coeff(family, kappa, mu) for mu in mus
+        sym_character(lam_star, mu) * f_coeff(family, kappa, mu)
+        for mu in map(_twist, repeat(family), _labels(family, sum(lam_star)))
     )
 
 

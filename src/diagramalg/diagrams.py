@@ -129,8 +129,7 @@ class Diagram(_Value):
     __slots__ = ("k", "blocks", "_owner")
 
     def __init__(self, k, blocks):
-        if not isinstance(k, int) or k < 1:
-            raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
+        _check_k(k)
         canon = tuple(sorted(map(tuple, map(sorted, blocks))))
         _check_cover(canon, 2 * k)
         _set_k(self, k)
@@ -168,6 +167,12 @@ _set_blocks = Diagram.blocks.__set__
 _set_owner = Diagram._owner.__set__
 
 
+def _check_k(k):
+    """Refuse k unless it is an int of at least 1; True is not a k."""
+    if type(k) is not int or k < 1:
+        raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
+
+
 def _check_cover(blocks, n):
     """Refuse, in this order, an empty block, blocks that do not cover
     {1..n} exactly once, and a vertex that is not an int."""
@@ -201,8 +206,7 @@ def parse_diagram(text, k):
 
     Every vertex 1..k and 1'..k' must appear exactly once.
     """
-    if not isinstance(k, int) or k < 1:
-        raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
+    _check_k(k)
     pieces = text.split("|")
     blocks = []
     seen = set()
@@ -536,8 +540,7 @@ def enumeration_cap(family):
 def enumerate_basis(family, k):
     """All diagrams of the family on k strands, in canonical order."""
     family = normalize_family(family)
-    if not isinstance(k, int) or k < 1:
-        raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
+    _check_k(k)
     cap = enumeration_cap(family)
     if k > cap:
         raise CapExceeded(

@@ -21,6 +21,7 @@ from .diagrams import (
     _block_owner,
     _check_cover,
     _check_int_vertices,
+    _check_k,
     _covers,
     _fuse,
     _Memo,
@@ -55,8 +56,7 @@ class SymmetricMDiagram(_Value):
     __slots__ = ("k", "top", "propagating")
 
     def __init__(self, k, top, propagating):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("k must be a positive integer, got %r" % (k,))
+        _check_k(k)
         canon_top = tuple(sorted(tuple(sorted(b)) for b in top))
         _check_cover(canon_top, k)
         canon_prop = tuple(sorted(tuple(sorted(b)) for b in propagating))
@@ -154,9 +154,10 @@ class SymmetricMDiagram(_Value):
 def _symmetric_candidates(family, k, m):
     # A top pair cannot propagate (its block would have four vertices), so
     # the pair families propagate top singles, and all of them when
-    # one-vertex blocks are not allowed.  Planar families are filtered by
-    # the caller; the tops are covered in vertex order, so canonically.
-    shape = _SHAPES[family]._replace(planar=False)
+    # one-vertex blocks are not allowed.  A planar family's tops are
+    # non-crossing, but a block may still pass over a propagating one, so
+    # the caller filters them; each top is sorted into canonical order.
+    shape = _SHAPES[family]
     if shape.pairs and not shape.singles:
         # the m propagating points, then a perfect matching of the others
         for ends in combinations(range(1, k + 1), m):
@@ -167,6 +168,7 @@ def _symmetric_candidates(family, k, m):
                 yield SymmetricMDiagram._canonical(k, top, prop)
         return
     for top in _covers(k, tuple(range(1, k + 1)), shape._replace(singles=True)):
+        top = tuple(sorted(top))
         ends = [b for b in top if len(b) == 1] if shape.pairs else top
         for prop in combinations(ends, m):
             yield SymmetricMDiagram._canonical(k, top, prop)
@@ -315,8 +317,7 @@ class SetPartitionTableau(_Value):
     __slots__ = ("k", "first_row", "body")
 
     def __init__(self, k, first_row, body):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("k must be a positive integer, got %r" % (k,))
+        _check_k(k)
         first = [tuple(sorted(b)) for b in first_row]
         rows = tuple(
             tuple(tuple(sorted(b)) for b in row) for row in body

@@ -11,8 +11,8 @@ from functools import cache
 from math import comb
 from operator import lt
 
-from .diagrams import _SHAPES, normalize_family
-from .errors import IndexOutOfRange, InvalidRank, LabelNotInFamily
+from .diagrams import _SHAPES, _check_k, normalize_family
+from .errors import InvalidRank, LabelNotInFamily
 
 
 def check_partition(p):
@@ -111,8 +111,7 @@ def _ranks(family, k):
     that must join the two rows leave only rank k, and otherwise each pair
     within a row takes two vertices of it, so the rank has the parity of k.
     """
-    if not isinstance(k, int) or k < 1:
-        raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
+    _check_k(k)
     shape = _SHAPES[family]
     if shape.singles:
         return range(k + 1)

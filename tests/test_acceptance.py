@@ -297,9 +297,7 @@ def test_closed_form_wedderburn_identity():
 
 def test_symmetric_diagram_counts_match_formulas():
     for family in FAMILIES:
-        # PlanarPartition k=8 takes seconds: its symmetric diagrams are
-        # still the planar ones among the non-planar candidates
-        for k in range(1, 8 if family == PLANAR_PARTITION else 9):
+        for k in range(1, 9):
             for m in rank_set(family, k):
                 found = enumerate_symmetric(family, k, m)
                 assert len(found) == symmetric_count(family, k, m), (

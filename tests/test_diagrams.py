@@ -21,6 +21,8 @@ from diagramalg.diagrams import (
     rank,
     transpose,
 )
+from diagramalg.irreps import SetPartitionTableau, SymmetricMDiagram
+from diagramalg.partitions import rank_set
 
 K12_LHS = (
     "1 2' | 2 3 5 | 4 1' | 6 7 | 8 9' | 9 11 6' | 10 12 11' | 3' 5' | 4' "
@@ -34,6 +36,27 @@ K12_PRODUCT = (
     "1 4 2' | 2 3 5 | 6 7 | 8 10' 11' | 9 11 6' 7' | 10 12 8' | 1' 3' 4' "
     "| 5' | 9' 12'"
 )
+
+
+# every constructor and function that takes k on its own, each called with
+# arguments that are valid at k = 1
+K_SITES = {
+    "Diagram": lambda k: Diagram(k, [(1, 2)]),
+    "parse_diagram": lambda k: parse_diagram("1 1'", k),
+    "enumerate_basis": lambda k: enumerate_basis("brauer", k),
+    "rank_set": lambda k: rank_set("partition", k),
+    "SymmetricMDiagram": lambda k: SymmetricMDiagram(k, [(1,)], [(1,)]),
+    "SetPartitionTableau": lambda k: SetPartitionTableau(k, [], [[(1,)]]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(K_SITES))
+@pytest.mark.parametrize("k", [True, False, 0, -1, 1.0, "1", None])
+def test_k_must_be_an_int_of_at_least_one(site, k):
+    K_SITES[site](1)
+    with pytest.raises(errors.IndexOutOfRange) as info:
+        K_SITES[site](k)
+    assert str(info.value) == "k must be a positive integer, got %r" % (k,)
 
 
 def test_parse_canonical_form_and_roundtrip():

@@ -1,6 +1,8 @@
 """F built one column per cycle type from cached per-part factors, against
 the per-cell closed form it replaced."""
 
+from math import comb
+
 import pytest
 
 from diagramalg import errors
@@ -91,6 +93,41 @@ def reference_f_coeff(family, kappa, mu):
         if not prod:
             return 0
     return prod
+
+
+def ballot(r, m):
+    """Ways to pair r - m of r points in a row with no two pairs crossing
+    and no pair over one of the m others: the ballot number
+    (m + 1) / (r + 1) C(r + 1, (r - m) / 2), zero unless 0 <= m <= r and
+    r - m is even."""
+    if not 0 <= m <= r or (r - m) % 2:
+        return 0
+    return (m + 1) * comb(r + 1, (r - m) // 2) // (r + 1)
+
+
+# the planar counts by name: TemperleyLieb the ballot number, Motzkin the
+# ballot number on the j points that are not non-propagating singles,
+# PlanarRook the choice of the m propagating points, PlanarPartition
+# TemperleyLieb at (2r, 2m)
+PLANAR_REFERENCE = {
+    TEMPERLEY_LIEB: ballot,
+    MOTZKIN: lambda r, m: sum(comb(r, j) * ballot(j, m) for j in range(r + 1)),
+    PLANAR_ROOK: lambda r, m: comb(r, m) if 0 <= m <= r else 0,
+    PLANAR_PARTITION: lambda r, m: ballot(2 * r, 2 * m),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PLANAR_REFERENCE))
+def test_f_coeff_planar_matches_the_named_counts(family):
+    reference = PLANAR_REFERENCE[family]
+    nonzero = 0
+    for r in range(21):
+        for m in range(-2, r + 3):
+            expected = reference(r, m)
+            assert f_coeff_planar(family, r, m) == expected, (r, m)
+            nonzero += bool(expected)
+    # TemperleyLieb is zero at every m of the other parity
+    assert nonzero >= 21 * 22 // 4
 
 
 @pytest.mark.parametrize(
