@@ -26,7 +26,6 @@ from .diagrams import (
     enumeration_cap,
     normalize_family,
     perm_diagram,
-    size_cap,
 )
 from .errors import CapExceeded, FamilyUnsupported, InvalidClassLabel
 from .irreps import (
@@ -504,9 +503,9 @@ def character_oracle(family, k, lam_star, kappa, s=None):
     Returns the trace as a Laurent polynomial in n (a constant whenever
     the closed form applies)."""
     family = normalize_family(family)
-    if k > size_cap(5):
-        raise CapExceeded("character_oracle at k=%d exceeds the cap" % k)
     lam_star = check_label(family, k, lam_star)
+    if k > enumeration_cap(family):
+        raise CapExceeded("character_oracle at k=%d exceeds the cap" % k)
     elem = class_diagram(family, k, kappa, s)
     cols = rep_columns_element(elem, lam_star)
     return column_trace(cols)

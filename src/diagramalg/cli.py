@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import characters, diagrams, irreps, symrep
 from .coeff import ONE, ZERO, Element, LaurentPoly
-from .errors import DiagramAlgebraError, IndexOutOfRange
+from .errors import DiagramAlgebraError
 from .partitions import check_partition, lambda_star_labels, rank_set
 
 
@@ -97,19 +97,6 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-# json writes tuples as lists, so the JSON helpers pass the stored block
-# tuples as they are
-def _diagram_json(d):
-    return {"k": d.k, "blocks": d.blocks}
-
-
-def _element_json(elem):
-    return [
-        {"coeff": c.to_json_obj(), "diagram": _diagram_json(d)}
-        for d, c in elem.terms()
-    ]
-
-
 def _tableau_json(tab):
     return {
         "lambda_star": tab.lambda_star,
@@ -124,28 +111,36 @@ def _cmd_mul(args):
     product = Element.from_diagram(lhs, args.family) * Element.from_diagram(
         rhs, args.family
     )
-    if args.format == "json":
-        if args.n is not None:
-            payload = [
-                {
-                    "coeff": {"num": c.numerator, "den": c.denominator},
-                    "diagram": _diagram_json(d),
-                }
-                for d, c in product.evaluate(args.n).items()
-            ]
-        else:
-            payload = _element_json(product)
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-        return 0
-    lines = []
-    if args.n is not None:
-        for d, c in product.evaluate(args.n).items():
-            lines.append("%s * %s" % (c, d.text()))
+    if args.n is None:
+        terms = product.terms()
     else:
-        for d, c in product.terms():
-            lines.append("%s * %s" % (c, d.text()))
+        terms = product.evaluate(args.n).items()
+    cell = _cell_writer(args.format, args.n)
+    if args.format == "json":
+        # the bytes of json.dumps, each term joined from block strings
+        block = diagrams.block_json().__getitem__
+        _emit(
+            "[%s]" % ",".join(
+                '{"coeff":%s,"diagram":{"k":%d,"blocks":[%s]}}'
+                % (cell(c), d.k, ",".join(map(block, d.blocks)))
+                for d, c in terms
+            ),
+            args.out,
+        )
+        return 0
+    lines = ["%s * %s" % (cell(c), d.text()) for d, c in terms]
     _emit("\n".join(lines) if lines else "0", args.out)
     return 0
+
+
+def _cell_writer(fmt, n):
+    """How one coefficient is written: str in text; in JSON the bytes of
+    json.dumps, of a polynomial, or of a rational at a numeric n."""
+    if fmt != "json":
+        return str
+    if n is None:
+        return lambda p: json.dumps(p.to_json_obj(), separators=(",", ":"))
+    return lambda v: '{"num":%d,"den":%d}' % (v.numerator, v.denominator)
 
 
 def _cmd_basis(args):
@@ -235,11 +230,9 @@ def _cmd_irrep(args):
             [zero if entry is ZERO else entry.evaluate(args.n) for entry in row]
             for row in mat
         ]
-    if args.format == "json":
-        # the bytes of json.dumps, each row joined from cell strings
-        cell, sep = _poly_json if args.n is None else _fraction_json, ","
-    else:
-        cell, sep = str, ", "
+    # the bytes of json.dumps or str, each row joined from cell strings
+    cell = _cell_writer(args.format, args.n)
+    sep = "," if args.format == "json" else ", "
     blank = cell(zero)
     rows = [sep.join([blank if v is zero else cell(v) for v in row]) for row in mat]
     if args.format == "json":
@@ -247,14 +240,6 @@ def _cmd_irrep(args):
     else:
         _emit("\n".join(rows), args.out)
     return 0
-
-
-def _poly_json(p):
-    return json.dumps(p.to_json_obj(), separators=(",", ":"))
-
-
-def _fraction_json(v):
-    return '{"num":%d,"den":%d}' % (v.numerator, v.denominator)
 
 
 def _cmd_char(args):
@@ -276,37 +261,27 @@ def _cmd_table(args):
     return 0
 
 
-def _suite_ring_axioms(family, k, rng, cases, report):
+def _suite_ring_axioms(family, k, rng, cases, fail):
     basis = diagrams.enumerate_basis(family, k)
     ident = Element.identity(k, family)
-    ok = True
     for _ in range(cases):
         a, b, c = (
             Element.from_diagram(rng.choice(basis), family) for _ in range(3)
         )
         if (a * b) * c != a * (b * c):
-            report("FAIL ring-axioms: associativity broke")
-            ok = False
+            fail("associativity broke")
         if a * (b + c) != a * b + a * c:
-            report("FAIL ring-axioms: left distributivity broke")
-            ok = False
+            fail("left distributivity broke")
         if (b + c) * a != b * a + c * a:
-            report("FAIL ring-axioms: right distributivity broke")
-            ok = False
+            fail("right distributivity broke")
         if ident * a != a or a * ident != a:
-            report("FAIL ring-axioms: identity broke")
-            ok = False
-    if ok:
-        report(
-            "ok ring-axioms (%s, k=%d, %d random triples)" % (family, k, cases)
-        )
-    return ok
+            fail("identity broke")
+    return "%s, k=%d, %d random triples" % (family, k, cases)
 
 
-def _suite_module_axiom(family, k, rng, cases, report):
+def _suite_module_axiom(family, k, rng, cases, fail):
     labels = lambda_star_labels(family, k)
     basis = diagrams.enumerate_basis(family, k)
-    ok = True
     for _ in range(cases):
         a = rng.choice(basis)
         b = rng.choice(basis)
@@ -320,20 +295,14 @@ def _suite_module_axiom(family, k, rng, cases, report):
             {i: scale * c for i, c in col.items()} for col in cols_ab
         ]
         if irreps.compose_columns(cols_a, cols_b) != scaled:
-            report(
-                "FAIL module-axiom: M(a)M(b) != M(ab) at %s, k=%d, %s"
+            fail(
+                "M(a)M(b) != M(ab) at %s, k=%d, %s"
                 % (family, k, characters.format_partition(lam))
             )
-            ok = False
-    if ok:
-        report(
-            "ok module-axiom (%s, k=%d, %d random pairs)" % (family, k, cases)
-        )
-    return ok
+    return "%s, k=%d, %d random pairs" % (family, k, cases)
 
 
-def _suite_basis_equivalence(family, k, rng, cases, report):
-    ok = True
+def _suite_basis_equivalence(family, k, rng, cases, fail):
     for lam in lambda_star_labels(family, k):
         for g in diagrams.family_generators(family, k):
             where = "%s at %s, k=%d, %s" % (
@@ -342,8 +311,7 @@ def _suite_basis_equivalence(family, k, rng, cases, report):
             twisted = irreps.rep_columns(g, family, k, lam, "Twisted")
             tableau = irreps.rep_columns(g, family, k, lam, "Tableau")
             if twisted != tableau:
-                report("FAIL basis-equivalence: " + where)
-                ok = False
+                fail(where)
             # below rank m rep_columns answers zero without acting, so the
             # full actions are what its zero columns are compared with
             if diagrams.rank(g) < sum(lam) and any(
@@ -351,14 +319,11 @@ def _suite_basis_equivalence(family, k, rng, cases, report):
                 or irreps.act_natural(g, {irreps.tableau_from_pair(*v): ONE})
                 for v in irreps._module_basis(family, k, lam, "Twisted")[0]
             ):
-                report("FAIL basis-equivalence: %s, rank below m acts non-zero" % where)
-                ok = False
-    if ok:
-        report("ok basis-equivalence (%s, k=%d)" % (family, k))
-    return ok
+                fail("%s, rank below m acts non-zero" % where)
+    return "%s, k=%d" % (family, k)
 
 
-def _suite_wedderburn(family, k, rng, cases, report):
+def _suite_wedderburn(family, k, rng, cases, fail):
     rows, total, alg = _module_dims(family, k)
     # the listed diagrams and tableaux are the oracle for the closed forms
     if not all(
@@ -366,21 +331,13 @@ def _suite_wedderburn(family, k, rng, cases, report):
         and len(symrep.standard_tableaux(lam)) == f
         for lam, m, count_w, f, _ in rows
     ):
-        report("FAIL wedderburn: %s, k=%d, sizes differ from the lists"
-               % (family, k))
-        return False
-    if total == alg:
-        report("ok wedderburn (%s, k=%d, dim=%d)" % (family, k, alg))
-        return True
-    report(
-        "FAIL wedderburn: %s, k=%d, sum of squares %d != %d"
-        % (family, k, total, alg)
-    )
-    return False
+        fail("%s, k=%d, sizes differ from the lists" % (family, k))
+    elif total != alg:
+        fail("%s, k=%d, sum of squares %d != %d" % (family, k, total, alg))
+    return "%s, k=%d, dim=%d" % (family, k, alg)
 
 
-def _suite_fixedpoint(family, k, rng, cases, report):
-    ok = True
+def _suite_fixedpoint(family, k, rng, cases, fail):
     for kappa in characters.class_labels(family, k):
         if sum(kappa) != k:
             continue
@@ -388,8 +345,8 @@ def _suite_fixedpoint(family, k, rng, cases, report):
             counted = characters.fixed_points(family, k, m, kappa)
             for mu, ws in counted.items():
                 if len(ws) != characters.f_coeff(family, kappa, mu):
-                    report(
-                        "FAIL fixedpoint-vs-formula: %s k=%d kappa=%s mu=%s"
+                    fail(
+                        "%s k=%d kappa=%s mu=%s"
                         % (
                             family,
                             k,
@@ -397,14 +354,10 @@ def _suite_fixedpoint(family, k, rng, cases, report):
                             characters.format_partition(mu),
                         )
                     )
-                    ok = False
-    if ok:
-        report("ok fixedpoint-vs-formula (%s, k=%d)" % (family, k))
-    return ok
+    return "%s, k=%d" % (family, k)
 
 
-def _suite_table_regression(family, k, rng, cases, report):
-    ok = True
+def _suite_table_regression(family, k, rng, cases, fail):
     for (family, k), ref in sorted(characters.REFERENCE_TABLES.items()):
         table = characters.character_table(family, k)
         if (
@@ -412,8 +365,7 @@ def _suite_table_regression(family, k, rng, cases, report):
             or table.col_labels != ref["cols"]
             or table.values != ref["values"]
         ):
-            report("FAIL table-regression: %s, k=%d" % (family, k))
-            ok = False
+            fail("%s, k=%d" % (family, k))
             continue
         fac = table.factor()
         size = len(table.row_labels)
@@ -427,38 +379,26 @@ def _suite_table_regression(family, k, rng, cases, report):
             for i in range(size)
         ]
         if product != table.values:
-            report(
-                "FAIL table-regression: factorization at %s, k=%d"
-                % (family, k)
-            )
-            ok = False
-    if ok:
-        report("ok table-regression (%d frozen tables)" % len(
-            characters.REFERENCE_TABLES
-        ))
-    return ok
+            fail("factorization at %s, k=%d" % (family, k))
+    return "%d frozen tables" % len(characters.REFERENCE_TABLES)
 
 
-def _suite_determinant(family, k, rng, cases, report):
+def _suite_determinant(family, k, rng, cases, fail):
     check = characters.table_determinant_check(family, k)
-    if check.ok:
-        report(
-            "ok determinant (%s, k=%d, |det|=%d)"
-            % (family, k, check.determinant)
+    if not check.ok:
+        fail(
+            "%s, k=%d, got %d, expected %d"
+            % (family, k, check.determinant, check.expected)
         )
-        return True
-    report(
-        "FAIL determinant: %s, k=%d, got %d, expected %d"
-        % (family, k, check.determinant, check.expected)
-    )
-    return False
+    return "%s, k=%d, |det|=%d" % (family, k, check.determinant)
 
 
 _PARTITION_ONLY = (diagrams.PARTITION,)
 
 # suite -> (runner, default families, default k of a family), in the
 # order a bare verify runs them.  Every runner takes (family, k, rng,
-# cases, report); table-regression reads only report.
+# cases, fail), calls fail(message) once per failed check and returns
+# what its ok line reports; table-regression reads only fail.
 _SUITES = {
     "ring-axioms": (_suite_ring_axioms, _PARTITION_ONLY, lambda f: 2),
     "module-axiom": (_suite_module_axiom, _PARTITION_ONLY, lambda f: 2),
@@ -475,10 +415,8 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    if args.k is not None and args.k < 1:
-        raise IndexOutOfRange(
-            "k must be a positive integer, got %r" % (args.k,)
-        )
+    if args.k is not None:
+        diagrams._check_k(args.k)
     if args.suite == "table-regression" and (
         args.family is not None or args.k is not None
     ):
@@ -500,13 +438,24 @@ def _cmd_verify(args):
 
 
 def _run_suites(args, report):
+    """Run the chosen suites, reporting each failure as it happens and an
+    ok line for each run without one; True if no check failed."""
     rng = random.Random(args.seed)
     ok = True
     for suite in [args.suite] if args.suite else _SUITES:
         runner, families, default_k = _SUITES[suite]
         for fam in [args.family] if args.family else families:
             k = default_k(fam) if args.k is None else args.k
-            ok &= runner(fam, k, rng, args.cases, report)
+            failed = []
+
+            def fail(message):
+                failed.append(message)
+                report("FAIL %s: %s" % (suite, message))
+
+            detail = runner(fam, k, rng, args.cases, fail)
+            if not failed:
+                report("ok %s (%s)" % (suite, detail))
+            ok &= not failed
     return ok
 
 

@@ -25,6 +25,14 @@ from .errors import (
 )
 
 
+def _exact(value, what):
+    """value as a Fraction; floats and bools convert silently to one, so
+    they are refused rather than read as exact values."""
+    if isinstance(value, (bool, float)):
+        raise ValueError("%s must be exact, got %r" % (what, value))
+    return Fraction(value)
+
+
 class LaurentPoly(_Value):
     """Laurent polynomial in n over Q, stored as {exponent: coefficient}.
 
@@ -41,15 +49,8 @@ class LaurentPoly(_Value):
             for exp, c in items:
                 if type(exp) is not int:
                     raise ValueError("exponent must be an int, got %r" % (exp,))
-                if type(c) is not int:
-                    # floats and bools convert silently to Fraction, so
-                    # they are refused rather than read as exact values
-                    if isinstance(c, (bool, float)):
-                        raise ValueError(
-                            "coefficient must be exact, got %r" % (c,)
-                        )
-                    if not isinstance(c, Fraction):
-                        c = Fraction(c)
+                if type(c) is not int and not isinstance(c, Fraction):
+                    c = _exact(c, "coefficient")
                 if exp in data:
                     c += data[exp]
                 data[exp] = c
@@ -151,7 +152,7 @@ class LaurentPoly(_Value):
 
     def evaluate(self, value):
         """Substitute a rational value for n."""
-        value = Fraction(value)
+        value = _exact(value, "n")
         if value == 0 and any(e < 0 for e in self.terms):
             raise ZeroSubstitutionWithNegativeExponent(
                 "cannot substitute n = 0 into a negative power of n"
@@ -340,6 +341,7 @@ class Element(_Value):
     def evaluate(self, value):
         """Substitute a rational n; returns {diagram: Fraction}, leaving
         out the diagrams whose coefficient vanishes at n."""
+        value = _exact(value, "n")
         values = ((d, c.evaluate(value)) for d, c in self.terms())
         return {d: v for d, v in values if v}
 

@@ -573,6 +573,7 @@ def algebra_dim(family, k):
     from .partitions import bell, catalan, double_factorial
 
     family = normalize_family(family)
+    _check_k(k)
     if family == PARTITION:
         return bell(2 * k)
     if family == PLANAR_PARTITION:

@@ -211,12 +211,15 @@ def identity_perm(m):
 
 def compose_perms(a, b):
     """(a o b)(x) = a(b(x)), matching diagram concatenation order."""
+    _check_permutation(a)
+    _check_permutation(b)
     if len(a) != len(b):
         raise DegreeMismatch("composing permutations of different degrees")
     return tuple(a[b[i] - 1] for i in range(len(b)))
 
 
 def inverse_perm(a):
+    _check_permutation(a)
     out = [0] * len(a)
     for i, image in enumerate(a):
         out[image - 1] = i + 1
@@ -225,6 +228,7 @@ def inverse_perm(a):
 
 def cycle_type(sigma):
     """Cycle lengths of a permutation, as a partition."""
+    _check_permutation(sigma)
     seen = [False] * len(sigma)
     lengths = []
     for start in range(len(sigma)):

@@ -421,6 +421,23 @@ def test_character_oracle_matches_closed_form():
         character_oracle("Partition", 6, (1,), (1,) * 6)
 
 
+def test_character_oracle_reads_the_enumeration_cap(monkeypatch):
+    # the pair families enumerate to k=7 by default, as fixed_points does
+    monkeypatch.delenv("DIAGRAMALG_CAP", raising=False)
+    for lam, kappa in (((2,), (2, 2, 1, 1)), ((4,), (3, 2, 1))):
+        value = irr_character(BRAUER, 6, lam, kappa)
+        assert character_oracle(BRAUER, 6, lam, kappa) == LaurentPoly.const(
+            value
+        )
+    with pytest.raises(errors.CapExceeded, match="at k=8 exceeds the cap"):
+        character_oracle(BRAUER, 8, (8,), (3, 3, 2))
+    monkeypatch.setenv("DIAGRAMALG_CAP", "5")
+    with pytest.raises(errors.CapExceeded, match="at k=6 exceeds the cap"):
+        character_oracle(BRAUER, 6, (2,), (2, 2, 1, 1))
+    monkeypatch.setenv("DIAGRAMALG_CAP", "8")
+    assert character_oracle(BRAUER, 8, (6,), (3, 3, 2)) == LaurentPoly.const(1)
+
+
 def test_table_csv_golden():
     table = character_table("Brauer", 2)
     assert table.to_csv() == (

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diagramalg import characters, cli, diagrams, irreps, symrep
 from diagramalg.cli import run
-from diagramalg.coeff import LaurentPoly
+from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
     FAMILIES,
     PARTITION,
@@ -63,6 +64,56 @@ def test_mul_json(capsys):
             "diagram": {"k": 2, "blocks": [[1, 2], [3, 4]]},
         }
     ]
+
+
+MUL_SUM_TEXT = "1 2 | 1' | 2'\n-1/2 * 1 2 | 1' 2'\n1/4 * 1 1' | 2 2'\n"
+MUL_SUM_JSON = (
+    '"diagram":{"k":2,"blocks":[[1,2],[3],[4]]}},'
+    '{"coeff":%s,"diagram":{"k":2,"blocks":[[1,2],[3,4]]}},'
+    '{"coeff":%s,"diagram":{"k":2,"blocks":[[1,3],[2,4]]}}]\n'
+)
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        ([], "n - 1/2 * " + MUL_SUM_TEXT),
+        (["--n", "2/3"], "1/6 * " + MUL_SUM_TEXT),
+        # the first coefficient vanishes at n = 1/2, and its line goes
+        (["--n", "1/2"], MUL_SUM_TEXT.split("\n", 1)[1]),
+        (
+            ["--format", "json"],
+            '[{"coeff":[{"exp":0,"num":-1,"den":2},{"exp":1,"num":1,"den":1}],'
+            + MUL_SUM_JSON
+            % ('[{"exp":0,"num":-1,"den":2}]', '[{"exp":0,"num":1,"den":4}]'),
+        ),
+        (
+            ["--format", "json", "--n", "2/3"],
+            '[{"coeff":{"num":1,"den":6},'
+            + MUL_SUM_JSON % ('{"num":-1,"den":2}', '{"num":1,"den":4}'),
+        ),
+    ],
+)
+def test_mul_writes_every_term_byte_for_byte(
+    extra, expected, monkeypatch, capsys
+):
+    # each factor d - 1/2 * identity makes a product of three terms, one
+    # with two powers of n, all with rational coefficients
+    def minus_half_identity(d, family):
+        half = Element.from_diagram(
+            diagrams.identity_diagram(d.k), family, Fraction(-1, 2)
+        )
+        return Element.from_diagram(d, family) + half
+
+    monkeypatch.setattr(
+        cli, "Element", types.SimpleNamespace(from_diagram=minus_half_identity)
+    )
+    argv = [
+        "mul", "--family", "partition", "--k", "2",
+        "--lhs", "1 2 | 1' 2'", "--rhs", "1 2 | 1' | 2'",
+    ]
+    assert run(argv + extra) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_mul_missing_vertex_is_domain_error(capsys):

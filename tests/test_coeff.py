@@ -355,6 +355,21 @@ def test_laurent_refuses_floats_and_bool_exponents():
     assert LaurentPoly({0: Fraction(1, 10)}).terms == {0: Fraction(1, 10)}
 
 
+@pytest.mark.parametrize("n", [0.1, 2.0, True, False])
+def test_evaluate_refuses_an_inexact_n(n):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    poly = LaurentPoly.monomial(1)
+    d = parse_diagram("1 1' | 2 2'", 2)
+    elem = Element.from_diagram(d, "partition", poly)
+    zero = Element.zero(2, "partition")
+    for evaluate in (poly.evaluate, elem.evaluate, zero.evaluate):
+        with pytest.raises(ValueError) as info:
+            evaluate(n)
+        assert str(info.value) == "n must be exact, got %r" % (n,)
+    assert poly.evaluate(Fraction(1, 10)) == Fraction(1, 10)
+    assert elem.evaluate(2) == {d: 2}
+
+
 def test_laurent_equals_no_bool_or_float():
     # True and 1.0 hash like the constant 1, so a dict lookup compares them
     assert (LaurentPoly.const(1) == True) is False  # noqa: E712

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagramalg import errors
+from diagramalg.characters import character_oracle
 from diagramalg.diagrams import (
     FAMILIES,
     Diagram,
@@ -43,6 +44,8 @@ K12_PRODUCT = (
 K_SITES = {
     "Diagram": lambda k: Diagram(k, [(1, 2)]),
     "parse_diagram": lambda k: parse_diagram("1 1'", k),
+    "algebra_dim": lambda k: algebra_dim("symmetric", k),
+    "character_oracle": lambda k: character_oracle("brauer", k, (1,), (1,)),
     "enumerate_basis": lambda k: enumerate_basis("brauer", k),
     "rank_set": lambda k: rank_set("partition", k),
     "SymmetricMDiagram": lambda k: SymmetricMDiagram(k, [(1,)], [(1,)]),

@@ -298,6 +298,33 @@ def test_perm_from_cycle_type():
         perm_from_cycle_type((2, 1), m=5)
 
 
+# (3, 1) once ended in an IndexError, and (1, 1) in an answer
+NOT_PERMUTATIONS = [(3, 1), (1, 1), (0, 1), (True, 2), (1.0, 2)]
+
+
+@pytest.mark.parametrize("images", NOT_PERMUTATIONS)
+def test_compose_perms_refuses_a_non_permutation(images):
+    for a, b in (((1, 2), images), (images, (1, 2))):
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
+            compose_perms(a, b)
+    assert compose_perms((2, 1), (2, 1)) == (1, 2)
+
+
+@pytest.mark.parametrize("images", NOT_PERMUTATIONS)
+def test_inverse_perm_refuses_a_non_permutation(images):
+    with pytest.raises(ValueError, match="not a permutation of 1..2"):
+        inverse_perm(images)
+    assert inverse_perm((2, 3, 1)) == (3, 1, 2)
+
+
+@pytest.mark.parametrize("images", NOT_PERMUTATIONS)
+def test_cycle_type_refuses_a_non_permutation(images):
+    # (1, 1) was read as two fixed points
+    with pytest.raises(ValueError, match="not a permutation of 1..2"):
+        cycle_type(images)
+    assert cycle_type((2, 1)) == (2,)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_straighten_lands_on_standard_basis(data):
