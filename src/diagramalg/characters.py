@@ -75,7 +75,7 @@ def _check_class(family, kappa, k=None, s=None):
     The planar families take only all-ones cycle types.  With k given,
     |kappa| must be a rank of the family, and the tail fills the k - |kappa|
     strands gamma_kappa leaves: one strand per generator, or two in a
-    family without one-vertex blocks.  A given s must equal the tail.
+    family without one-vertex blocks.  A given s must be the tail, an int.
     """
     kappa = check_partition(kappa)
     if _SHAPES[family].planar and any(part != 1 for part in kappa):
@@ -92,7 +92,7 @@ def _check_class(family, kappa, k=None, s=None):
             % (kappa, r, family, k)
         )
     tail = k - r if _SHAPES[family].singles else (k - r) // 2
-    if s is not None and s != tail:
+    if s is not None and (type(s) is not int or s != tail):
         raise InvalidClassLabel(
             "tail length %r does not match |kappa|=%d at k=%d" % (s, r, k)
         )

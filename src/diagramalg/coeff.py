@@ -16,8 +16,8 @@ product term is divided once by the two denominators at the end.
 from fractions import Fraction
 from math import lcm
 
-from .diagrams import Diagram, _Value, concat, identity_diagram, in_family
-from .diagrams import normalize_family
+from .diagrams import Diagram, _check_family, _check_k, _Value, concat
+from .diagrams import identity_diagram, normalize_family
 from .errors import (
     AlgebraMismatch,
     RankMismatch,
@@ -65,7 +65,7 @@ class LaurentPoly(_Value):
         )
 
     @classmethod
-    def _from_clean(cls, terms):
+    def _make(cls, terms):
         # terms already holds only nonzero ints and non-integral Fractions
         poly = object.__new__(cls)
         _set_terms(poly, terms)
@@ -113,7 +113,7 @@ class LaurentPoly(_Value):
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._from_clean({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-LaurentPoly.coerce(other))
@@ -136,10 +136,10 @@ class LaurentPoly(_Value):
         """The polynomial times n**by."""
         if not by:
             return self
-        return LaurentPoly._from_clean({e + by: c for e, c in self.terms.items()})
+        return LaurentPoly._make({e + by: c for e, c in self.terms.items()})
 
     def __pow__(self, power):
-        if not isinstance(power, int) or power < 0:
+        if type(power) is not int or power < 0:
             raise ValueError("power must be a nonnegative int")
         out = LaurentPoly.const(1)
         base = self
@@ -205,8 +205,8 @@ class LaurentPoly(_Value):
         )
 
 
-# the slot's own setter, which __setattr__ refuses to reach
-_set_terms = LaurentPoly.terms.__set__
+# the slot's own setter (see _Value), which __setattr__ refuses to reach
+(_set_terms,) = LaurentPoly._setters
 _INT = frozenset((int,))
 
 
@@ -216,7 +216,7 @@ def _from_sums(out):
     if set(map(type, out.values())) <= _INT:
         if 0 in out.values():
             out = {e: c for e, c in out.items() if c}
-        return LaurentPoly._from_clean(out)
+        return LaurentPoly._make(out)
     return LaurentPoly(out)
 
 
@@ -230,6 +230,7 @@ class Element(_Value):
     __slots__ = ("k", "family", "combo")
 
     def __init__(self, k, family, combo=None):
+        _check_k(k)
         family = normalize_family(family)
         clean = {}
         for d, c in (combo or {}).items():
@@ -239,16 +240,13 @@ class Element(_Value):
                 raise RankMismatch(
                     "diagram on %d strands in an element with k=%d" % (d.k, k)
                 )
-            if not in_family(d, family):
-                raise AlgebraMismatch(
-                    "diagram %s is not in the %s family" % (d.text(), family)
-                )
+            _check_family(d, family)
             c = LaurentPoly.coerce(c)
             if c:
                 clean[d] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "combo", clean)
+        _set_element_k(self, k)
+        _set_family(self, family)
+        _set_combo(self, clean)
 
     @classmethod
     def from_diagram(cls, d, family, coeff=1):
@@ -356,6 +354,9 @@ class Element(_Value):
         return "Element(k=%d, %s, %s)" % (self.k, self.family, self)
 
 
+_set_element_k, _set_family, _set_combo = Element._setters
+
+
 def _integral(combo):
     """Scale a combination to integer coefficients by the lcm of their
     denominators; return the scaled combination and that lcm."""
@@ -363,7 +364,7 @@ def _integral(combo):
     if den == 1:
         return combo, 1
     return {
-        d: LaurentPoly._from_clean(
+        d: LaurentPoly._make(
             {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
         )
         for d, p in combo.items()

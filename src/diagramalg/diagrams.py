@@ -17,6 +17,7 @@ from itertools import chain
 from operator import attrgetter
 
 from .errors import (
+    AlgebraMismatch,
     CapExceeded,
     DiagramSyntaxError,
     DuplicateVertex,
@@ -90,22 +91,22 @@ def normalize_family(name):
 
 class _Value:
     """An immutable value.  Its fields, the public names in its __slots__
-    (a private slot, as Diagram's _owner, is a cache), are set once by the
-    constructor; copies and pickles are rebuilt from them through the
-    checking constructor, and values of one class order by them.  Each
-    class keeps its own __eq__ and __hash__."""
+    (a private slot, as Diagram's _owner, is a cache), are set once through
+    _setters, the slots' own setters, by the checking constructor or _make;
+    copies and pickles go through the checking constructor, values of one
+    class order by their fields, and each keeps its own __eq__ and __hash__."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
         cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(vars(cls)[s].__set__ for s in cls.__slots__)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
-    def __delattr__(self, name):
-        raise AttributeError("%s is immutable" % type(self).__name__)
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return type(self), tuple([getattr(self, f) for f in self._fields])
@@ -136,9 +137,8 @@ class Diagram(_Value):
         _set_blocks(self, canon)
 
     @classmethod
-    def _canonical(cls, k, blocks):
-        """Wrap blocks that are already in canonical form, without sorting
-        or checking them again."""
+    def _make(cls, k, blocks):
+        """Wrap blocks already in canonical form, checking nothing."""
         d = object.__new__(cls)
         _set_k(d, k)
         _set_blocks(d, blocks)
@@ -162,9 +162,7 @@ class Diagram(_Value):
 
 
 # the slots' own setters, which __setattr__ refuses to reach
-_set_k = Diagram.k.__set__
-_set_blocks = Diagram.blocks.__set__
-_set_owner = Diagram._owner.__set__
+_set_k, _set_blocks, _set_owner = Diagram._setters
 
 
 def _check_k(k):
@@ -417,6 +415,13 @@ def in_family(d, family):
     return not planar or is_planar(d)
 
 
+def _check_family(d, family):
+    if family is not None and not in_family(d, family):
+        raise AlgebraMismatch(
+            "diagram %s is not in the %s family" % (d.text(), family)
+        )
+
+
 def identity_diagram(k):
     return Diagram(k, [(i, k + i) for i in range(1, k + 1)])
 
@@ -555,7 +560,7 @@ def enumerate_basis(family, k):
     else:
         # in vertex order every cover is canonical and in basis order
         listing = _covers(k, tuple(range(1, 2 * k + 1)), shape)
-    return [Diagram._canonical(k, blocks) for blocks in listing]
+    return [Diagram._make(k, blocks) for blocks in listing]
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
-Every domain error raised by the library derives from DiagramAlgebraError,
-so callers (and the command line front end) can distinguish bad mathematical
-input from programming errors.
+Input of the wrong form raises ValueError: blocks that are not a set
+partition (or not mirror-symmetric, or not in a partition shape), a
+non-partition, a non-permutation (images or a tableau filling not 1..m), an
+inexact number (a float or bool coefficient, exponent, power or n), an
+Element key that is not a Diagram, an unknown family, generator or basis,
+an index_set n below 2k.  Other bad input raises a DiagramAlgebraError,
+below.  The CLI prints both on stderr as "error: <message>", exit code 1.
 """
 
 

@@ -20,20 +20,22 @@ from .diagrams import (
     Diagram,
     _block_owner,
     _check_cover,
+    _check_family,
     _check_int_vertices,
     _check_k,
+    _check_permutation,
     _covers,
     _fuse,
     _Memo,
     _Value,
-    in_family,
     is_planar,
     normalize_family,
     rank,
 )
-from .errors import AlgebraMismatch, RankMismatch, ShapeMismatch
+from .errors import RankMismatch, ShapeMismatch
 from .partitions import check_label, check_rank
 from .symrep import (
+    is_standard,
     natural_columns,
     relabel,
     standard_tableaux,
@@ -67,18 +69,17 @@ class SymmetricMDiagram(_Value):
                 raise ValueError("propagating block %r is not a top block" % (b,))
         if len(set(canon_prop)) != len(canon_prop):
             raise ValueError("repeated propagating block")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "top", canon_top)
-        object.__setattr__(self, "propagating", canon_prop)
+        _set_w_k(self, k)
+        _set_top(self, canon_top)
+        _set_propagating(self, canon_prop)
 
     @classmethod
-    def _canonical(cls, k, top, propagating):
-        """Wrap blocks that are already in canonical form, without sorting
-        or checking them again."""
+    def _make(cls, k, top, propagating):
+        """Wrap blocks already in canonical form, checking nothing."""
         w = object.__new__(cls)
-        object.__setattr__(w, "k", k)
-        object.__setattr__(w, "top", top)
-        object.__setattr__(w, "propagating", propagating)
+        _set_w_k(w, k)
+        _set_top(w, top)
+        _set_propagating(w, propagating)
         return w
 
     @property
@@ -104,26 +105,15 @@ class SymmetricMDiagram(_Value):
 
     @classmethod
     def from_diagram(cls, d):
+        """The w with w.to_diagram() == d: the top half of each block is a
+        top block, propagating when the block also reaches the bottom."""
         k = d.k
-        top = []
-        prop = []
-        for block in d.blocks:
-            above = tuple(v for v in block if v <= k)
-            below = tuple(v - k for v in block if v > k)
-            if above and below:
-                if above != below:
-                    raise ValueError(
-                        "propagating block %r is not mirror-symmetric" % (block,)
-                    )
-                top.append(above)
-                prop.append(above)
-            elif above:
-                top.append(above)
-            else:
-                mirror = tuple(v + k for v in below)
-                if mirror not in d.blocks:
-                    raise ValueError("diagram is not mirror-symmetric")
-        return cls(k, top, prop)
+        tops = [(tuple(v for v in b if v <= k), b[-1] > k) for b in d.blocks]
+        top = [above for above, _ in tops if above]
+        w = cls(k, top, [above for above, down in tops if above and down])
+        if w.to_diagram() != d:
+            raise ValueError("diagram is not mirror-symmetric")
+        return w
 
     def __eq__(self, other):
         return (
@@ -151,6 +141,9 @@ class SymmetricMDiagram(_Value):
         return "SymmetricMDiagram(k=%d, %s)" % (self.k, self.text())
 
 
+_set_w_k, _set_top, _set_propagating = SymmetricMDiagram._setters
+
+
 def _symmetric_candidates(family, k, m):
     # A top pair cannot propagate (its block would have four vertices), so
     # the pair families propagate top singles, and all of them when
@@ -165,13 +158,13 @@ def _symmetric_candidates(family, k, m):
             rest = tuple(v for v in range(1, k + 1) if v not in ends)
             for pairs in _covers(k, rest, shape):
                 top = tuple(sorted(prop + pairs))
-                yield SymmetricMDiagram._canonical(k, top, prop)
+                yield SymmetricMDiagram._make(k, top, prop)
         return
     for top in _covers(k, tuple(range(1, k + 1)), shape._replace(singles=True)):
         top = tuple(sorted(top))
         ends = [b for b in top if len(b) == 1] if shape.pairs else top
         for prop in combinations(ends, m):
-            yield SymmetricMDiagram._canonical(k, top, prop)
+            yield SymmetricMDiagram._make(k, top, prop)
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +246,7 @@ def conjugate(d, w):
     root, top, components = _conjugate(d, w.top)
     reached = {root[k + b[0]] for b in w.propagating}
     prop = tuple(b for b in top if root[b[0]] in reached)
-    w_prime = SymmetricMDiagram._canonical(k, top, prop)
+    w_prime = SymmetricMDiagram._make(k, top, prop)
     # each block of prop is the one top block of a reached component
     deleted = components - len(top) - len(reached) + len(prop)
     twist = None
@@ -261,13 +254,6 @@ def conjugate(d, w):
         new = {root[b[0]]: j for j, b in enumerate(w_prime.prop_max_order(), 1)}
         twist = tuple(new[root[k + b[0]]] for b in w.prop_max_order())
     return ConjugateResult(w_prime, len(prop), deleted, twist)
-
-
-def _check_family(d, family):
-    if family is not None and not in_family(d, family):
-        raise AlgebraMismatch(
-            "diagram %s is not in the %s family" % (d.text(), family)
-        )
 
 
 def _sum_images(pairs):
@@ -329,18 +315,18 @@ class SetPartitionTableau(_Value):
             shape and shape[-1] == 0
         ):
             raise ValueError("body rows must form a partition shape")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "first_row", first)
-        object.__setattr__(self, "body", rows)
+        _set_tab_k(self, k)
+        _set_first_row(self, first)
+        _set_body(self, rows)
 
     @classmethod
-    def _canonical(cls, k, first_row, body):
+    def _make(cls, k, first_row, body):
         """Wrap a first row sorted by largest entry and a body of sorted
-        blocks in a partition shape, without checking them again."""
+        blocks in a partition shape, checking nothing."""
         tab = object.__new__(cls)
-        object.__setattr__(tab, "k", k)
-        object.__setattr__(tab, "first_row", first_row)
-        object.__setattr__(tab, "body", body)
+        _set_tab_k(tab, k)
+        _set_first_row(tab, first_row)
+        _set_body(tab, body)
         return tab
 
     @property
@@ -368,9 +354,7 @@ class SetPartitionTableau(_Value):
     def is_standard(self):
         """Rows increase left to right and columns top to bottom, in the
         max-entry order on blocks."""
-        from .symrep import is_standard as filling_standard
-
-        return filling_standard(self.body_filling())
+        return is_standard(self.body_filling())
 
     def __eq__(self, other):
         return (
@@ -398,19 +382,22 @@ class SetPartitionTableau(_Value):
         return "SetPartitionTableau(k=%d, %s)" % (self.k, self.text())
 
 
+_set_tab_k, _set_first_row, _set_body = SetPartitionTableau._setters
+
+
 def tableau_from_pair(w, t):
     """Place the i-th propagating block of w (max-entry order) at the cell
-    holding i in the tableau t."""
+    holding i in the tableau t, whose entries must be 1..m."""
     shape = tableau_shape(t)
     if sum(shape) != w.m:
         raise ShapeMismatch(
             "tableau with %d cells for %d propagating blocks"
             % (sum(shape), w.m)
         )
+    _check_permutation([x for row in t for x in row])
     prop = w.prop_max_order()
     nonprop = [b for b in w.top if b not in prop]
-    body = tuple(tuple(prop[x - 1] for x in row) for row in t)
-    return SetPartitionTableau(w.k, nonprop, body)
+    return SetPartitionTableau(w.k, nonprop, relabel(prop, t))
 
 
 def pair_from_tableau(tab):
@@ -453,7 +440,7 @@ def act_tableau(d, tab):
     first_row = sorted((b for r, b in tops.items() if r not in taken), key=_last)
     # every component without a top vertex lay in the middle
     deleted = components - len(top)
-    return SetPartitionTableau._canonical(k, tuple(first_row), body), deleted
+    return SetPartitionTableau._make(k, tuple(first_row), body), deleted
 
 
 def _tableau_image(d, tab):
@@ -464,7 +451,7 @@ def _tableau_image(d, tab):
         return []
     (order, filling), first = moved._ordered_body(), moved.first_row
     return [
-        (SetPartitionTableau._canonical(d.k, first, relabel(order, u)), c, deleted)
+        (SetPartitionTableau._make(d.k, first, relabel(order, u)), c, deleted)
         for u, c in straighten(filling).items()
     ]
 
@@ -510,7 +497,7 @@ def _module_basis(family, k, lam_star, basis):
         first = tuple(sorted((b for b in w.top if b not in prop), key=_last))
         base[first, prop] = len(vectors)
         vectors.extend(
-            SetPartitionTableau._canonical(k, first, relabel(prop, t)) for t in ts
+            SetPartitionTableau._make(k, first, relabel(prop, t)) for t in ts
         )
     return _ModuleBasis(tuple(vectors), base, {t: i for i, t in enumerate(ts)})
 
@@ -530,7 +517,7 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
         return [{} for _ in vectors]
     # every entry is one monomial c n^deleted, and one polynomial per
     # (deleted, c) serves them all
-    monomial = _Memo(lambda key: LaurentPoly._from_clean({key[0]: key[1]}))
+    monomial = _Memo(lambda key: LaurentPoly._make({key[0]: key[1]}))
     columns = []
     if basis == TWISTED:
         # d . (w (x) n_t) = n^deleted w' (x) (twist . n_t): one conjugation

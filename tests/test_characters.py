@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -185,6 +186,24 @@ def test_class_diagram_invalid_labels():
         class_diagram("Brauer", 4, (2,), s=2)
     with pytest.raises(errors.InvalidClassLabel):
         class_diagram("PlanarPartition", 3, (2, 1))
+
+
+@pytest.mark.parametrize("s", [True, 1.0, Fraction(1)])
+@pytest.mark.parametrize(
+    "site",
+    [
+        lambda s: irr_character("Rook", 2, (1,), (1,), s),
+        lambda s: class_diagram("Rook", 2, (1,), s),
+        lambda s: character_oracle("Rook", 2, (1,), (1,), s),
+    ],
+    ids=["irr_character", "class_diagram", "character_oracle"],
+)
+def test_a_tail_length_must_be_an_int(site, s):
+    # the tail of (1) at Rook k=2 is 1, which each of these equals
+    site(1)
+    with pytest.raises(errors.InvalidClassLabel) as info:
+        site(s)
+    assert str(info.value) == "tail length %r does not match |kappa|=1 at k=2" % (s,)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -53,6 +53,14 @@ def test_laurent_pow_and_eval():
         n ** -1
 
 
+@pytest.mark.parametrize("power", [True, False, 2.0, Fraction(2)])
+def test_laurent_power_must_be_an_int(power):
+    # True and 2.0 act like 1 and 2 in arithmetic, but are not powers
+    n = LaurentPoly.monomial(1)
+    with pytest.raises(ValueError, match="^power must be a nonnegative int$"):
+        n ** power
+
+
 def test_laurent_constant_value():
     assert LaurentPoly.const(Fraction(3, 4)).constant_value() == Fraction(3, 4)
     assert LaurentPoly().constant_value() == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from diagramalg import errors
 from diagramalg.characters import character_oracle
+from diagramalg.coeff import Element
 from diagramalg.diagrams import (
     FAMILIES,
     Diagram,
@@ -43,6 +44,7 @@ K12_PRODUCT = (
 # arguments that are valid at k = 1
 K_SITES = {
     "Diagram": lambda k: Diagram(k, [(1, 2)]),
+    "Element": lambda k: Element(k, "brauer"),
     "parse_diagram": lambda k: parse_diagram("1 1'", k),
     "algebra_dim": lambda k: algebra_dim("symmetric", k),
     "character_oracle": lambda k: character_oracle("brauer", k, (1,), (1,)),

@@ -154,6 +154,33 @@ def test_from_diagram_rejects_asymmetric():
         SymmetricMDiagram.from_diagram(parse_diagram("1 2' | 2 1'", 2))
 
 
+def test_from_diagram_inverts_to_diagram_on_every_basis_diagram():
+    # every symmetric diagram at k is a Partition one, so the image of
+    # to_diagram is read off the Partition listings; of the 3,564 basis
+    # diagrams below, 340 are in it
+    seen = 0
+    for k in range(1, 5):
+        image = {
+            w.to_diagram(): w
+            for m in rank_set(PARTITION, k)
+            for w in enumerate_symmetric(PARTITION, k, m)
+        }
+        for family in FAMILIES:
+            if family == PARTITION and k > 3:
+                continue
+            for d in enumerate_basis(family, k):
+                seen += 1
+                if d in image:
+                    w = SymmetricMDiagram.from_diagram(d)
+                    assert w == image[d] and w.to_diagram() == d
+                    continue
+                with pytest.raises(
+                    ValueError, match="^diagram is not mirror-symmetric$"
+                ):
+                    SymmetricMDiagram.from_diagram(d)
+    assert seen == 3564
+
+
 def test_symmetric_diagram_validation():
     with pytest.raises(ValueError):
         SymmetricMDiagram(3, [(1, 2)], [])
@@ -281,6 +308,16 @@ def test_bijection_roundtrip():
 def test_tableau_from_pair_shape_mismatch():
     with pytest.raises(errors.ShapeMismatch):
         tableau_from_pair(W13, ((1, 2), (3,)))
+
+
+@pytest.mark.parametrize(
+    "filling", [((0, 1),), ((1, 5),), ((1, 1),), ((1, True),), ((1.0, 2),)]
+)
+def test_tableau_from_pair_refuses_a_filling_that_is_not_one_to_m(filling):
+    w = SymmetricMDiagram(2, [(1,), (2,)], [(1,), (2,)])
+    assert tableau_from_pair(w, ((1, 2),)).body == (((1,), (2,)),)
+    with pytest.raises(ValueError, match="^not a permutation of 1..2: "):
+        tableau_from_pair(w, filling)
 
 
 def test_tableau_validation_and_text():

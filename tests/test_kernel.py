@@ -663,6 +663,29 @@ def test_no_field_of_a_value_can_be_set_or_deleted():
         assert type(value)._fields == fields
 
 
+@pytest.mark.parametrize(
+    "index",
+    range(4),
+    ids=["Diagram", "SymmetricMDiagram", "SetPartitionTableau", "LaurentPoly"],
+)
+def test_make_wraps_the_fields_of_a_checked_value_into_the_same_value(index):
+    value, fields = five_values()[index]
+    cls = type(value)
+    values = tuple(getattr(value, name) for name in fields)
+    made = cls._make(*values)
+    assert type(made) is cls and made == value and hash(made) == hash(value)
+    assert cls._key(made) == cls._key(value)
+    message = "^%s is immutable$" % cls.__name__
+    for name in fields:
+        with pytest.raises(AttributeError, match=message):
+            setattr(made, name, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(made, name)
+    assert made.__reduce__() == (cls, values)
+    assert pickle.loads(pickle.dumps(made)) == value
+    assert copy.copy(made) == value
+
+
 def test_del_cannot_poison_a_cached_symmetric_diagram():
     ws = enumerate_symmetric(BRAUER, 3, 1)
     with pytest.raises(AttributeError, match="immutable"):
