@@ -2,9 +2,10 @@
 
 Subcommands cover diagram multiplication, basis and module enumeration,
 representation matrices, characters, character tables, and a self-check
-suite.  Exit codes: 0 on success, 1 for domain errors (bad diagrams,
-labels outside a family, caps) and an --out that cannot be written, 2 for
-usage errors.
+suite.  Each command returns its text and exit code, and run writes the
+text to stdout or --out.  Exit codes: 0 on success, 1 for domain errors
+(bad diagrams, labels outside a family, caps) and an --out that cannot be
+written, 2 for usage errors.
 """
 
 import argparse
@@ -97,12 +98,12 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _tableau_json(tab):
-    return {
-        "lambda_star": tab.lambda_star,
-        "first_row": tab.first_row,
-        "body": tab.body,
-    }
+def _listing(fmt, items, as_json):
+    """One item's text() per line, or the compact JSON list of each
+    item's as_json(item)."""
+    if fmt == "json":
+        return json.dumps([as_json(x) for x in items], separators=(",", ":"))
+    return "\n".join(x.text() for x in items)
 
 
 def _cmd_mul(args):
@@ -119,18 +120,13 @@ def _cmd_mul(args):
     if args.format == "json":
         # the bytes of json.dumps, each term joined from block strings
         block = diagrams.block_json().__getitem__
-        _emit(
-            "[%s]" % ",".join(
-                '{"coeff":%s,"diagram":{"k":%d,"blocks":[%s]}}'
-                % (cell(c), d.k, ",".join(map(block, d.blocks)))
-                for d, c in terms
-            ),
-            args.out,
-        )
-        return 0
+        return "[%s]" % ",".join(
+            '{"coeff":%s,"diagram":{"k":%d,"blocks":[%s]}}'
+            % (cell(c), d.k, ",".join(map(block, d.blocks)))
+            for d, c in terms
+        ), 0
     lines = ["%s * %s" % (cell(c), d.text()) for d, c in terms]
-    _emit("\n".join(lines) if lines else "0", args.out)
-    return 0
+    return "\n".join(lines) if lines else "0", 0
 
 
 def _cell_writer(fmt, n):
@@ -153,17 +149,11 @@ def _cmd_basis(args):
         listing = ",".join(
             [head + ",".join(map(block, d.blocks)) + "]}" for d in basis]
         )
-        _emit(
-            '{"family":%s,"k":%d,"count":%d,"diagrams":[%s]}'
-            % (json.dumps(args.family), args.k, len(basis), listing),
-            args.out,
-        )
-        return 0
+        return '{"family":%s,"k":%d,"count":%d,"diagrams":[%s]}' % (
+            json.dumps(args.family), args.k, len(basis), listing
+        ), 0
     block = diagrams.block_text(args.k).__getitem__
-    _emit(
-        "\n".join([" | ".join(map(block, d.blocks)) for d in basis]), args.out
-    )
-    return 0
+    return "\n".join([" | ".join(map(block, d.blocks)) for d in basis]), 0
 
 
 def _module_dims(family, k):
@@ -192,28 +182,25 @@ def _cmd_dims(args):
         "sum_of_squares=%d algebra_dim=%d ok=%s"
         % (total, alg, "true" if total == alg else "false")
     )
-    _emit("\n".join(lines), args.out)
-    return 0 if total == alg else 1
+    return "\n".join(lines), 0 if total == alg else 1
 
 
 def _cmd_symdiag(args):
     ws = irreps.enumerate_symmetric(args.family, args.k, args.m)
-    if args.format == "json":
-        payload = [{"top": w.top, "propagating": w.propagating} for w in ws]
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-        return 0
-    _emit("\n".join(w.text() for w in ws), args.out)
-    return 0
+    return _listing(
+        args.format, ws, lambda w: {"top": w.top, "propagating": w.propagating}
+    ), 0
 
 
 def _cmd_sspt(args):
     tabs = irreps.enumerate_sspt(args.family, args.k, args.lambda_star)
-    if args.format == "json":
-        payload = [_tableau_json(t) for t in tabs]
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-        return 0
-    _emit("\n".join(t.text() for t in tabs), args.out)
-    return 0
+    return _listing(
+        args.format,
+        tabs,
+        lambda t: {
+            "lambda_star": t.lambda_star, "first_row": t.first_row, "body": t.body
+        },
+    ), 0
 
 
 def _cmd_irrep(args):
@@ -236,18 +223,15 @@ def _cmd_irrep(args):
     blank = cell(zero)
     rows = [sep.join([blank if v is zero else cell(v) for v in row]) for row in mat]
     if args.format == "json":
-        _emit("[[%s]]" % "],[".join(rows) if rows else "[]", args.out)
-    else:
-        _emit("\n".join(rows), args.out)
-    return 0
+        return "[[%s]]" % "],[".join(rows) if rows else "[]", 0
+    return "\n".join(rows), 0
 
 
 def _cmd_char(args):
     value = characters.irr_character(
         args.family, args.k, args.lambda_star, args.kappa, args.s
     )
-    _emit(str(value), args.out)
-    return 0
+    return str(value), 0
 
 
 def _cmd_table(args):
@@ -257,8 +241,7 @@ def _cmd_table(args):
         "json": table.to_json,
         "csv": table.to_csv,
     }[args.format]
-    _emit(render(factor=args.factor), args.out)
-    return 0
+    return render(factor=args.factor), 0
 
 
 def _suite_ring_axioms(family, k, rng, cases, fail):
@@ -433,8 +416,7 @@ def _cmd_verify(args):
             _emit("\n".join(lines), args.out)
         raise
     lines.append("all checks passed" if ok else "FAILURES above")
-    _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+    return "\n".join(lines), 0 if ok else 1
 
 
 def _run_suites(args, report):
@@ -557,7 +539,9 @@ def run(argv=None):
     try:
         if args.out is not None:
             _check_out(args.out)
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(text, args.out)
+        return code
     # a k too large for a range overflows (no budget bounds it yet)
     except (DiagramAlgebraError, ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

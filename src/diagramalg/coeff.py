@@ -249,6 +249,16 @@ class Element(_Value):
         _set_combo(self, clean)
 
     @classmethod
+    def _make(cls, k, family, combo):
+        """Wrap the fields of elements already checked, dropping the terms
+        whose coefficient is zero."""
+        e = object.__new__(cls)
+        _set_element_k(e, k)
+        _set_family(e, family)
+        _set_combo(e, {d: c for d, c in combo.items() if c})
+        return e
+
+    @classmethod
     def from_diagram(cls, d, family, coeff=1):
         return cls(d.k, family, {d: LaurentPoly.coerce(coeff)})
 
@@ -287,10 +297,10 @@ class Element(_Value):
         out = dict(self.combo)
         for d, c in other.combo.items():
             out[d] = out.get(d, ZERO) + c
-        return Element(self.k, self.family, out)
+        return Element._make(self.k, self.family, out)
 
     def __neg__(self):
-        return Element(
+        return Element._make(
             self.k, self.family, {d: -c for d, c in self.combo.items()}
         )
 
@@ -299,7 +309,7 @@ class Element(_Value):
 
     def scale(self, value):
         value = LaurentPoly.coerce(value)
-        return Element(
+        return Element._make(
             self.k, self.family, {d: c * value for d, c in self.combo.items()}
         )
 

@@ -448,6 +448,7 @@ def generator(kind, i, k):
     kind is one of S, P, B, E, L, R (case-insensitive).  P allows
     1 <= i <= k; the others need 1 <= i <= k-1.
     """
+    _check_k(k)
     kind = str(kind).upper()
     if kind not in ("S", "P", "B", "E", "L", "R"):
         raise ValueError("unknown generator kind %r" % (kind,))
@@ -616,6 +617,7 @@ _FAMILY_GENERATORS = {
 
 def family_generators(family, k):
     """The standard generating diagrams of the family at k strands."""
+    _check_k(k)
     out = []
     for kind in _FAMILY_GENERATORS[normalize_family(family)]:
         hi = k if kind == "P" else k - 1

@@ -13,6 +13,7 @@ from functools import cache
 from itertools import combinations
 from math import factorial, prod
 
+from .coeff import _exact
 from .diagrams import _check_permutation
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition, partitions
@@ -100,13 +101,17 @@ def straighten(filling):
     """Expand n_filling over standard tableaux; returns {tableau: int}.
 
     The filling must use each of 1..m once within a partition shape but
-    need not be standard.
+    need not be standard; any other filling is refused with ValueError.
     """
     return dict(_straighten(filling))
 
 
 @cache
 def _straighten(filling):
+    # checked on a miss only, so that no bad filling is ever cached and a
+    # hit costs nothing more
+    check_partition(tableau_shape(filling))
+    _check_permutation([x for row in filling for x in row])
     grid = [list(row) for row in filling]
     sign = 1
     ncols = len(grid[0]) if grid else 0
@@ -169,8 +174,9 @@ def act(sigma, v):
                 "permutation of degree %d on a tableau with %d entries"
                 % (len(sigma), m)
             )
+        coeff = _exact(coeff, "coefficient")
         for s, c in straighten(relabel(sigma, t)).items():
-            out[s] = out.get(s, Fraction(0)) + Fraction(coeff) * c
+            out[s] = out.get(s, Fraction(0)) + coeff * c
     return {t: c for t, c in out.items() if c}
 
 

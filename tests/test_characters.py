@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -627,3 +628,38 @@ def test_planar_tables_read_no_symmetric_group_column(monkeypatch):
     # partitions(120) would have 1,844,349,560 entries
     table = character_table(PLANAR_ROOK, 120)
     assert [row[-1] for row in table.values[:3]] == [1, 120, 7140]
+
+
+def _fraction_det(matrix):
+    """Determinant by Gaussian elimination over Fraction: the reference."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            ratio = m[r][col] / m[col][col]
+            for c in range(col, len(m)):
+                m[r][c] -= ratio * m[col][c]
+    return det
+
+
+def test_bareiss_determinant_matches_fraction_elimination():
+    assert characters._det_bareiss([]) == 1
+    # a zero pivot column, a row swap, and a zero only the last step sees
+    assert characters._det_bareiss([[0, 1], [0, 2]]) == 0
+    assert characters._det_bareiss([[0, 1], [1, 0]]) == -1
+    assert characters._det_bareiss([[0, 2, 1], [3, 1, 1], [0, 4, 2]]) == 0
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        matrix = [
+            [rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert characters._det_bareiss(matrix) == _fraction_det(matrix), matrix

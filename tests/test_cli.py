@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 import types
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diagramalg import characters, cli, diagrams, irreps, symrep
+from diagramalg.characters import format_partition
 from diagramalg.cli import run
 from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
@@ -18,6 +20,7 @@ from diagramalg.diagrams import (
     format_diagram,
 )
 from diagramalg.errors import CapExceeded
+from diagramalg.partitions import lambda_star_labels
 
 GOLDEN_B2_CSV = (
     "lambda*/kappa,[],[2],[1,1]\n"
@@ -726,6 +729,144 @@ def test_basis_equivalence_checks_the_full_action_below_rank_m(
         for g in ("1 2 | 3 3' | 1' 2'", "1 1' | 2 3 | 2' 3'")
     ]
     assert capsys.readouterr().out.splitlines() == expected + ["FAILURES above"]
+
+
+def _identity_is_zero(monkeypatch):
+    monkeypatch.setattr(
+        Element, "identity", classmethod(lambda cls, k, f: cls.zero(k, f))
+    )
+
+
+def _compose_is_wrong(monkeypatch):
+    monkeypatch.setattr(irreps, "compose_columns", lambda a, b: None)
+
+
+def _twisted_has_an_extra_column(monkeypatch):
+    real = irreps.rep_columns
+
+    def extra(d, family, k, lam, basis="Twisted"):
+        cols = real(d, family, k, lam, basis)
+        return cols + [{}] if basis == "Twisted" else cols
+
+    monkeypatch.setattr(irreps, "rep_columns", extra)
+
+
+def _no_standard_tableaux(monkeypatch):
+    monkeypatch.setattr(symrep, "standard_tableaux", lambda lam: ())
+
+
+def _algebra_dim_is_zero(monkeypatch):
+    monkeypatch.setattr(diagrams, "algebra_dim", lambda family, k: 0)
+
+
+def _f_is_negative(monkeypatch):
+    monkeypatch.setattr(characters, "f_coeff", lambda family, kappa, mu: -1)
+
+
+def _tables_of_another_family(monkeypatch):
+    real = characters.character_table
+    monkeypatch.setattr(
+        characters, "character_table", lambda f, k: real("SymmetricGroup", 1)
+    )
+
+
+def _factor_is_negated(monkeypatch):
+    real = characters.CharacterTable.factor
+
+    def negated(table):
+        fac = real(table)
+        f_block = [[-x for x in row] for row in fac.f_block]
+        return types.SimpleNamespace(s_block=fac.s_block, f_block=f_block)
+
+    monkeypatch.setattr(characters.CharacterTable, "factor", negated)
+
+
+def _determinant_is_off(monkeypatch):
+    monkeypatch.setattr(
+        characters,
+        "table_determinant_check",
+        lambda family, k: characters.DeterminantCheck(1, 2, False),
+    )
+
+
+# each suite, a fault that fails its checks and the FAIL lines it writes,
+# as patterns, for Brauer at k=2 (table-regression: the frozen tables)
+SUITE_FAULTS = [
+    ("ring-axioms", _identity_is_zero, ["identity broke"] * 2),
+    (
+        "module-axiom",
+        _compose_is_wrong,
+        [r"M\(a\)M\(b\) != M\(ab\) at Brauer, k=2, \[[0-9,]*\]"] * 2,
+    ),
+    (
+        "basis-equivalence",
+        _twisted_has_an_extra_column,
+        [
+            re.escape("%s at Brauer, k=2, %s" % (g.text(), format_partition(lam)))
+            for lam in lambda_star_labels("brauer", 2)
+            for g in diagrams.family_generators("brauer", 2)
+        ],
+    ),
+    (
+        "wedderburn",
+        _no_standard_tableaux,
+        ["Brauer, k=2, sizes differ from the lists"],
+    ),
+    ("wedderburn", _algebra_dim_is_zero, ["Brauer, k=2, sum of squares 3 != 0"]),
+    (
+        "fixedpoint-vs-formula",
+        _f_is_negative,
+        [
+            re.escape("Brauer k=2 kappa=%s mu=%s" % (kappa, mu))
+            for kappa in ("[2]", "[1,1]")
+            for mu in ("[]", "[2]", "[1,1]")
+        ],
+    ),
+    (
+        "table-regression",
+        _tables_of_another_family,
+        [
+            "%s, k=%d" % key
+            for key in sorted(characters.REFERENCE_TABLES)
+        ],
+    ),
+    (
+        "table-regression",
+        _factor_is_negated,
+        [
+            "factorization at %s, k=%d" % key
+            for key in sorted(characters.REFERENCE_TABLES)
+        ],
+    ),
+    ("determinant", _determinant_is_off, ["Brauer, k=2, got 1, expected 2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, fault, messages",
+    SUITE_FAULTS,
+    ids=["%s-%s" % (s, f.__name__.strip("_")) for s, f, _ in SUITE_FAULTS],
+)
+def test_each_verify_suite_writes_a_fail_line_per_failed_check(
+    suite, fault, messages, monkeypatch, tmp_path, capsys
+):
+    fault(monkeypatch)
+    args = ["verify", "--suite", suite, "--cases", "2"]
+    if suite != "table-regression":
+        args += ["--family", "brauer", "--k", "2"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[-1] == "FAILURES above"
+    assert len(lines) == len(messages) + 1, lines
+    for line, message in zip(lines, messages):
+        assert re.fullmatch("FAIL %s: %s" % (suite, message), line), line
+    # the same report, written to --out and nowhere else
+    target = tmp_path / "verify.txt"
+    assert run(args + ["--out", str(target)]) == 1
+    assert capsys.readouterr() == ("", "")
+    assert target.read_text(encoding="utf-8") == captured.out
 
 
 # a grammar of argv for the fuzz test below: every family and an unknown

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_kernel import reference_concat
 
-from diagramalg import errors
+from diagramalg import diagrams, errors
 from diagramalg.coeff import ONE, ZERO, Element, LaurentPoly
 from diagramalg.diagrams import (
     FAMILIES,
@@ -38,6 +38,7 @@ def test_laurent_basics():
     assert n + (-n) == LaurentPoly()
     assert not (n - n)
     assert (n + 1) * (n - 1) == n * n - 1
+    assert 3 - n == LaurentPoly({0: 3, 1: -1})
 
 
 def test_laurent_pow_and_eval():
@@ -183,6 +184,10 @@ def test_element_construction_checks():
         Element.from_diagram(p1, "rook") + Element.identity(3, "rook")
     with pytest.raises(errors.AlgebraMismatch):
         Element.from_diagram(p1, "rook") + Element.from_diagram(p1, "motzkin")
+    with pytest.raises(ValueError, match="keys must be Diagram"):
+        Element(1, "partition", {"1 1'": 1})
+    with pytest.raises(TypeError, match="expected an Element"):
+        Element.identity(2, "partition") + 1
 
 
 def test_element_zero_terms_drop():
@@ -395,3 +400,43 @@ def test_element_str_is_deterministic():
     assert str(e) == "(n^2) * 1 1' | 2 2'"
     assert str(Element.zero(2, "partition")) == "0"
     assert identity_diagram(2).text() == "1 1' | 2 2'"
+
+
+def test_sums_of_checked_elements_check_no_family_again(monkeypatch):
+    family = "planarpartition"
+    basis = enumerate_basis(family, 4)[:300]
+    terms = [Element.from_diagram(d, family) for d in basis]
+    calls = []
+    real = diagrams.in_family
+
+    def counted(d, fam):
+        calls.append(d)
+        return real(d, fam)
+
+    monkeypatch.setattr(diagrams, "in_family", counted)
+    total = Element.zero(4, family)
+    for e in terms:
+        total = total + e
+    total = -total.scale(2)
+    assert calls == []
+    assert total == Element(4, family, {d: -2 for d in basis})
+
+
+def test_made_sums_equal_what_the_checking_constructor_builds():
+    family, k = "rookbrauer", 3
+    basis = enumerate_basis(family, k)[:6]
+    n = LaurentPoly.monomial(1)
+    e = Element(k, family, {d: n.shift(i) + i for i, d in enumerate(basis)})
+    assert -e == Element(k, family, {d: -c for d, c in e.combo.items()})
+    assert e.scale(n) == Element(k, family, {d: c * n for d, c in e.combo.items()})
+    for zero in (e.scale(0), e + (-e), e - e):
+        assert zero.combo == {}
+        assert zero == Element.zero(k, family)
+        assert hash(zero) == hash(Element.zero(k, family))
+    # a sum that cancels one term keeps only the others
+    f = Element(k, family, {basis[0]: -e.combo[basis[0]], basis[1]: 1})
+    expected = dict(e.combo)
+    del expected[basis[0]]
+    expected[basis[1]] = expected[basis[1]] + 1
+    assert (e + f).combo == expected
+    assert e + f == Element(k, family, expected)

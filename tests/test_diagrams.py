@@ -12,6 +12,7 @@ from diagramalg.diagrams import (
     algebra_dim,
     concat,
     enumerate_basis,
+    family_generators,
     format_diagram,
     generator,
     identity_diagram,
@@ -49,6 +50,8 @@ K_SITES = {
     "algebra_dim": lambda k: algebra_dim("symmetric", k),
     "character_oracle": lambda k: character_oracle("brauer", k, (1,), (1,)),
     "enumerate_basis": lambda k: enumerate_basis("brauer", k),
+    "generator": lambda k: generator("p", 1, k),
+    "family_generators": lambda k: family_generators("brauer", k),
     "rank_set": lambda k: rank_set("partition", k),
     "SymmetricMDiagram": lambda k: SymmetricMDiagram(k, [(1,)], [(1,)]),
     "SetPartitionTableau": lambda k: SetPartitionTableau(k, [], [[(1,)]]),

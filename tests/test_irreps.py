@@ -190,6 +190,8 @@ def test_symmetric_diagram_validation():
         SymmetricMDiagram(2, [(1, 2), ()], [])
     with pytest.raises(ValueError, match="empty"):
         SymmetricMDiagram(2, [(), (1,), (2,)], [()])
+    with pytest.raises(ValueError, match="repeated propagating block"):
+        SymmetricMDiagram(2, [(1,), (2,)], [(1,), (1,)])
     for top, prop in (
         ([(1.0,), (2,)], [(2,)]),
         ([(True,), (2,)], []),

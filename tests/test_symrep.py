@@ -5,7 +5,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagramalg import errors
+from diagramalg import errors, symrep
 from diagramalg.partitions import partitions
 from diagramalg.symrep import (
     act,
@@ -63,6 +63,8 @@ def test_is_standard():
     assert not is_standard(((2, 1), (3,)))
     assert not is_standard(((1, 2), (3, 4, 5)))
     assert not is_standard(((1, 2), (2, 3)))
+    # rows increase and the entries are 1..4, but the first column descends
+    assert not is_standard(((2, 3), (1, 4)))
 
 
 def test_tableau_shape_and_column_word():
@@ -106,6 +108,8 @@ def test_act_degree_mismatch():
         rep_matrix((1, 2, 3), (3, 2))
     with pytest.raises(errors.DegreeMismatch):
         natural_columns((1, 2, 3), (3, 2))
+    with pytest.raises(errors.DegreeMismatch):
+        compose_perms((1, 2), (1, 2, 3))
 
 
 @pytest.mark.parametrize("sigma", [(1, 1, 3), (1, 2, 4), (0, 1, 2), (3, 2, 2)])
@@ -413,3 +417,34 @@ def test_rep_matrix_is_the_dense_natural_columns():
                 {i: row[j] for i, row in enumerate(mat) if row[j]}
                 for j in range(len(mat))
             ] == [dict(col) for col in natural_columns(sigma, shape)]
+
+
+BAD_FILLINGS = [
+    ((1.0, 2),),
+    ((True, 2),),
+    ((1, 1),),
+    ((3,),),
+    ((0, 1),),
+    ((1,), (2, 3)),
+    ((),),
+]
+
+
+def test_straighten_refuses_a_bad_filling_and_caches_none():
+    # the filling is checked on a cache miss, so from a cleared cache each
+    # bad filling is a miss, and none of them may be stored
+    symrep._straighten.cache_clear()
+    for filling in BAD_FILLINGS:
+        with pytest.raises(ValueError):
+            straighten(filling)
+    assert symrep._straighten.cache_info().currsize == 0
+    expansion = straighten(((1, 2),))
+    assert expansion == {((1, 2),): 1}
+    assert [type(x) for t in expansion for row in t for x in row] == [int, int]
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, True])
+def test_act_refuses_an_inexact_coefficient(coeff):
+    with pytest.raises(ValueError, match="coefficient must be exact"):
+        act((1,), {((1,),): coeff})
+    assert act((1,), {((1,),): Fraction(1, 3)}) == {((1,),): Fraction(1, 3)}
