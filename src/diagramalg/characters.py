@@ -14,7 +14,7 @@ from functools import cache
 from itertools import groupby, repeat
 from operator import add, mul
 
-from .coeff import Element, LaurentPoly
+from .coeff import ZERO, Element, LaurentPoly
 from .diagrams import (
     _SHAPES,
     BRAUER,
@@ -32,7 +32,7 @@ from .irreps import (
     column_trace,
     conjugate,
     enumerate_symmetric,
-    rep_columns_element,
+    rep_columns,
 )
 from .partitions import (
     _labels,
@@ -507,8 +507,12 @@ def character_oracle(family, k, lam_star, kappa, s=None):
     if k > enumeration_cap(family):
         raise CapExceeded("character_oracle at k=%d exceeds the cap" % k)
     elem = class_diagram(family, k, kappa, s)
-    cols = rep_columns_element(elem, lam_star)
-    return column_trace(cols)
+    # the trace is linear: each term's trace, scaled, and not the matrix of
+    # the whole element
+    total = ZERO
+    for d, c in elem.terms():
+        total = total + c * column_trace(rep_columns(d, family, k, lam_star))
+    return total
 
 
 # Frozen published tables used by the regression suite (the Brauer k=4

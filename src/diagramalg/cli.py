@@ -98,12 +98,13 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _listing(fmt, items, as_json):
-    """One item's text() per line, or the compact JSON list of each
-    item's as_json(item)."""
+def _listing(fmt, items, as_json, as_text):
+    """One as_text(item) per line, or the JSON list of each as_json(item);
+    both join per-block strings, so the bytes are those of text() and of
+    json.dumps with compact separators."""
     if fmt == "json":
-        return json.dumps([as_json(x) for x in items], separators=(",", ":"))
-    return "\n".join(x.text() for x in items)
+        return "[%s]" % ",".join(map(as_json, items))
+    return "\n".join(map(as_text, items))
 
 
 def _cmd_mul(args):
@@ -187,19 +188,31 @@ def _cmd_dims(args):
 
 def _cmd_symdiag(args):
     ws = irreps.enumerate_symmetric(args.family, args.k, args.m)
+    block = diagrams.block_json().__getitem__
+    blocks = irreps.symmetric_blocks()
     return _listing(
-        args.format, ws, lambda w: {"top": w.top, "propagating": w.propagating}
+        args.format,
+        ws,
+        lambda w: '{"top":[%s],"propagating":[%s]}'
+        % (",".join(map(block, w.top)), ",".join(map(block, w.propagating))),
+        lambda w: w.text(blocks),
     ), 0
 
 
 def _cmd_sspt(args):
     tabs = irreps.enumerate_sspt(args.family, args.k, args.lambda_star)
+    block = diagrams.block_json().__getitem__
+    text_block = irreps.tableau_blocks()
+
+    def row(blocks):
+        return "[%s]" % ",".join(map(block, blocks))
+
     return _listing(
         args.format,
         tabs,
-        lambda t: {
-            "lambda_star": t.lambda_star, "first_row": t.first_row, "body": t.body
-        },
+        lambda t: '{"lambda_star":%s,"first_row":%s,"body":[%s]}'
+        % (block(t.lambda_star), row(t.first_row), ",".join(map(row, t.body))),
+        lambda t: t.text(text_block),
     ), 0
 
 

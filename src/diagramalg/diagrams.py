@@ -268,9 +268,14 @@ def block_text(k):
     return _Memo(_block_renderer(k))
 
 
+def _joined(form, sep):
+    # a memo from each block to form % its vertices joined by sep
+    return _Memo(lambda block: form % sep.join(map(str, block)))
+
+
 def block_json():
     """A memo from each block to its compact JSON, e.g. [1,2]."""
-    return _Memo(lambda block: "[%s]" % ",".join(map(str, block)))
+    return _joined("[%s]", ",")
 
 
 def format_diagram(d):
@@ -453,8 +458,8 @@ def generator(kind, i, k):
     if kind not in ("S", "P", "B", "E", "L", "R"):
         raise ValueError("unknown generator kind %r" % (kind,))
     hi = k if kind == "P" else k - 1
-    if not 1 <= i <= hi:
-        raise IndexOutOfRange("generator %s_%d needs 1 <= i <= %d" % (kind, i, hi))
+    if type(i) is not int or not 1 <= i <= hi:
+        raise IndexOutOfRange("generator %s_%r needs 1 <= i <= %d" % (kind, i, hi))
     touched = {i} if kind == "P" else {i, i + 1}
     blocks = [(j, k + j) for j in range(1, k + 1) if j not in touched]
     if kind == "S":

@@ -26,6 +26,7 @@ from .diagrams import (
     _check_permutation,
     _covers,
     _fuse,
+    _joined,
     _Memo,
     _Value,
     is_planar,
@@ -126,22 +127,30 @@ class SymmetricMDiagram(_Value):
     def __hash__(self):
         return hash((self.k, self.top, self.propagating))
 
-    def text(self):
-        prop = set(self.propagating)
-        pieces = []
-        for b in self.top:
-            body = " ".join(str(v) for v in b)
-            if b in prop:
-                pieces.append("[%s]" % body)
-            else:
-                pieces.append("{%s}" % body)
-        return " ".join(pieces)
+    def text(self, blocks=None):
+        """The top blocks as {1 2}, or [1 2] when propagating; blocks is a
+        symmetric_blocks() pair a listing shares, so each block of it is
+        rendered once."""
+        free, prop = symmetric_blocks() if blocks is None else blocks
+        props = self.propagating
+        return " ".join([prop[b] if b in props else free[b] for b in self.top])
 
     def __repr__(self):
         return "SymmetricMDiagram(k=%d, %s)" % (self.k, self.text())
 
 
 _set_w_k, _set_top, _set_propagating = SymmetricMDiagram._setters
+
+
+def symmetric_blocks():
+    """Memos from each block of a symmetric diagram to its text, as
+    SymmetricMDiagram.text renders it: (not propagating, propagating)."""
+    return _joined("{%s}", " "), _joined("[%s]", " ")
+
+
+def tableau_blocks():
+    """A memo from each block of a tableau to its text, e.g. {1,2}."""
+    return _joined("{%s}", ",")
 
 
 def _symmetric_candidates(family, k, m):
@@ -191,7 +200,7 @@ ConjugateResult = namedtuple(
 )
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 12)
 def _conjugate(d, top):
     """Stack d above a set partition of {1..k}, given as its sorted blocks.
 
@@ -367,15 +376,16 @@ class SetPartitionTableau(_Value):
     def __hash__(self):
         return hash((self.k, self.first_row, self.body))
 
-    def text(self):
-        def fmt_blocks(blocks):
-            if not blocks:
-                return "-"
-            return " ".join(
-                "{%s}" % ",".join(str(v) for v in b) for b in blocks
-            )
+    def text(self, block=None):
+        """The first row and the body rows, each block as {1,2}; block is a
+        tableau_blocks() memo a listing shares, so each block of it is
+        rendered once."""
+        block = (tableau_blocks() if block is None else block).__getitem__
 
-        rows = " / ".join(fmt_blocks(row) for row in self.body)
+        def fmt_blocks(blocks):
+            return " ".join(map(block, blocks)) if blocks else "-"
+
+        rows = " / ".join(map(fmt_blocks, self.body))
         return "%s ; %s" % (fmt_blocks(self.first_row), rows if rows else "-")
 
     def __repr__(self):

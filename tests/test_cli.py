@@ -20,7 +20,7 @@ from diagramalg.diagrams import (
     format_diagram,
 )
 from diagramalg.errors import CapExceeded
-from diagramalg.partitions import lambda_star_labels
+from diagramalg.partitions import lambda_star_labels, rank_set
 
 GOLDEN_B2_CSV = (
     "lambda*/kappa,[],[2],[1,1]\n"
@@ -208,6 +208,55 @@ def test_basis_bytes_match_format_diagram_and_json_dumps(family, capsys):
         assert capsys.readouterr().out == text, (family, k)
         assert run(args + ["--format", "json"]) == 0
         assert capsys.readouterr().out == as_json, (family, k)
+
+
+def _symdiag_text(w):
+    return " ".join(
+        ("[%s]" if b in w.propagating else "{%s}") % " ".join(map(str, b))
+        for b in w.top
+    )
+
+
+def _sspt_text(t):
+    def blocks(row):
+        return " ".join("{%s}" % ",".join(map(str, b)) for b in row) or "-"
+
+    return "%s ; %s" % (blocks(t.first_row), " / ".join(map(blocks, t.body)) or "-")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_symdiag_and_sspt_bytes_match_a_fresh_rendering_and_json_dumps(
+    family, capsys
+):
+    # one listing shares its block strings; each item renders as it would
+    # alone, and the JSON is that of json.dumps
+    def check(args, items, text, as_dict):
+        assert run(args) == 0
+        assert capsys.readouterr().out == "\n".join(map(text, items)) + "\n"
+        assert run(args + ["--format", "json"]) == 0
+        expected = json.dumps(list(map(as_dict, items)), separators=(",", ":"))
+        assert capsys.readouterr().out == expected + "\n"
+
+    for k in range(1, 5):
+        for m in rank_set(family, k):
+            check(
+                ["symdiag", "--family", family, "--k", str(k), "--m", str(m)],
+                irreps.enumerate_symmetric(family, k, m),
+                _symdiag_text,
+                lambda w: {"top": w.top, "propagating": w.propagating},
+            )
+        for lam in lambda_star_labels(family, k):
+            check(
+                ["sspt", "--family", family, "--k", str(k),
+                 "--lambda-star", "[%s]" % ",".join(map(str, lam))],
+                irreps.enumerate_sspt(family, k, lam),
+                _sspt_text,
+                lambda t: {
+                    "lambda_star": t.lambda_star,
+                    "first_row": t.first_row,
+                    "body": t.body,
+                },
+            )
 
 
 def test_basis_bytes_through_an_alias_and_out(tmp_path, capsys):

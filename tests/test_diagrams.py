@@ -228,6 +228,17 @@ def test_generators():
         generator("Q", 1, 3)
 
 
+@pytest.mark.parametrize("i", ["1", 1.0, True, None])
+def test_generator_index_must_be_an_int(i):
+    # refused before it is compared, whatever it compares like
+    for kind in "SP":
+        with pytest.raises(errors.IndexOutOfRange) as info:
+            generator(kind, i, 2)
+        assert str(info.value) == "generator %s_%r needs 1 <= i <= %d" % (
+            kind, i, 2 if kind == "P" else 1
+        )
+
+
 def test_generator_identities():
     k = 4
     for i in range(1, k):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from diagramalg import errors, irreps
+from diagramalg import characters, errors, irreps
 from diagramalg.diagrams import family_generators
 from diagramalg.coeff import ONE, ZERO, Element, LaurentPoly
 from diagramalg.diagrams import (
@@ -838,3 +839,40 @@ def test_shared_stacks_match_the_uncached_reference(family, ks, monkeypatch):
                             assert column == want[basis][j], (d, basis, j)
             checked += len(ds)
     assert checked
+
+
+def _stack_readers():
+    """rep_columns in both bases (seeded diagrams of each module's rank
+    and the family generators, all nine families at k <= 4 and Partition
+    k=5 at m=2) and fixed_points (every rank and class at k <= 4)."""
+    rng = random.Random(4096)
+    out = []
+    cases = [(family, k) for family in FAMILIES for k in range(1, 5)]
+    for family, k in cases + [(PARTITION, 5)]:
+        for lam in lambda_star_labels(family, k):
+            if k == 5 and sum(lam) != 2:
+                continue
+            ds = _acting_diagrams(rng, family, k, sum(lam))
+            for d in ds + family_generators(family, k):
+                # the two bases interleaved, so each evicts the other's stacks
+                for basis in ("Twisted", "Tableau"):
+                    out.append(rep_columns(d, family, k, lam, basis))
+    for family, k in cases:
+        for kappa in characters.class_labels(family, k):
+            if sum(kappa) == k:
+                for m in rank_set(family, k):
+                    out.append(characters.fixed_points(family, k, m, kappa))
+    return out
+
+
+def test_eviction_cannot_change_an_answer(monkeypatch):
+    # every _conjugate entry is rebuilt the same from its key, so a cache
+    # of two entries, evicting on nearly every call, answers as the
+    # default one does
+    irreps._conjugate.cache_clear()
+    expected = _stack_readers()
+    tiny = lru_cache(maxsize=2)(irreps._conjugate.__wrapped__)
+    monkeypatch.setattr(irreps, "_conjugate", tiny)
+    assert _stack_readers() == expected
+    info = tiny.cache_info()
+    assert info.currsize == 2 and info.misses > 1000 and info.hits
