@@ -59,7 +59,6 @@ from .partitions import (
     check_partition,
     divisors,
     double_factorial,
-    index_set,
     lambda_star_labels,
     multiplicities,
     partitions,
@@ -71,10 +70,7 @@ from .coeff import Element, LaurentPoly
 
 from .symrep import (
     act,
-    column_word,
-    compose_perms,
     cycle_type,
-    identity_perm,
     inverse_perm,
     is_standard,
     perm_from_cycle_type,
@@ -97,9 +93,7 @@ from .irreps import (
     conjugate,
     enumerate_sspt,
     enumerate_symmetric,
-    pair_from_tableau,
     rep_columns,
-    rep_columns_element,
     rep_matrix_irrep,
     tableau_from_pair,
 )

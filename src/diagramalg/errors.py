@@ -4,9 +4,9 @@ Input of the wrong form raises ValueError: blocks that are not a set
 partition (or not mirror-symmetric, or not in a partition shape), a
 non-partition, a non-permutation (images or a tableau filling not 1..m), an
 inexact number (a float or bool coefficient, exponent, power or n), an
-Element key that is not a Diagram, an unknown family, generator or basis,
-an index_set n below 2k.  Other bad input raises a DiagramAlgebraError,
-below.  The CLI prints both on stderr as "error: <message>", exit code 1.
+Element key that is not a Diagram, an unknown family, generator or basis.
+Other bad input raises a DiagramAlgebraError, below.  The CLI prints both
+on stderr as "error: <message>", exit code 1.
 """
 
 

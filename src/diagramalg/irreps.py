@@ -36,8 +36,8 @@ from .diagrams import (
 from .errors import RankMismatch, ShapeMismatch
 from .partitions import check_label, check_rank
 from .symrep import (
+    _natural_columns,
     is_standard,
-    natural_columns,
     relabel,
     standard_tableaux,
     straighten,
@@ -410,15 +410,6 @@ def tableau_from_pair(w, t):
     return SetPartitionTableau(w.k, nonprop, relabel(prop, t))
 
 
-def pair_from_tableau(tab):
-    """Inverse of tableau_from_pair."""
-    props = tab.body_blocks()
-    w = SymmetricMDiagram(
-        tab.k, tab.first_row + tuple(props), props
-    )
-    return w, tab.body_filling()
-
-
 def enumerate_sspt(family, k, lam_star):
     """All standard set-partition tableaux for the family and shape,
     ordered to match the twisted basis (w outer, tableau inner)."""
@@ -541,7 +532,7 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
             row, e = base[res.w_prime], res.deleted
             columns.extend(
                 {row + i: monomial[e, c] for i, c in col}
-                for col in natural_columns(res.twist, lam_star)
+                for col in _natural_columns(res.twist, lam_star)
             )
         return columns
     for tab in vectors:
@@ -555,21 +546,6 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
             {row + position[u]: monomial[e, c] for u, c in straighten(filling).items()}
         )
     return columns
-
-
-def rep_columns_element(elem, lam_star, basis=TWISTED):
-    """Sparse matrix of an algebra element (linear combination)."""
-    family, k = elem.family, elem.k
-    lam_star = check_label(family, k, lam_star)
-    basis = _normalize_basis(basis)
-    total = [{} for _ in _module_basis(family, k, lam_star, basis)[0]]
-    for diag, coeff in elem.terms():
-        for j, col in enumerate(rep_columns(diag, family, k, lam_star, basis)):
-            for i, c in col.items():
-                total[j][i] = total[j].get(i, ZERO) + coeff * c
-    return [
-        {i: c for i, c in col.items() if c} for col in total
-    ]
 
 
 def rep_matrix_irrep(d, family, k, lam_star, basis=TWISTED):

@@ -7,7 +7,7 @@ character tables.
 """
 
 import itertools
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 from operator import lt
 
@@ -74,11 +74,20 @@ def binom(a, b):
 @cache
 def stirling2(n, j):
     """Stirling number of the second kind, zero outside 0 <= j <= n."""
-    if n == 0 and j == 0:
-        return 1
-    if j <= 0 or j > n or n < 0:
+    if not 0 <= j <= n:
         return 0
-    return j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
+    return _stirling_row(n)[j]
+
+
+@lru_cache(maxsize=1)
+def _stirling_row(n):
+    """S(n, 0), ..., S(n, n), built by a loop over the rows i <= n of
+    S(i, j) = j S(i - 1, j) + S(i - 1, j - 1), so no stack grows with n.
+    The last row is kept: a caller reads all or most of one row at a time."""
+    row = (1,)
+    for i in range(1, n + 1):
+        row = (0, *(j * row[j] + row[j - 1] for j in range(1, i)), 1)
+    return row
 
 
 def double_factorial(n):
@@ -170,16 +179,3 @@ def check_label(family, k, lam_star):
             "%r does not label a %s module at k=%d" % (lam_star, family, k)
         )
     return lam_star
-
-
-def index_set(family, k, n):
-    """Full partitions lambda = (n - |lambda*|, lambda*) indexing the
-    irreducibles, for an integer n >= 2k."""
-    family = normalize_family(family)
-    if not isinstance(n, int) or n < 2 * k:
-        raise ValueError("need an integer n >= 2k, got n=%r, k=%r" % (n, k))
-    out = []
-    for star in lambda_star_labels(family, k):
-        m = sum(star)
-        out.append((n - m,) + star)
-    return out

@@ -40,7 +40,7 @@ def is_standard(t):
     return True
 
 
-def column_word(t):
+def _column_word(t):
     """Entries read down each column, columns left to right."""
     if not t:
         return ()
@@ -52,13 +52,16 @@ def column_word(t):
     return tuple(word)
 
 
-@cache
 def standard_tableaux(shape):
     """All standard Young tableaux of the shape, sorted by column word.
 
     The column superstandard tableau (columns filled first) comes first.
     """
-    shape = check_partition(shape)
+    return _standard_tableaux(check_partition(shape))
+
+
+@cache
+def _standard_tableaux(shape):
     m = sum(shape)
     if m == 0:
         return ((),)
@@ -78,8 +81,12 @@ def standard_tableaux(shape):
                 filled[r] -= 1
 
     rec(1)
-    out.sort(key=column_word)
+    out.sort(key=_column_word)
     return tuple(out)
+
+
+# perfbench reads the statistics of this cache under the public name
+standard_tableaux.cache_info = _standard_tableaux.cache_info
 
 
 def _column(grid, j):
@@ -180,7 +187,6 @@ def act(sigma, v):
     return {t: c for t, c in out.items() if c}
 
 
-@cache
 def natural_columns(sigma, shape):
     """Young's natural matrix of sigma, column by column: for each standard
     tableau t of the shape, in standard_tableaux order, the (row index,
@@ -192,7 +198,12 @@ def natural_columns(sigma, shape):
             % (len(sigma), sum(shape))
         )
     _check_permutation(sigma)
-    basis = standard_tableaux(shape)
+    return _natural_columns(sigma, shape)
+
+
+@cache
+def _natural_columns(sigma, shape):
+    basis = _standard_tableaux(shape)
     index = {t: i for i, t in enumerate(basis)}
     return tuple(
         tuple((index[s], c) for s, c in straighten(relabel(sigma, t)).items())
@@ -203,25 +214,12 @@ def natural_columns(sigma, shape):
 def rep_matrix(sigma, shape):
     """Matrix of sigma on the natural basis; column j is the image of
     the j-th standard tableau."""
-    cols = natural_columns(tuple(sigma), check_partition(shape))
+    cols = natural_columns(tuple(sigma), shape)
     mat = [[Fraction(0)] * len(cols) for _ in cols]
     for j, col in enumerate(cols):
         for i, c in col:
             mat[i][j] = Fraction(c)
     return mat
-
-
-def identity_perm(m):
-    return tuple(range(1, m + 1))
-
-
-def compose_perms(a, b):
-    """(a o b)(x) = a(b(x)), matching diagram concatenation order."""
-    _check_permutation(a)
-    _check_permutation(b)
-    if len(a) != len(b):
-        raise DegreeMismatch("composing permutations of different degrees")
-    return tuple(a[b[i] - 1] for i in range(len(b)))
 
 
 def inverse_perm(a):
@@ -297,7 +295,6 @@ def _rim_hooks(lam, r):
         yield tuple(x for x in newlam if x), -1 if height % 2 else 1
 
 
-@cache
 def sym_character(lam, mu):
     """Irreducible character of the symmetric group by rim-hook removal."""
     lam = check_partition(lam)
@@ -306,12 +303,21 @@ def sym_character(lam, mu):
         raise SizeMismatch(
             "character of %r at a class of different size %r" % (lam, mu)
         )
+    return _sym_character(lam, mu)
+
+
+@cache
+def _sym_character(lam, mu):
     if not mu or mu[0] == 1:
         # the identity class, where every rim-hook recursion ends
         return _hook_dim(lam)
     return sum(
-        sign * sym_character(nu, mu[1:]) for nu, sign in _rim_hooks(lam, mu[0])
+        sign * _sym_character(nu, mu[1:]) for nu, sign in _rim_hooks(lam, mu[0])
     )
+
+
+# perfbench reads the statistics of this cache under the public name
+sym_character.cache_info = _sym_character.cache_info
 
 
 @cache
@@ -325,7 +331,6 @@ def _rim_hook_moves(n, r):
     )
 
 
-@cache
 def character_column(mu):
     """chi^lam(mu) for every lam of |mu|, in partitions(|mu|) order.
 
@@ -334,7 +339,11 @@ def character_column(mu):
     chi^lam(nu + (r,)) = sum of sign chi^(lam - hook)(nu) over the rim
     hooks of length r of lam.
     """
-    mu = check_partition(mu)
+    return _character_column(check_partition(mu))
+
+
+@cache
+def _character_column(mu):
     n = mu.count(1)
     column = tuple(map(_hook_dim, partitions(n)))
     for r in reversed(mu[: len(mu) - n]):

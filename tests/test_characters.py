@@ -39,6 +39,7 @@ from diagramalg.diagrams import (
 )
 from diagramalg.irreps import SymmetricMDiagram
 from diagramalg.partitions import (
+    bell,
     check_label,
     check_rank,
     lambda_star_labels,
@@ -602,7 +603,7 @@ def test_tables_read_whole_columns_and_char_reads_entries(monkeypatch):
     monkeypatch.setattr(symrep, "sym_character", counting)
     monkeypatch.setattr(characters, "sym_character", counting)
     characters._chi_column.cache_clear()
-    symrep.character_column.cache_clear()
+    symrep._character_column.cache_clear()
     tables = {}
     for family in (PARTITION, BRAUER, SYMMETRIC_GROUP, MOTZKIN):
         tables[family] = character_table(family, 5)
@@ -663,3 +664,12 @@ def test_bareiss_determinant_matches_fraction_elimination():
             for _ in range(n)
         ]
         assert characters._det_bareiss(matrix) == _fraction_det(matrix), matrix
+
+
+def test_partition_character_past_the_recursion_limit():
+    # at the identity class chi^(1) is the dimension of the (1) module: the
+    # set partitions of k points with one block marked, B(k + 1) - B(k) of
+    # them; stirling2 once recursed one level per n and ended in a
+    # RecursionError from k = 494
+    k = 500
+    assert irr_character(PARTITION, k, (1,), (1,) * k) == bell(k + 1) - bell(k)

@@ -551,7 +551,7 @@ def test_huge_k_is_an_error_line(command, capsys):
 
 @pytest.mark.parametrize("family", ["planarrook", "temperleylieb"])
 def test_char_at_the_identity_class_of_k1200(family, capsys):
-    symrep.sym_character.cache_clear()
+    symrep._sym_character.cache_clear()
     args = [
         "char", "--family", family, "--k", "1200", "--lambda-star", "[1200]",
         "--kappa", "[%s]" % ",".join(["1"] * 1200),

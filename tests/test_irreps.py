@@ -39,9 +39,7 @@ from diagramalg.irreps import (
     conjugate,
     enumerate_sspt,
     enumerate_symmetric,
-    pair_from_tableau,
     rep_columns,
-    rep_columns_element,
     rep_matrix_irrep,
     tableau_from_pair,
 )
@@ -292,20 +290,24 @@ def test_act_twisted_family_check():
 
 def test_bijection_worked_example():
     assert tableau_from_pair(W13, T4) == T13
-    w, filling = pair_from_tableau(T13)
-    assert w == W13
-    assert filling == T4
+    assert T13.body_filling() == T4
 
 
 def test_bijection_roundtrip():
+    # the pairs give every standard set-partition tableau once, in the
+    # order of the module basis
     for family, k in ((PARTITION, 3), (ROOK_BRAUER, 3), (BRAUER, 4)):
         for lam in lambda_star_labels(family, k):
-            for w in enumerate_symmetric(family, k, sum(lam)):
-                for t in standard_tableaux(lam):
-                    tab = tableau_from_pair(w, t)
-                    assert pair_from_tableau(tab) == (w, t)
-                    assert tab.is_standard()
-                    assert tab.lambda_star == lam
+            tabs = [
+                tableau_from_pair(w, t)
+                for w in enumerate_symmetric(family, k, sum(lam))
+                for t in standard_tableaux(lam)
+            ]
+            assert tabs == enumerate_sspt(family, k, lam)
+            assert len(set(tabs)) == len(tabs)
+            for tab in tabs:
+                assert tab.is_standard()
+                assert tab.lambda_star == lam
 
 
 def test_tableau_from_pair_shape_mismatch():
@@ -565,28 +567,6 @@ def test_module_axiom_on_seeded_pairs():
             assert lhs == scaled
 
 
-def test_rep_columns_element_linearity():
-    fam, k, lam = PARTITION, 2, (1,)
-    p1 = generator("P", 1, k)
-    e1 = generator("E", 1, k)
-    elem = Element.from_diagram(p1, fam).scale(3) - Element.from_diagram(
-        e1, fam
-    )
-    cols = rep_columns_element(elem, lam)
-    pc = rep_columns(p1, fam, k, lam)
-    ec = rep_columns(e1, fam, k, lam)
-    for j, col in enumerate(cols):
-        merged = {}
-        for i, c in pc[j].items():
-            merged[i] = merged.get(i, LaurentPoly()) + 3 * c
-        for i, c in ec[j].items():
-            merged[i] = merged.get(i, LaurentPoly()) - c
-        merged = {i: c for i, c in merged.items() if c}
-        assert col == merged
-    zero_cols = rep_columns_element(Element.zero(k, fam), lam)
-    assert zero_cols == [{} for _ in cols]
-
-
 def test_identity_rep_and_trace():
     fam, k = PARTITION, 3
     for lam in lambda_star_labels(fam, k):
@@ -605,14 +585,6 @@ def test_rep_columns_errors():
         rep_columns(identity_diagram(3), PARTITION, 3, (7,))
     with pytest.raises(ValueError):
         rep_columns(identity_diagram(3), PARTITION, 3, (1,), basis="spam")
-    # an element is checked the same way, the zero element (no terms) too
-    for make in (Element.zero, Element.identity):
-        with pytest.raises(errors.LabelNotInFamily):
-            rep_columns_element(make(2, TEMPERLEY_LIEB), (1, 1))
-        with pytest.raises(errors.LabelNotInFamily):
-            rep_columns_element(make(3, BRAUER), (2,))
-        with pytest.raises(ValueError):
-            rep_columns_element(make(2, PARTITION), (1,), basis="bogus")
 
 
 def _low_rank_cases(family, k):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -9,7 +10,6 @@ from diagramalg.partitions import (
     check_partition,
     divisors,
     double_factorial,
-    index_set,
     lambda_star_labels,
     multiplicities,
     partitions,
@@ -93,6 +93,20 @@ def test_stirling_and_bell():
     assert [bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
 
+def test_stirling_rows_follow_the_recurrence():
+    @functools.cache
+    def recurrence(n, j):
+        if n == 0 or j == 0:
+            return int(n == j)
+        return j * recurrence(n - 1, j) + recurrence(n - 1, j - 1)
+
+    for n in range(61):
+        for j in range(-1, 62):
+            expected = recurrence(n, j) if 0 <= j <= n else 0
+            assert stirling2(n, j) == expected, (n, j)
+    assert stirling2(-1, 0) == 0
+
+
 def test_double_factorial():
     assert double_factorial(-1) == 1
     assert double_factorial(0) == 1
@@ -141,28 +155,3 @@ def test_lambda_star_label_order():
 
 def test_lambda_star_labels_planar_partition():
     assert lambda_star_labels("planarpartition", 3) == [(), (1,), (2,), (3,)]
-
-
-def test_index_set_full_partitions():
-    full = index_set("partition", 3, 6)
-    assert full == [
-        (6,),
-        (5, 1),
-        (4, 2),
-        (4, 1, 1),
-        (3, 3),
-        (3, 2, 1),
-        (3, 1, 1, 1),
-    ]
-    for lam in full:
-        assert check_partition(lam) == lam
-        assert sum(lam) == 6
-    assert index_set("temperleylieb", 4, 8) == [(8,), (6, 2), (4, 4)]
-
-
-def test_index_set_requires_stable_n():
-    with pytest.raises(ValueError):
-        index_set("partition", 3, 5)
-    assert index_set("planarpartition", 2, 5) == [(5,), (4, 1), (3, 2)]
-    with pytest.raises(ValueError):
-        index_set("planarpartition", 2, 3)
