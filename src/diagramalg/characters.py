@@ -501,7 +501,9 @@ def character_oracle(family, k, lam_star, kappa, s=None):
     """Trace of the class element on an explicit matrix of the module.
 
     Returns the trace as a Laurent polynomial in n (a constant whenever
-    the closed form applies)."""
+    the closed form applies).  A sweep over many cells should take classes
+    outer and labels inner: one class diagram's stacks then stay inside
+    the 4,096-entry _conjugate window until its next label reads them."""
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
     if k > enumeration_cap(family):

@@ -23,54 +23,38 @@ from .errors import DiagramAlgebraError
 from .partitions import check_partition, lambda_star_labels, rank_set
 
 
-def _family_type(text):
-    try:
-        return diagrams.normalize_family(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse, expected=None):
+    """The argparse type of parse: its ValueError (or the ZeroDivisionError
+    of 1/0) is the usage error, worded as raised or as expected says."""
+
+    def parse_arg(text):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(
+                "expected %s, got %r" % (expected, text) if expected else str(exc)
+            ) from None
+
+    return parse_arg
 
 
-def _partition_type(text):
+def _partition(text):
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    body = body.replace(",", " ").strip()
-    if not body:
-        return ()
     try:
-        parts = tuple(int(tok) for tok in body.split())
+        parts = tuple(int(tok) for tok in body.replace(",", " ").split())
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             "expected a partition like [2,1], got %r" % (text,)
         ) from None
-    try:
-        return check_partition(parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return check_partition(parts)
 
 
 def _positive_int(text):
     if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            "expected a positive integer, got %r" % (text,)
-        )
+        raise ValueError(text)
     return int(text)
-
-
-def _fraction_type(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            "expected a rational number, got %r" % (text,)
-        ) from None
-
-
-def _basis_type(text):
-    try:
-        return irreps._normalize_basis(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_out(path):
@@ -460,16 +444,18 @@ def build_parser():
         description="Diagram algebras: bases, modules, characters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    family_type = _arg(diagrams.normalize_family)
+    partition_type = _arg(_partition)
 
     def add_common(p, n_flag=False, fmt=("text", "json")):
         p.add_argument(
-            "--family", type=_family_type, required=True, help="diagram family"
+            "--family", type=family_type, required=True, help="diagram family"
         )
         p.add_argument("--k", type=int, required=True, help="strand count")
         if n_flag:
             p.add_argument(
                 "--n",
-                type=_fraction_type,
+                type=_arg(Fraction, "a rational number"),
                 default=None,
                 help="numeric value for the parameter (default: symbolic)",
             )
@@ -499,25 +485,25 @@ def build_parser():
     p = sub.add_parser("sspt", help="list standard set-partition tableaux")
     add_common(p)
     p.add_argument(
-        "--lambda-star", type=_partition_type, required=True, dest="lambda_star"
+        "--lambda-star", type=partition_type, required=True, dest="lambda_star"
     )
     p.set_defaults(func=_cmd_sspt)
 
     p = sub.add_parser("irrep", help="matrix of a diagram on a module")
     add_common(p, n_flag=True)
     p.add_argument(
-        "--lambda-star", type=_partition_type, required=True, dest="lambda_star"
+        "--lambda-star", type=partition_type, required=True, dest="lambda_star"
     )
     p.add_argument("--d", required=True, help="diagram, block notation")
-    p.add_argument("--basis", type=_basis_type, default="Twisted")
+    p.add_argument("--basis", type=_arg(irreps._normalize_basis), default="Twisted")
     p.set_defaults(func=_cmd_irrep)
 
     p = sub.add_parser("char", help="irreducible character value")
     add_common(p, fmt=None)
     p.add_argument(
-        "--lambda-star", type=_partition_type, required=True, dest="lambda_star"
+        "--lambda-star", type=partition_type, required=True, dest="lambda_star"
     )
-    p.add_argument("--kappa", type=_partition_type, required=True)
+    p.add_argument("--kappa", type=partition_type, required=True)
     p.add_argument("--s", type=int, default=None, help="tail length check")
     p.set_defaults(func=_cmd_char)
 
@@ -528,10 +514,12 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run consistency suites")
     p.add_argument("--suite", choices=_SUITES, default=None)
-    p.add_argument("--family", type=_family_type, default=None)
+    p.add_argument("--family", type=family_type, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_positive_int, default=25)
+    p.add_argument(
+        "--cases", type=_arg(_positive_int, "a positive integer"), default=25
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter
 
-from .coeff import ZERO, LaurentPoly, _from_sums
+from .coeff import ZERO, LaurentPoly
 from .diagrams import (
     _SHAPES,
     Diagram,
@@ -265,31 +265,6 @@ def conjugate(d, w):
     return ConjugateResult(w_prime, len(prop), deleted, twist)
 
 
-def _sum_images(pairs):
-    """Sum coeff times image over (coeff, image) pairs, each image a list
-    of (key, c, deleted) terms standing for c n^deleted at key: raw
-    {exponent: coefficient} sums per key, then one polynomial each."""
-    out = {}
-    for coeff, image in pairs:
-        for key, c, deleted in image:
-            acc = out.setdefault(key, {})
-            for e, a in LaurentPoly.coerce(coeff).terms.items():
-                acc[e + deleted] = acc.get(e + deleted, 0) + a * c
-    return {key: p for key, acc in out.items() if (p := _from_sums(acc))}
-
-
-def _twisted_image(d, w, t):
-    """The terms ((w', t'), c, deleted) of d . (w (x) n_t), with t' standard;
-    empty when the rank drops."""
-    res = conjugate(d, w)
-    if res.twist is None:
-        return []
-    return [
-        ((res.w_prime, ts), c, res.deleted)
-        for ts, c in straighten(relabel(res.twist, t)).items()
-    ]
-
-
 def act_twisted(d, v, family=None):
     """Act on a twisted vector {(w, t): coeff}.
 
@@ -298,7 +273,15 @@ def act_twisted(d, v, family=None):
     component contributes a factor n.
     """
     _check_family(d, family)
-    return _sum_images((c, _twisted_image(d, w, t)) for (w, t), c in v.items())
+    out = {}
+    for (w, t), coeff in v.items():
+        res = conjugate(d, w)
+        if res.twist is not None:
+            scale = coeff * LaurentPoly.monomial(res.deleted)
+            for ts, c in straighten(relabel(res.twist, t)).items():
+                key = (res.w_prime, ts)
+                out[key] = out.get(key, ZERO) + c * scale
+    return {key: p for key, p in out.items() if p}
 
 
 class SetPartitionTableau(_Value):
@@ -444,24 +427,20 @@ def act_tableau(d, tab):
     return SetPartitionTableau._make(k, tuple(first_row), body), deleted
 
 
-def _tableau_image(d, tab):
-    """The terms (tableau, c, deleted) of d . N_tab over standard tableaux;
-    empty when the action is zero."""
-    moved, deleted = act_tableau(d, tab)
-    if moved is None:
-        return []
-    (order, filling), first = moved._ordered_body(), moved.first_row
-    return [
-        (SetPartitionTableau._make(d.k, first, relabel(order, u)), c, deleted)
-        for u, c in straighten(filling).items()
-    ]
-
-
 def act_natural(d, v, family=None):
     """Act on a combinatorial vector {tableau: coeff} and rewrite any
     non-standard bodies over standard ones."""
     _check_family(d, family)
-    return _sum_images((c, _tableau_image(d, tab)) for tab, c in v.items())
+    out = {}
+    for tab, coeff in v.items():
+        moved, deleted = act_tableau(d, tab)
+        if moved is not None:
+            scale = coeff * LaurentPoly.monomial(deleted)
+            (order, filling), first = moved._ordered_body(), moved.first_row
+            for u, c in straighten(filling).items():
+                key = SetPartitionTableau._make(d.k, first, relabel(order, u))
+                out[key] = out.get(key, ZERO) + c * scale
+    return {key: p for key, p in out.items() if p}
 
 
 TWISTED = "Twisted"

@@ -13,7 +13,7 @@ from functools import cache
 from itertools import combinations
 from math import factorial, prod
 
-from .coeff import _exact
+from .coeff import _INT, _exact
 from .diagrams import _check_permutation
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition, partitions
@@ -110,13 +110,17 @@ def straighten(filling):
     The filling must use each of 1..m once within a partition shape but
     need not be standard; any other filling is refused with ValueError.
     """
+    # a hit is checked for types only, so that an entry that compares like
+    # a cached int (1.0, True) is refused as on a miss, which checks fully
+    entries = sum(filling, ())
+    if not _INT.issuperset(map(type, entries)):
+        _check_permutation(list(entries))
     return dict(_straighten(filling))
 
 
 @cache
 def _straighten(filling):
-    # checked on a miss only, so that no bad filling is ever cached and a
-    # hit costs nothing more
+    # checked on a miss, so that no bad filling is ever cached
     check_partition(tableau_shape(filling))
     _check_permutation([x for row in filling for x in row])
     grid = [list(row) for row in filling]

@@ -226,15 +226,20 @@ def test_character_trace_oracle_equals_closed_form(monkeypatch):
     # past the default cap of 5 on the two partition families
     monkeypatch.setenv("DIAGRAMALG_CAP", "6")
     start = time.monotonic()
+    cells = 0
     for family in FAMILIES:
         for k in range(1, 7):
-            for lam in lambda_star_labels(family, k):
-                for kappa in class_labels(family, k):
+            # classes outer: the stacks of one class diagram are met again
+            # at the next label, inside the _conjugate window
+            for kappa in class_labels(family, k):
+                for lam in lambda_star_labels(family, k):
                     trace = character_oracle(family, k, lam, kappa)
                     value = irr_character(family, k, lam, kappa)
                     assert trace == LaurentPoly.const(value), (
                         family, k, lam, kappa,
                     )
+                    cells += 1
+    assert cells == 5663
     assert time.monotonic() - start < 300.0
 
 

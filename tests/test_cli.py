@@ -704,6 +704,92 @@ def test_char_refuses_planar_class_labels(family, capsys):
     assert "classes are labelled by all-ones cycle types" in captured.err
 
 
+# usage lines at 80 columns, then each bad argument's error line
+USAGE = {
+    "basis": (
+        "usage: diagramalg basis [-h] --family FAMILY --k K"
+        " [--format {text,json}]\n"
+        "                        [--out OUT]\n"
+    ),
+    "irrep": (
+        "usage: diagramalg irrep [-h] --family FAMILY --k K [--n N]\n"
+        "                        [--format {text,json}] [--out OUT]"
+        " --lambda-star\n"
+        "                        LAMBDA_STAR --d D [--basis BASIS]\n"
+    ),
+    "char": (
+        "usage: diagramalg char [-h] --family FAMILY --k K [--out OUT]"
+        " --lambda-star\n"
+        "                       LAMBDA_STAR --kappa KAPPA [--s S]\n"
+    ),
+    "mul": (
+        "usage: diagramalg mul [-h] --family FAMILY --k K [--n N]\n"
+        "                      [--format {text,json}] [--out OUT]"
+        " --lhs LHS --rhs RHS\n"
+    ),
+    "verify": (
+        "usage: diagramalg verify [-h]\n"
+        "                         [--suite {ring-axioms,module-axiom,"
+        "basis-equivalence,wedderburn,fixedpoint-vs-formula,"
+        "table-regression,determinant}]\n"
+        "                         [--family FAMILY] [--k K] [--seed SEED]\n"
+        "                         [--cases CASES] [--out OUT]\n"
+    ),
+}
+CHAR = ["char", "--family", "partition", "--k", "3"]
+MUL = ["mul", "--family", "partition", "--k", "1", "--lhs", "1 1'", "--rhs", "1 1'"]
+BAD_ARGUMENTS = [
+    (
+        ["basis", "--family", "nosuch", "--k", "2"],
+        "argument --family: unknown family: 'nosuch'",
+    ),
+    (
+        ["irrep", "--family", "partition", "--k", "2", "--lambda-star", "[1]",
+         "--d", "1 1' | 2 2'", "--basis", "natural"],
+        "argument --basis: unknown basis 'natural'",
+    ),
+    (
+        CHAR + ["--lambda-star", "[x]", "--kappa", "[1]"],
+        "argument --lambda-star: expected a partition like [2,1], got '[x]'",
+    ),
+    (
+        CHAR + ["--lambda-star", "[1,2]", "--kappa", "[1]"],
+        "argument --lambda-star: partition parts must weakly decrease: (1, 2)",
+    ),
+    (
+        CHAR + ["--lambda-star", "[1]", "--kappa", "1 y"],
+        "argument --kappa: expected a partition like [2,1], got '1 y'",
+    ),
+    (
+        CHAR + ["--lambda-star", "[1]", "--kappa", "[1,2]"],
+        "argument --kappa: partition parts must weakly decrease: (1, 2)",
+    ),
+    (MUL + ["--n", "x"], "argument --n: expected a rational number, got 'x'"),
+    (
+        MUL + ["--n", "1/0"],
+        "argument --n: expected a rational number, got '1/0'",
+    ),
+] + [
+    (
+        ["verify", "--suite", "ring-axioms", "--cases", cases],
+        "argument --cases: expected a positive integer, got %r" % cases,
+    )
+    for cases in ("0", "-1", "x")
+]
+
+
+@pytest.mark.parametrize("argv, error", BAD_ARGUMENTS)
+def test_a_bad_argument_is_a_usage_error_byte_for_byte(
+    argv, error, monkeypatch, capsys
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        "%sdiagramalg %s: error: %s\n" % (USAGE[argv[0]], argv[0], error),
+    )
+
+
 @pytest.mark.parametrize("cases", ["0", "-3", "x"])
 def test_verify_cases_must_be_positive(cases, capsys):
     assert run(["verify", "--suite", "ring-axioms", "--cases", cases]) == 2
@@ -786,6 +872,49 @@ def _identity_is_zero(monkeypatch):
     )
 
 
+def _doubled_when(monkeypatch, marked):
+    # every product whose operands are marked(left, right) comes out
+    # doubled, which no check can miss: no product here is zero
+    real = Element.__mul__
+
+    def mul(left, right):
+        out = real(left, right)
+        return out.scale(2) if marked(left, right) else out
+
+    monkeypatch.setattr(Element, "__mul__", mul)
+
+
+def _made_by(monkeypatch, name):
+    # the results of Element.<name>, kept alive so that each stays itself
+    real = getattr(Element, name)
+    made = []
+
+    def op(left, right):
+        made.append(real(left, right))
+        return made[-1]
+
+    monkeypatch.setattr(Element, name, op)
+    return lambda x: any(x is y for y in made)
+
+
+def _product_on_the_right_is_doubled(monkeypatch):
+    # a * (b * c) doubles, (a * b) * c does not
+    is_product = _made_by(monkeypatch, "__mul__")
+    _doubled_when(monkeypatch, lambda left, right: is_product(right))
+
+
+def _sum_on_the_right_is_doubled(monkeypatch):
+    # a * (b + c) doubles, a * b + a * c does not
+    is_sum = _made_by(monkeypatch, "__add__")
+    _doubled_when(monkeypatch, lambda left, right: is_sum(right))
+
+
+def _sum_on_the_left_is_doubled(monkeypatch):
+    # (b + c) * a doubles, b * a + c * a does not
+    is_sum = _made_by(monkeypatch, "__add__")
+    _doubled_when(monkeypatch, lambda left, right: is_sum(left))
+
+
 def _compose_is_wrong(monkeypatch):
     monkeypatch.setattr(irreps, "compose_columns", lambda a, b: None)
 
@@ -842,6 +971,9 @@ def _determinant_is_off(monkeypatch):
 # as patterns, for Brauer at k=2 (table-regression: the frozen tables)
 SUITE_FAULTS = [
     ("ring-axioms", _identity_is_zero, ["identity broke"] * 2),
+    ("ring-axioms", _product_on_the_right_is_doubled, ["associativity broke"] * 2),
+    ("ring-axioms", _sum_on_the_right_is_doubled, ["left distributivity broke"] * 2),
+    ("ring-axioms", _sum_on_the_left_is_doubled, ["right distributivity broke"] * 2),
     (
         "module-axiom",
         _compose_is_wrong,

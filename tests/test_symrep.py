@@ -426,6 +426,8 @@ LOOKALIKES = [
     (natural_columns, ((True, 2, 3), (2, 1)), ((1, 2, 3), (2, 1))),
     (character_column, ((2.0, 1),), ((2, 1),)),
     (character_column, ((True, 1),), ((1, 1),)),
+    (straighten, (((1.0, 2),),), (((1, 2),),)),
+    (straighten, (((2, True),),), (((2, 1),),)),
 ]
 
 
@@ -438,6 +440,7 @@ def test_a_lookalike_argument_is_refused_cold_and_warm(entry, bad, good):
         symrep._sym_character,
         symrep._natural_columns,
         symrep._character_column,
+        symrep._straighten,
     ):
         cached.cache_clear()
     with pytest.raises(ValueError):
