@@ -242,6 +242,10 @@ def conjugate(d, w):
     permutation of propagating blocks (max-entry order), or None when the
     rank drops.
     """
+    if not (isinstance(d, Diagram) and isinstance(w, SymmetricMDiagram)):
+        raise ValueError(
+            "expected a Diagram and a SymmetricMDiagram, got %r, %r" % (d, w)
+        )
     if d.k != w.k:
         raise RankMismatch(
             "diagram on %d strands against w on %d" % (d.k, w.k)
@@ -289,10 +293,11 @@ class SetPartitionTableau(_Value):
 
     The first row holds the non-propagating blocks (always kept sorted by
     largest entry); the body holds the propagating blocks in the cells of
-    a partition shape.
+    a partition shape.  Its sorted blocks, the key of its stack (_top), are
+    cached and take no part in equality, hashing, order or copies.
     """
 
-    __slots__ = ("k", "first_row", "body")
+    __slots__ = ("k", "first_row", "body", "_top")
 
     def __init__(self, k, first_row, body):
         _check_k(k)
@@ -375,7 +380,7 @@ class SetPartitionTableau(_Value):
         return "SetPartitionTableau(k=%d, %s)" % (self.k, self.text())
 
 
-_set_tab_k, _set_first_row, _set_body = SetPartitionTableau._setters
+_set_tab_k, _set_first_row, _set_body, _set_tab_top = SetPartitionTableau._setters
 
 
 def tableau_from_pair(w, t):
@@ -404,27 +409,43 @@ def enumerate_sspt(family, k, lam_star):
 def act_tableau(d, tab):
     """Push a tableau through a diagram placed above it.
 
-    Returns (new tableau or None, deleted middle components).  The result
-    is None when two propagating blocks collide or a propagating block
-    fails to reach the top; the new tableau may have a non-standard body.
+    Returns (new tableau or None, deleted middle components).  One pass
+    over the body takes each cell's top block out of the stack's top row,
+    and returns None at the first cell whose component has none left (two
+    propagating blocks collided, or one failed to reach the top); the top
+    blocks left form the first row, and the body may be non-standard.  The
+    stack's key, the tableau's sorted blocks, is cached on it; a basis
+    tableau's is its symmetric diagram's own top, so no action builds one.
     """
+    if not (isinstance(d, Diagram) and isinstance(tab, SetPartitionTableau)):
+        raise ValueError(
+            "expected a Diagram and a SetPartitionTableau, got %r, %r" % (d, tab)
+        )
     if d.k != tab.k:
         raise RankMismatch(
             "diagram on %d strands against a tableau on %d" % (d.k, tab.k)
         )
     k = d.k
-    blocks = tuple(sorted(chain(tab.first_row, *tab.body)))
-    root, top, components = _conjugate(d, blocks)
+    try:
+        key = tab._top
+    except AttributeError:
+        key = tuple(sorted(chain(tab.first_row, *tab.body)))
+        _set_tab_top(tab, key)
+    root, top, components = _conjugate(d, key)
     tops = {root[b[0]]: b for b in top}
-    cells = [root[k + b[0]] for row in tab.body for b in row]
-    taken = set(cells)
-    if len(taken) < len(cells) or not taken.issubset(tops):
-        return None, 0
-    body = tuple(tuple(tops[root[k + b[0]]] for b in row) for row in tab.body)
-    first_row = sorted((b for r, b in tops.items() if r not in taken), key=_last)
+    body = []
+    for row in tab.body:
+        cells = []
+        for b in row:
+            cell = tops.pop(root[k + b[0]], None)
+            if cell is None:
+                return None, 0
+            cells.append(cell)
+        body.append(tuple(cells))
+    first_row = tuple(sorted(tops.values(), key=_last))
     # every component without a top vertex lay in the middle
     deleted = components - len(top)
-    return SetPartitionTableau._make(k, tuple(first_row), body), deleted
+    return SetPartitionTableau._make(k, first_row, tuple(body)), deleted
 
 
 def act_natural(d, v, family=None):
@@ -476,9 +497,10 @@ def _module_basis(family, k, lam_star, basis):
         prop = w.prop_max_order()
         first = tuple(sorted((b for b in w.top if b not in prop), key=_last))
         base[first, prop] = len(vectors)
-        vectors.extend(
-            SetPartitionTableau._make(k, first, relabel(prop, t)) for t in ts
-        )
+        for t in ts:
+            tab = SetPartitionTableau._make(k, first, relabel(prop, t))
+            _set_tab_top(tab, w.top)  # its blocks sorted: share w's tuple
+            vectors.append(tab)
     return _ModuleBasis(tuple(vectors), base, {t: i for i, t in enumerate(ts)})
 
 
@@ -488,6 +510,8 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
     basis = _normalize_basis(basis)
+    if not isinstance(d, Diagram):
+        raise ValueError("expected a Diagram, got %r" % (d,))
     if d.k != k:
         raise RankMismatch("diagram on %d strands, module at k=%d" % (d.k, k))
     _check_family(d, family)

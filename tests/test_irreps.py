@@ -372,6 +372,35 @@ def test_act_tableau_rank_mismatch():
         act_tableau(identity_diagram(3), T13)
 
 
+def _hostile(expected):
+    """Arguments of the wrong type: no value, text, a number, and the values
+    of the other module types."""
+    values = [v for v in (D13, W13, T13) if not isinstance(v, expected)]
+    return [None, D13.text(), 13] + values
+
+
+def test_module_actions_refuse_a_wrong_type_before_any_stack(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stacked an argument of the wrong type")
+
+    monkeypatch.setattr(irreps, "_conjugate", refuse)
+    seen = 0
+    for action, good in ((conjugate, (D13, W13)), (act_tableau, (D13, T13))):
+        for position, value in enumerate(good):
+            for bad in _hostile(type(value)):
+                args = list(good)
+                args[position] = bad
+                with pytest.raises(ValueError, match="^expected a Diagram and a "):
+                    action(*args)
+                seen += 1
+    # rep_columns checks d before it reads d.k, the family or the rank
+    for bad in _hostile(Diagram):
+        with pytest.raises(ValueError, match="^expected a Diagram, got "):
+            rep_columns(bad, PARTITION, 13, (1,), "Tableau")
+        seen += 1
+    assert seen == 25
+
+
 def test_p_generator_action():
     tab = SetPartitionTableau(
         9, [(1,), (5, 6)], [((4,), (2, 3, 8), (9,)), ((7,),)]

@@ -637,6 +637,75 @@ def test_cached_tableau_basis_matches_enumerate_sspt():
                 assert len(set(tabs)) == len(tabs), (family, k, lam)
 
 
+def test_every_basis_tableau_keys_its_stack_by_its_symmetric_diagrams_top():
+    for family in FAMILIES:
+        for k in range(1, 6):
+            for lam in lambda_star_labels(family, k):
+                size = len(standard_tableaux(lam))
+                ws = enumerate_symmetric(family, k, sum(lam))
+                tabs = _module_basis(family, k, lam, TABLEAU).vectors
+                for i, tab in enumerate(tabs):
+                    assert tab._top is ws[i // size].top, (family, k, lam, i)
+
+
+def random_tableau(rng, k):
+    """A tableau through the checking constructor: a seeded set partition of
+    {1..k}, blocks written in any order, a random number of them in random
+    cells of a random partition shape (so the body need not be standard),
+    the rest in the first row in any order."""
+    blocks = {}
+    for v in range(1, k + 1):
+        blocks.setdefault(rng.randrange(k), []).append(v)
+    blocks = [rng.sample(b, len(b)) for b in blocks.values()]
+    rng.shuffle(blocks)
+    m = rng.randrange(len(blocks) + 1)
+    body, rows = blocks[:m], []
+    while body:
+        size = rng.randint(1, min(len(body), len(rows[-1]) if rows else m))
+        rows.append(body[:size])
+        body = body[size:]
+    return SetPartitionTableau(k, blocks[m:], rows)
+
+
+def test_act_tableau_matches_reference_on_tableaux_the_basis_did_not_build():
+    # the stack's key of a constructed tableau, and of a copy or a pickle
+    # of a basis tableau (which carry no key), is built on its first action
+    rng = random.Random(20181828)
+    built = non_standard = 0
+
+    def check(d, tabs):
+        nonlocal built, non_standard
+        for tab in [random_tableau(rng, d.k) for _ in range(2)]:
+            assert not hasattr(tab, "_top")
+            non_standard += not tab.is_standard()
+            assert_act_tableau_matches_reference(d, tab)
+            # again, through the key the first action cached
+            assert_act_tableau_matches_reference(d, tab)
+            built += 1
+        tab = rng.choice(tabs)
+        for twin in twins(tab):
+            assert not hasattr(twin, "_top")
+            assert_act_tableau_matches_reference(d, twin)
+            assert twin._top == tab._top and twin._top is not tab._top
+            built += 1
+
+    for family in FAMILIES:
+        for k in range(1, 5):
+            tabs = module_vectors(family, k)[1]
+            if k < 4:
+                ds = enumerate_basis(family, k)
+            else:
+                ds = [random_word(rng, family, k) for _ in range(60)]
+            for d in ds:
+                check(d, tabs)
+    for k in (5, 6):
+        tabs = module_vectors(PARTITION, k)[1]
+        for _ in range(150):
+            check(random_diagram(rng, k), tabs)
+            check(random_word(rng, PARTITION, k), tabs)
+    assert built == 8_825 and non_standard > 800, (built, non_standard)
+
+
 def five_values():
     """One value of each immutable type, with the names of its fields."""
     d = enumerate_basis(BRAUER, 3)[-1]
@@ -707,6 +776,27 @@ def test_owner_cache_takes_no_part_in_equality_order_or_pickle():
     assert pickle.dumps(cached) == pickle.dumps(fresh)
     assert not hasattr(pickle.loads(pickle.dumps(cached)), "_owner")
     assert cached.__reduce__() == (Diagram, (3, blocks))
+
+
+def test_tableau_key_takes_no_part_in_equality_order_copy_or_pickle():
+    # basis tableaux carry their stack's key from the start; a tableau made
+    # from the same fields carries none until its first action
+    tabs = enumerate_sspt(PARTITION, 3, (1,))
+    fresh = [SetPartitionTableau(t.k, t.first_row, t.body) for t in tabs]
+    for filled in (False, True):
+        for keyed, bare in zip(tabs, fresh):
+            assert hasattr(keyed, "_top") and hasattr(bare, "_top") == filled
+            assert keyed == bare and hash(keyed) == hash(bare)
+            assert not keyed < bare and not bare < keyed
+            assert [keyed < t for t in fresh] == [bare < t for t in tabs]
+            assert keyed.__reduce__() == bare.__reduce__()
+            assert pickle.dumps(keyed) == pickle.dumps(bare)
+            for twin in twins(keyed) + twins(bare):
+                assert not hasattr(twin, "_top")
+        # the action fills the key of every fresh tableau
+        for bare in fresh:
+            act_tableau(enumerate_basis(PARTITION, 3)[0], bare)
+        assert [t._top for t in fresh] == [t._top for t in tabs]
 
 
 def test_values_of_one_type_order_by_their_fields():
