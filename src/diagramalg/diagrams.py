@@ -421,6 +421,8 @@ def in_family(d, family):
 
 
 def _check_family(d, family):
+    if not isinstance(d, Diagram):
+        raise ValueError("expected a Diagram, got %r" % (d,))
     if family is not None and not in_family(d, family):
         raise AlgebraMismatch(
             "diagram %s is not in the %s family" % (d.text(), family)

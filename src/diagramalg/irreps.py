@@ -293,8 +293,9 @@ class SetPartitionTableau(_Value):
 
     The first row holds the non-propagating blocks (always kept sorted by
     largest entry); the body holds the propagating blocks in the cells of
-    a partition shape.  Its sorted blocks, the key of its stack (_top), are
-    cached and take no part in equality, hashing, order or copies.
+    a partition shape.  A basis tableau carries its sorted blocks, the key
+    of its stack, in _top, which takes no part in equality, hashing, order
+    or copies.
     """
 
     __slots__ = ("k", "first_row", "body", "_top")
@@ -414,8 +415,8 @@ def act_tableau(d, tab):
     and returns None at the first cell whose component has none left (two
     propagating blocks collided, or one failed to reach the top); the top
     blocks left form the first row, and the body may be non-standard.  The
-    stack's key, the tableau's sorted blocks, is cached on it; a basis
-    tableau's is its symmetric diagram's own top, so no action builds one.
+    stack's key is the tableau's sorted blocks: a basis tableau carries its
+    symmetric diagram's own top, and any other tableau's is built per call.
     """
     if not (isinstance(d, Diagram) and isinstance(tab, SetPartitionTableau)):
         raise ValueError(
@@ -430,7 +431,6 @@ def act_tableau(d, tab):
         key = tab._top
     except AttributeError:
         key = tuple(sorted(chain(tab.first_row, *tab.body)))
-        _set_tab_top(tab, key)
     root, top, components = _conjugate(d, key)
     tops = {root[b[0]]: b for b in top}
     body = []
@@ -510,11 +510,9 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
     basis = _normalize_basis(basis)
-    if not isinstance(d, Diagram):
-        raise ValueError("expected a Diagram, got %r" % (d,))
+    _check_family(d, family)
     if d.k != k:
         raise RankMismatch("diagram on %d strands, module at k=%d" % (d.k, k))
-    _check_family(d, family)
     vectors, base, position = _module_basis(family, k, lam_star, basis)
     if rank(d) < sum(lam_star):
         # fewer than m propagating blocks is zero in the paper's quotient

@@ -393,12 +393,21 @@ def test_module_actions_refuse_a_wrong_type_before_any_stack(monkeypatch):
                 with pytest.raises(ValueError, match="^expected a Diagram and a "):
                     action(*args)
                 seen += 1
-    # rep_columns checks d before it reads d.k, the family or the rank
-    for bad in _hostile(Diagram):
-        with pytest.raises(ValueError, match="^expected a Diagram, got "):
-            rep_columns(bad, PARTITION, 13, (1,), "Tableau")
-        seen += 1
-    assert seen == 25
+    # rep_columns and the vector actions check d before they read d.k, the
+    # family or the rank, with or without a family and on an empty vector
+    calls = (
+        lambda d: rep_columns(d, PARTITION, 13, (1,), "Tableau"),
+        lambda d: act_twisted(d, {(W13, T4): ONE}, PARTITION),
+        lambda d: act_twisted(d, {}),
+        lambda d: act_natural(d, {T13: ONE}, PARTITION),
+        lambda d: act_natural(d, {}),
+    )
+    for call in calls:
+        for bad in _hostile(Diagram):
+            with pytest.raises(ValueError, match="^expected a Diagram, got "):
+                call(bad)
+            seen += 1
+    assert seen == 45
 
 
 def test_p_generator_action():
