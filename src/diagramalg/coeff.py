@@ -16,7 +16,7 @@ product term is divided once by the two denominators at the end.
 from fractions import Fraction
 from math import lcm
 
-from .diagrams import Diagram, _check_family, _check_k, _Value, concat
+from .diagrams import _INT, Diagram, _check_family, _check_k, _Value, concat
 from .diagrams import identity_diagram, normalize_family
 from .errors import (
     AlgebraMismatch,
@@ -104,7 +104,8 @@ class LaurentPoly(_Value):
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        other = LaurentPoly.coerce(other)
+        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly.const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
@@ -122,7 +123,8 @@ class LaurentPoly(_Value):
         return LaurentPoly.coerce(other) - self
 
     def __mul__(self, other):
-        other = LaurentPoly.coerce(other)
+        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly.const(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -207,7 +209,6 @@ class LaurentPoly(_Value):
 
 # the slot's own setter (see _Value), which __setattr__ refuses to reach
 (_set_terms,) = LaurentPoly._setters
-_INT = frozenset((int,))
 
 
 def _from_sums(out):
@@ -241,7 +242,8 @@ class Element(_Value):
                     "diagram on %d strands in an element with k=%d" % (d.k, k)
                 )
             _check_family(d, family)
-            c = LaurentPoly.coerce(c)
+            if not isinstance(c, LaurentPoly):
+                c = LaurentPoly.const(c)
             if c:
                 clean[d] = c
         _set_element_k(self, k)
@@ -324,13 +326,19 @@ class Element(_Value):
             for d2, c2 in right.items():
                 prod, deleted = concat(d1, d2)
                 c = powers[deleted] * c2
-                if prod in out:
-                    c = out[prod] + c
-                out[prod] = c
+                prev = out.setdefault(prod, c)
+                if prev is not c:
+                    out[prod] = prev + c
         den = den_a * den_b
         if den != 1:
+            # an exact quotient is stored as the int it is
             out = {
-                d: LaurentPoly({e: Fraction(c, den) for e, c in p.terms.items()})
+                d: LaurentPoly(
+                    {
+                        e: Fraction(c, den) if c % den else c // den
+                        for e, c in p.terms.items()
+                    }
+                )
                 for d, p in out.items()
             }
         return Element(self.k, self.family, out)

@@ -131,8 +131,21 @@ class Diagram(_Value):
 
     def __init__(self, k, blocks):
         _check_k(k)
-        canon = tuple(sorted(map(tuple, map(sorted, blocks))))
-        _check_cover(canon, 2 * k)
+        try:
+            canon = tuple(sorted(map(tuple, map(sorted, blocks))))
+            seen = sorted(chain.from_iterable(canon))
+        except TypeError:
+            raise ValueError(
+                "blocks must be an iterable of iterables of comparable vertices"
+            ) from None
+        # one pass over a good cover: the vertices 1..2k once each, no empty
+        # block (() sorts first) and only ints; _check_cover names a failure
+        if (
+            seen != list(range(1, 2 * k + 1))
+            or not canon[0]
+            or set(map(type, seen)) != _INT
+        ):
+            _check_cover(canon, 2 * k)
         _set_k(self, k)
         _set_blocks(self, canon)
 
@@ -182,11 +195,18 @@ def _check_cover(blocks, n):
     _check_int_vertices(seen)
 
 
+_INT = frozenset((int,))
+
+
 def _check_int_vertices(vertices):
     # 1.0 and True compare and hash like 1 but are not vertices
-    if not set(map(type, vertices)) <= {int}:
+    if not set(map(type, vertices)) <= _INT:
         bad = next(v for v in vertices if type(v) is not int)
         raise ValueError("vertices must be integers, got %r" % (bad,))
+
+
+def _not_a_diagram(d):
+    return ValueError("expected a Diagram, got %r" % (d,))
 
 
 ConcatResult = namedtuple("ConcatResult", ["product", "deleted"])
@@ -330,19 +350,31 @@ def concat(d1, d2):
     components living entirely in that shared middle row are removed and
     counted.
     """
+    if not isinstance(d1, Diagram):
+        raise _not_a_diagram(d1)
+    if not isinstance(d2, Diagram):
+        raise _not_a_diagram(d2)
     if d1.k != d2.k:
         raise RankMismatch("cannot concatenate k=%d with k=%d" % (d1.k, d2.k))
     k = d1.k
     # the lower layer is the blocks of d2, met at its top vertices
     own1, own2 = _block_owner(d1), _block_owner(d2)
     parent, components = _fuse(d1, own2[1 : k + 1], len(d2.blocks))
-    # the node of each outer vertex, tops 1..k then bottoms k+1..2k: each
-    # block opens at its least vertex and grows in ascending order, so the
-    # blocks come out canonical
-    n1 = len(d1.blocks)
-    nodes = own1[1 : k + 1] + tuple([b + n1 for b in own2[k + 1 :]])
+    # the outer vertices in order, d1's tops 1..k then d2's bottoms
+    # k+1..2k (its nodes after d1's n1): each block opens at its least
+    # vertex and grows in ascending order, so the blocks come out canonical
     outer = {}
-    for v, r in enumerate(nodes, 1):
+    for v in range(1, k + 1):
+        r = own1[v]
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        if r in outer:
+            outer[r].append(v)
+        else:
+            outer[r] = [v]
+    n1 = len(d1.blocks)
+    for v in range(k + 1, 2 * k + 1):
+        r = own2[v] + n1
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
         if r in outer:
@@ -355,6 +387,8 @@ def concat(d1, d2):
 
 def transpose(d):
     """Mirror over the horizontal axis: i <-> i'."""
+    if not isinstance(d, Diagram):
+        raise _not_a_diagram(d)
     k = d.k
     return Diagram(
         k, [tuple(v + k if v <= k else v - k for v in b) for b in d.blocks]
@@ -363,6 +397,8 @@ def transpose(d):
 
 def rank(d):
     """Number of propagating blocks (blocks meeting both rows)."""
+    if not isinstance(d, Diagram):
+        raise _not_a_diagram(d)
     k = d.k
     return sum(1 for b in d.blocks if b[0] <= k < b[-1])
 
@@ -374,6 +410,8 @@ def is_planar(d):
     (met, not yet finished); a block may be revisited only while it is on
     top, otherwise a block opened inside it is still open and they cross.
     """
+    if not isinstance(d, Diagram):
+        raise _not_a_diagram(d)
     k = d.k
     # boundary position of vertex v: top i at i, bottom j' (v = k + j) at
     # 2k + 1 - j
@@ -404,6 +442,8 @@ def is_planar(d):
 
 def in_family(d, family):
     """Membership predicate for each diagram family."""
+    if not isinstance(d, Diagram):
+        raise _not_a_diagram(d)
     try:
         shape = _SHAPES[family]
     except (KeyError, TypeError):
@@ -422,7 +462,7 @@ def in_family(d, family):
 
 def _check_family(d, family):
     if not isinstance(d, Diagram):
-        raise ValueError("expected a Diagram, got %r" % (d,))
+        raise _not_a_diagram(d)
     if family is not None and not in_family(d, family):
         raise AlgebraMismatch(
             "diagram %s is not in the %s family" % (d.text(), family)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,59 @@ def test_diagram_constructor_validates():
     for blocks in ([(1.0, 2)], [(True, 2)], [(1, 2.0)]):
         with pytest.raises(ValueError, match="integers"):
             Diagram(1, blocks)
+
+
+class _Vertex(int):
+    """An int subclass: it compares and hashes like its value."""
+
+
+_NOT_BLOCKS = "blocks must be an iterable of iterables of comparable vertices"
+
+
+# (k, blocks, message) for blocks the checking constructor refuses, each
+# with ValueError; the last three are not iterables of iterables of
+# mutually comparable values
+REFUSED = [
+    (2, [(True, 3), (2, 4)], "vertices must be integers, got True"),
+    (2, [(1.0, 3), (2, 4)], "vertices must be integers, got 1.0"),
+    (2, [(Fraction(1), 3), (2, 4)], "vertices must be integers, got Fraction(1, 1)"),
+    (2, [(_Vertex(1), 3), (2, 4)], "vertices must be integers, got 1"),
+    (2, [(0, 3), (2, 4)], "blocks must partition {1..4}"),
+    (2, [(1, 3), (2, 4, 5)], "blocks must partition {1..4}"),
+    (2, [(1, 3), (2, 4, 3)], "blocks must partition {1..4}"),
+    (2, [(1, 3), (2,)], "blocks must partition {1..4}"),
+    (2, [(), (1, 3), (2, 4)], "blocks must not be empty"),
+    (2, [(1, 3), (2, 4), ()], "blocks must not be empty"),
+    (1, [1, 2], _NOT_BLOCKS),
+    (1, [(1, "x")], _NOT_BLOCKS),
+    (1, None, _NOT_BLOCKS),
+]
+
+
+@pytest.mark.parametrize("k, blocks, message", REFUSED)
+def test_checking_constructor_refuses_with_the_message(k, blocks, message):
+    with pytest.raises(ValueError) as info:
+        Diagram(k, blocks)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda blocks: [list(b) for b in blocks],
+        lambda blocks: tuple(tuple(b) for b in blocks),
+        lambda blocks: (iter(b) for b in blocks),
+        lambda blocks: {frozenset(b) for b in blocks},
+    ],
+)
+def test_checking_constructor_accepts_any_iterable_in_any_order(make):
+    canon = ((1, 4), (2, 3, 6), (5,))
+    for order in itertools.permutations([(6, 3, 2), (5,), (4, 1)]):
+        d = Diagram(3, make(order))
+        assert d.blocks == canon
+        assert all(type(v) is int for b in d.blocks for v in b)
+        assert d == Diagram(3, canon) and hash(d) == hash(Diagram(3, canon))
 
 
 def test_concat_identity_and_deletion():

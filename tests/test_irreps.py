@@ -23,9 +23,12 @@ from diagramalg.diagrams import (
     enumerate_basis,
     generator,
     identity_diagram,
+    in_family,
+    is_planar,
     parse_diagram,
     perm_diagram,
     rank,
+    transpose,
 )
 from diagramalg.irreps import (
     SetPartitionTableau,
@@ -394,20 +397,28 @@ def test_module_actions_refuse_a_wrong_type_before_any_stack(monkeypatch):
                     action(*args)
                 seen += 1
     # rep_columns and the vector actions check d before they read d.k, the
-    # family or the rank, with or without a family and on an empty vector
+    # family or the rank, with or without a family and on an empty vector;
+    # so do the diagram kernel's concat (either factor), transpose, rank,
+    # is_planar and in_family
     calls = (
         lambda d: rep_columns(d, PARTITION, 13, (1,), "Tableau"),
         lambda d: act_twisted(d, {(W13, T4): ONE}, PARTITION),
         lambda d: act_twisted(d, {}),
         lambda d: act_natural(d, {T13: ONE}, PARTITION),
         lambda d: act_natural(d, {}),
+        lambda d: concat(d, D13),
+        lambda d: concat(D13, d),
+        transpose,
+        rank,
+        is_planar,
+        lambda d: in_family(d, PARTITION),
     )
     for call in calls:
         for bad in _hostile(Diagram):
             with pytest.raises(ValueError, match="^expected a Diagram, got "):
                 call(bad)
             seen += 1
-    assert seen == 45
+    assert seen == 75
 
 
 def test_p_generator_action():
