@@ -13,16 +13,25 @@ factor is scaled by the common denominator of its coefficients, and each
 product term is divided once by the two denominators at the end.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
 from .diagrams import _INT, Diagram, _check_family, _check_k, _Value, concat
-from .diagrams import identity_diagram, normalize_family
+from .diagrams import _not_a_diagram, identity_diagram, normalize_family
 from .errors import (
     AlgebraMismatch,
     RankMismatch,
     ZeroSubstitutionWithNegativeExponent,
 )
+
+
+def _items(combo):
+    """The (key, coefficient) pairs of an element's or a module vector's
+    coefficients, refused with ValueError unless they are a mapping."""
+    if not isinstance(combo, Mapping):
+        raise ValueError("expected a mapping of coefficients, got %r" % (combo,))
+    return combo.items()
 
 
 def _exact(value, what):
@@ -234,7 +243,7 @@ class Element(_Value):
         _check_k(k)
         family = normalize_family(family)
         clean = {}
-        for d, c in (combo or {}).items():
+        for d, c in _items(combo or {}):
             if not isinstance(d, Diagram):
                 raise ValueError("keys must be Diagram, got %r" % (d,))
             if d.k != k:
@@ -262,6 +271,8 @@ class Element(_Value):
 
     @classmethod
     def from_diagram(cls, d, family, coeff=1):
+        if not isinstance(d, Diagram):
+            raise _not_a_diagram(d)
         return cls(d.k, family, {d: LaurentPoly.coerce(coeff)})
 
     @classmethod

@@ -37,32 +37,6 @@ PLANAR_ROOK = "PlanarRook"
 PLANAR_PARTITION = "PlanarPartition"
 SYMMETRIC_GROUP = "SymmetricGroup"
 
-FAMILIES = (
-    PARTITION,
-    BRAUER,
-    ROOK_BRAUER,
-    ROOK,
-    TEMPERLEY_LIEB,
-    MOTZKIN,
-    PLANAR_ROOK,
-    PLANAR_PARTITION,
-    SYMMETRIC_GROUP,
-)
-
-_ALIASES = {f.lower(): f for f in FAMILIES}
-_ALIASES.update(
-    {
-        "rook-brauer": ROOK_BRAUER,
-        "temperley-lieb": TEMPERLEY_LIEB,
-        "tl": TEMPERLEY_LIEB,
-        "planar-rook": PLANAR_ROOK,
-        "planar-partition": PLANAR_PARTITION,
-        "symmetric-group": SYMMETRIC_GROUP,
-        "symmetric": SYMMETRIC_GROUP,
-    }
-)
-
-
 # What each family allows of its blocks: pairs, at most two vertices per
 # block; singles, one-vertex blocks; across, every two-vertex block joins
 # the two rows; planar, no two blocks cross.  Every shape decision (family
@@ -79,6 +53,21 @@ _SHAPES = {
     PLANAR_PARTITION: _Shape(False, True, False, True),
     SYMMETRIC_GROUP: _Shape(True, False, True, False),
 }
+
+FAMILIES = tuple(_SHAPES)
+
+_ALIASES = {f.lower(): f for f in FAMILIES}
+_ALIASES.update(
+    {
+        "rook-brauer": ROOK_BRAUER,
+        "temperley-lieb": TEMPERLEY_LIEB,
+        "tl": TEMPERLEY_LIEB,
+        "planar-rook": PLANAR_ROOK,
+        "planar-partition": PLANAR_PARTITION,
+        "symmetric-group": SYMMETRIC_GROUP,
+        "symmetric": SYMMETRIC_GROUP,
+    }
+)
 
 
 def normalize_family(name):
@@ -131,23 +120,8 @@ class Diagram(_Value):
 
     def __init__(self, k, blocks):
         _check_k(k)
-        try:
-            canon = tuple(sorted(map(tuple, map(sorted, blocks))))
-            seen = sorted(chain.from_iterable(canon))
-        except TypeError:
-            raise ValueError(
-                "blocks must be an iterable of iterables of comparable vertices"
-            ) from None
-        # one pass over a good cover: the vertices 1..2k once each, no empty
-        # block (() sorts first) and only ints; _check_cover names a failure
-        if (
-            seen != list(range(1, 2 * k + 1))
-            or not canon[0]
-            or set(map(type, seen)) != _INT
-        ):
-            _check_cover(canon, 2 * k)
         _set_k(self, k)
-        _set_blocks(self, canon)
+        _set_blocks(self, _canonical(blocks, 2 * k))
 
     @classmethod
     def _make(cls, k, blocks):
@@ -184,18 +158,33 @@ def _check_k(k):
         raise IndexOutOfRange("k must be a positive integer, got %r" % (k,))
 
 
-def _check_cover(blocks, n):
-    """Refuse, in this order, an empty block, blocks that do not cover
-    {1..n} exactly once, and a vertex that is not an int."""
-    if () in blocks:
-        raise ValueError("blocks must not be empty")
-    seen = sorted(chain.from_iterable(blocks))
-    if seen != list(range(1, n + 1)):
-        raise ValueError("blocks must partition {1..%d}" % n)
-    _check_int_vertices(seen)
-
-
 _INT = frozenset((int,))
+
+
+def _sorted_blocks(blocks):
+    """The blocks as ascending tuples in order of least vertex, and their
+    vertices in order; ValueError unless all of the vertices compare."""
+    try:
+        canon = tuple(sorted(map(tuple, map(sorted, blocks))))
+        return canon, sorted(chain.from_iterable(canon))
+    except TypeError:
+        raise ValueError(
+            "blocks must be an iterable of iterables of comparable vertices"
+        ) from None
+
+
+def _canonical(blocks, n):
+    """The blocks in canonical form, refused unless they cover {1..n} once
+    each with int vertices.  One pass accepts a good cover (() sorts first);
+    a failure is named in order: an empty block, not a cover, not an int."""
+    canon, seen = _sorted_blocks(blocks)
+    if seen != list(range(1, n + 1)) or not canon[0] or set(map(type, seen)) != _INT:
+        if () in canon:
+            raise ValueError("blocks must not be empty")
+        if seen != list(range(1, n + 1)):
+            raise ValueError("blocks must partition {1..%d}" % n)
+        _check_int_vertices(seen)
+    return canon
 
 
 def _check_int_vertices(vertices):
@@ -225,6 +214,8 @@ def parse_diagram(text, k):
     Every vertex 1..k and 1'..k' must appear exactly once.
     """
     _check_k(k)
+    if not isinstance(text, str):
+        raise ValueError("expected diagram text, got %r" % (text,))
     pieces = text.split("|")
     blocks = []
     seen = set()
@@ -403,39 +394,35 @@ def rank(d):
     return sum(1 for b in d.blocks if b[0] <= k < b[-1])
 
 
+def _boundary(k):
+    """The vertices in boundary order 1..k, k'..1' (k' is vertex 2k)."""
+    return (*range(1, k + 1), *range(2 * k, k, -1))
+
+
 def is_planar(d):
     """True iff no two blocks cross in the boundary order 1..k, k'..1'.
 
-    One scan along the boundary keeps a stack of the blocks that are open
-    (met, not yet finished); a block may be revisited only while it is on
+    One scan along the boundary keeps a stack of the open blocks (met, with
+    vertices still to come); a block may be met again only while it is on
     top, otherwise a block opened inside it is still open and they cross.
     """
     if not isinstance(d, Diagram):
         raise _not_a_diagram(d)
-    k = d.k
-    # boundary position of vertex v: top i at i, bottom j' (v = k + j) at
-    # 2k + 1 - j
-    owner = [0] * (2 * k + 1)
-    last = []
-    for i, block in enumerate(d.blocks):
-        end = 0
+    blocks = d.blocks
+    owner = [0] * (2 * d.k + 1)
+    for i, block in enumerate(blocks):
         for v in block:
-            p = v if v <= k else 3 * k + 1 - v
-            owner[p] = i
-            if p > end:
-                end = p
-        last.append(end)
-    opened = [False] * len(last)
+            owner[v] = i
+    left = list(map(len, blocks))
     stack = []
-    for p in range(1, 2 * k + 1):
-        b = owner[p]
-        if opened[b]:
-            if stack[-1] != b:
-                return False
-        else:
-            opened[b] = True
+    for v in _boundary(d.k):
+        b = owner[v]
+        if left[b] == len(blocks[b]):
             stack.append(b)
-        if last[b] == p:
+        elif stack[-1] != b:
+            return False
+        left[b] -= 1
+        if not left[b]:
             stack.pop()
     return True
 
@@ -603,8 +590,7 @@ def enumerate_basis(family, k):
     if shape.planar:
         # covered in the boundary order 1..k, k'..1': each block comes out
         # ascending, but neither the blocks nor the diagrams in order
-        points = tuple(range(1, k + 1)) + tuple(range(2 * k, k, -1))
-        listing = sorted(map(tuple, map(sorted, _covers(k, points, shape))))
+        listing = sorted(map(tuple, map(sorted, _covers(k, _boundary(k), shape))))
     else:
         # in vertex order every cover is canonical and in basis order
         listing = _covers(k, tuple(range(1, 2 * k + 1)), shape)

@@ -14,12 +14,12 @@ from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter
 
-from .coeff import ZERO, LaurentPoly
+from .coeff import ZERO, LaurentPoly, _items
 from .diagrams import (
     _SHAPES,
     Diagram,
     _block_owner,
-    _check_cover,
+    _canonical,
     _check_family,
     _check_int_vertices,
     _check_k,
@@ -28,13 +28,15 @@ from .diagrams import (
     _fuse,
     _joined,
     _Memo,
+    _not_a_diagram,
+    _sorted_blocks,
     _Value,
     is_planar,
     normalize_family,
     rank,
 )
 from .errors import RankMismatch, ShapeMismatch
-from .partitions import check_label, check_rank
+from .partitions import check_label, check_partition, check_rank
 from .symrep import (
     _natural_columns,
     is_standard,
@@ -60,9 +62,8 @@ class SymmetricMDiagram(_Value):
 
     def __init__(self, k, top, propagating):
         _check_k(k)
-        canon_top = tuple(sorted(tuple(sorted(b)) for b in top))
-        _check_cover(canon_top, k)
-        canon_prop = tuple(sorted(tuple(sorted(b)) for b in propagating))
+        canon_top = _canonical(top, k)
+        canon_prop = _sorted_blocks(propagating)[0]
         _check_int_vertices([v for b in canon_prop for v in b])
         top_set = set(canon_top)
         for b in canon_prop:
@@ -108,6 +109,8 @@ class SymmetricMDiagram(_Value):
     def from_diagram(cls, d):
         """The w with w.to_diagram() == d: the top half of each block is a
         top block, propagating when the block also reaches the bottom."""
+        if not isinstance(d, Diagram):
+            raise _not_a_diagram(d)
         k = d.k
         tops = [(tuple(v for v in b if v <= k), b[-1] > k) for b in d.blocks]
         top = [above for above, _ in tops if above]
@@ -278,7 +281,11 @@ def act_twisted(d, v, family=None):
     """
     _check_family(d, family)
     out = {}
-    for (w, t), coeff in v.items():
+    for key, coeff in _items(v):
+        try:
+            w, t = key
+        except TypeError:
+            raise ValueError("expected a (w, t) key, got %r" % (key,)) from None
         res = conjugate(d, w)
         if res.twist is not None:
             scale = coeff * LaurentPoly.monomial(res.deleted)
@@ -302,20 +309,21 @@ class SetPartitionTableau(_Value):
 
     def __init__(self, k, first_row, body):
         _check_k(k)
-        first = [tuple(sorted(b)) for b in first_row]
-        rows = tuple(
-            tuple(tuple(sorted(b)) for b in row) for row in body
-        )
-        _check_cover(first + [b for row in rows for b in row], k)
-        first = tuple(sorted(first, key=_last))
-        shape = tuple(len(row) for row in rows)
-        if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or (
-            shape and shape[-1] == 0
-        ):
-            raise ValueError("body rows must form a partition shape")
+        first, rows = [], []
+
+        def blocks():
+            # every block, each sorted and read once inside the one check
+            first.extend(map(tuple, map(sorted, first_row)))
+            yield from first
+            for row in body:
+                rows.append(tuple(map(tuple, map(sorted, row))))
+                yield from rows[-1]
+
+        _canonical(blocks(), k)
+        check_partition(map(len, rows))
         _set_tab_k(self, k)
-        _set_first_row(self, first)
-        _set_body(self, rows)
+        _set_first_row(self, tuple(sorted(first, key=_last)))
+        _set_body(self, tuple(rows))
 
     @classmethod
     def _make(cls, k, first_row, body):
@@ -387,6 +395,8 @@ _set_tab_k, _set_first_row, _set_body, _set_tab_top = SetPartitionTableau._sette
 def tableau_from_pair(w, t):
     """Place the i-th propagating block of w (max-entry order) at the cell
     holding i in the tableau t, whose entries must be 1..m."""
+    if not isinstance(w, SymmetricMDiagram):
+        raise ValueError("expected a SymmetricMDiagram, got %r" % (w,))
     shape = tableau_shape(t)
     if sum(shape) != w.m:
         raise ShapeMismatch(
@@ -453,7 +463,7 @@ def act_natural(d, v, family=None):
     non-standard bodies over standard ones."""
     _check_family(d, family)
     out = {}
-    for tab, coeff in v.items():
+    for tab, coeff in _items(v):
         moved, deleted = act_tableau(d, tab)
         if moved is not None:
             scale = coeff * LaurentPoly.monomial(deleted)

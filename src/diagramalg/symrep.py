@@ -13,8 +13,8 @@ from functools import cache
 from itertools import combinations
 from math import factorial, prod
 
-from .coeff import _INT, _exact
-from .diagrams import _check_permutation
+from .coeff import _exact
+from .diagrams import _INT, _check_permutation
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition, partitions
 

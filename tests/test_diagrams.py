@@ -150,6 +150,37 @@ def test_checking_constructor_refuses_with_the_message(k, blocks, message):
 @pytest.mark.parametrize(
     "make",
     [
+        lambda: SymmetricMDiagram(1, None, []),
+        lambda: SymmetricMDiagram(1, [(1, "x")], []),
+        lambda: SymmetricMDiagram(1, [(1,)], None),
+        lambda: SymmetricMDiagram(1, [(1,)], [1]),
+        lambda: SetPartitionTableau(1, None, []),
+        lambda: SetPartitionTableau(1, [], None),
+        lambda: SetPartitionTableau(1, [(1, "x")], []),
+        lambda: SetPartitionTableau(1, [1], []),
+    ],
+    ids=[
+        "symmetric-top-None",
+        "symmetric-top-incomparable",
+        "symmetric-propagating-None",
+        "symmetric-propagating-not-blocks",
+        "tableau-first-row-None",
+        "tableau-body-None",
+        "tableau-incomparable",
+        "tableau-first-row-not-blocks",
+    ],
+)
+def test_set_partition_types_refuse_blocks_of_the_wrong_form(make):
+    # the one canonical check of diagrams, with Diagram's message
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError
+    assert str(info.value) == _NOT_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
         lambda blocks: [list(b) for b in blocks],
         lambda blocks: tuple(tuple(b) for b in blocks),
         lambda blocks: (iter(b) for b in blocks),

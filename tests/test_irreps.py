@@ -203,6 +203,42 @@ def test_symmetric_diagram_validation():
             SymmetricMDiagram(2, top, prop)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: Element(1, PARTITION, [1]),
+            "expected a mapping of coefficients, got [1]",
+        ),
+        (
+            lambda: Element.from_diagram(None, PARTITION),
+            "expected a Diagram, got None",
+        ),
+        (
+            lambda: SymmetricMDiagram.from_diagram(None),
+            "expected a Diagram, got None",
+        ),
+        (
+            lambda: tableau_from_pair(None, ((1,),)),
+            "expected a SymmetricMDiagram, got None",
+        ),
+        (lambda: parse_diagram(None, 1), "expected diagram text, got None"),
+    ],
+    ids=[
+        "Element",
+        "Element.from_diagram",
+        "from_diagram",
+        "tableau_from_pair",
+        "parse_diagram",
+    ],
+)
+def test_entries_refuse_a_wrong_type_before_reading_it(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def test_enumerate_symmetric_counts():
     for family in FAMILIES:
         for k in range(1, 6):
@@ -342,6 +378,18 @@ def test_tableau_validation_and_text():
     )
 
 
+def test_tableau_body_rows_form_a_partition_shape():
+    # an empty row, and a longer row below a shorter one
+    for first_row, body, message in (
+        ([(1,)], [((2,),), ((3,),), ()], "be positive ints: (1, 1, 0)"),
+        ([], [((2,),), ((1,), (3,))], "weakly decrease: (1, 2)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            SetPartitionTableau(3, first_row, body)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "partition parts must " + message
+
+
 def test_tableau_rejects_non_int_vertices_and_empty_blocks():
     # 1.0 and True compare and hash like vertex 1
     for first_row, body in (([(1.0,)], []), ([(True,)], []), ([], [((1.0,),)])):
@@ -418,7 +466,19 @@ def test_module_actions_refuse_a_wrong_type_before_any_stack(monkeypatch):
             with pytest.raises(ValueError, match="^expected a Diagram, got "):
                 call(bad)
             seen += 1
-    assert seen == 75
+    # the vector actions refuse a vector that is not a mapping, and a
+    # twisted key that is not a (w, t) pair
+    for action in (act_twisted, act_natural):
+        for bad in _hostile(dict):
+            with pytest.raises(
+                ValueError, match="^expected a mapping of coefficients, got "
+            ):
+                action(D13, bad)
+            seen += 1
+    with pytest.raises(ValueError, match=r"^expected a \(w, t\) key, got 1$"):
+        act_twisted(D13, {1: ONE})
+    seen += 1
+    assert seen == 88
 
 
 def test_p_generator_action():

@@ -157,6 +157,21 @@ def test_is_planar_matches_pairwise_reference():
     for k in range(1, 5):
         for d in enumerate_basis("Partition", k):
             assert is_planar(d) == reference_is_planar(d), d.text()
+    # longer boundaries, k = 5..7: seeded Partition diagrams, nearly all
+    # crossing, and products of six PlanarPartition generators, all planar
+    rng = random.Random(30)
+    found = set()
+    for k in range(5, 8):
+        gens = family_generators(PLANAR_PARTITION, k)
+        for _ in range(200):
+            product = rng.choice(gens)
+            for g in rng.choices(gens, k=5):
+                product = concat(product, g).product
+            for d in (random_diagram(rng, k), product):
+                planar = is_planar(d)
+                assert planar == reference_is_planar(d), d.text()
+                found.add(planar)
+    assert found == {True, False}
 
 
 def test_concat_matches_reference_on_every_pair_up_to_k3():
