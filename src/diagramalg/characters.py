@@ -60,7 +60,7 @@ def gamma_perm(kappa):
     """One-line permutation whose diagram has consecutive kappa_i cycles."""
     # bottom a+j+1 attaches to top a+j, bottom a+1 to top a+c: the inverse
     # of the consecutive cycles a+1 -> a+2 -> ... -> a+c -> a+1
-    return inverse_perm(perm_from_cycle_type(check_partition(kappa)))
+    return inverse_perm(perm_from_cycle_type(kappa))
 
 
 def gamma_diagram(kappa):

@@ -288,9 +288,6 @@ class Element(_Value):
         combo = self.combo
         return [(d, combo[d]) for d in sorted(combo, key=Diagram._key)]
 
-    def is_zero(self):
-        return not self.combo
-
     def _check_compatible(self, other):
         if not isinstance(other, Element):
             raise TypeError("expected an Element, got %r" % (other,))

@@ -142,7 +142,7 @@ class Diagram(_Value):
         return hash((self.k, self.blocks))
 
     def text(self):
-        return format_diagram(self)
+        return " | ".join(map(_block_renderer(self.k), self.blocks))
 
     def __repr__(self):
         return "Diagram(%d, %r)" % (self.k, self.text())
@@ -290,7 +290,9 @@ def block_json():
 
 
 def format_diagram(d):
-    return " | ".join(map(_block_renderer(d.k), d.blocks))
+    if not isinstance(d, Diagram):
+        raise _not_a_diagram(d)
+    return d.text()
 
 
 def _block_owner(d):
@@ -462,16 +464,21 @@ def identity_diagram(k):
 
 def _check_permutation(images):
     """Refuse images unless they are the one-line images of a permutation
-    of 1..m, m their number; True and 1.0 compare like 1 but are not
-    images."""
+    of 1..m, m their number, and return them as a tuple; True and 1.0
+    compare like 1 but are not images."""
+    try:
+        images = tuple(images)
+    except TypeError:
+        raise ValueError("not a permutation: %r" % (images,)) from None
     m = len(images)
     if set(map(type, images)) - {int} or sorted(images) != list(range(1, m + 1)):
         raise ValueError("not a permutation of 1..%d: %r" % (m, images))
+    return images
 
 
 def perm_diagram(images):
     """Diagram of a permutation: bottom j joins top images[j-1]."""
-    _check_permutation(images)
+    images = _check_permutation(images)
     k = len(images)
     return Diagram(k, [(images[j - 1], k + j) for j in range(1, k + 1)])
 

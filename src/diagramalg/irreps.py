@@ -23,7 +23,6 @@ from .diagrams import (
     _check_family,
     _check_int_vertices,
     _check_k,
-    _check_permutation,
     _covers,
     _fuse,
     _joined,
@@ -38,12 +37,12 @@ from .diagrams import (
 from .errors import RankMismatch, ShapeMismatch
 from .partitions import check_label, check_partition, check_rank
 from .symrep import (
+    _check_tableau,
     _natural_columns,
     is_standard,
     relabel,
     standard_tableaux,
     straighten,
-    tableau_shape,
 )
 
 # every stored block is an ascending tuple, so its last entry is its largest
@@ -286,6 +285,7 @@ def act_twisted(d, v, family=None):
             w, t = key
         except TypeError:
             raise ValueError("expected a (w, t) key, got %r" % (key,)) from None
+        _check_pair(w, t)
         res = conjugate(d, w)
         if res.twist is not None:
             scale = coeff * LaurentPoly.monomial(res.deleted)
@@ -392,18 +392,22 @@ class SetPartitionTableau(_Value):
 _set_tab_k, _set_first_row, _set_body, _set_tab_top = SetPartitionTableau._setters
 
 
+def _check_pair(w, t):
+    """Refuse a twisted key (w, t) unless w is a SymmetricMDiagram and t a
+    tableau of 1..m, m the number of propagating blocks of w."""
+    if not isinstance(w, SymmetricMDiagram):
+        raise ValueError("expected a SymmetricMDiagram, got %r" % (w,))
+    cells = sum(_check_tableau(t))
+    if cells != w.m:
+        raise ShapeMismatch(
+            "tableau with %d cells for %d propagating blocks" % (cells, w.m)
+        )
+
+
 def tableau_from_pair(w, t):
     """Place the i-th propagating block of w (max-entry order) at the cell
     holding i in the tableau t, whose entries must be 1..m."""
-    if not isinstance(w, SymmetricMDiagram):
-        raise ValueError("expected a SymmetricMDiagram, got %r" % (w,))
-    shape = tableau_shape(t)
-    if sum(shape) != w.m:
-        raise ShapeMismatch(
-            "tableau with %d cells for %d propagating blocks"
-            % (sum(shape), w.m)
-        )
-    _check_permutation([x for row in t for x in row])
+    _check_pair(w, t)
     prop = w.prop_max_order()
     nonprop = [b for b in w.top if b not in prop]
     return SetPartitionTableau(w.k, nonprop, relabel(prop, t))

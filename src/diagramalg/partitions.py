@@ -17,7 +17,10 @@ from .errors import InvalidRank, LabelNotInFamily
 
 def check_partition(p):
     """Validate and return a partition as a tuple."""
-    p = tuple(p)
+    try:
+        p = tuple(p)
+    except TypeError:
+        raise ValueError("not a partition: %r" % (p,)) from None
     # True and 1.0 compare like 1 but are not parts; the checks are C loops
     # because every entry of F checks two partitions
     if p and (set(map(type, p)) != {int} or min(p) < 1):

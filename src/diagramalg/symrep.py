@@ -12,32 +12,33 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import factorial, prod
+from operator import lt
 
-from .coeff import _exact
+from .coeff import _exact, _items
 from .diagrams import _INT, _check_permutation
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition, partitions
 
 
-def tableau_shape(t):
-    return tuple(len(row) for row in t)
+def _check_tableau(t):
+    """Refuse t unless it is a tuple of row tuples whose lengths form a
+    partition and whose entries are 1..m, each once; return its shape."""
+    if type(t) is not tuple or not {tuple}.issuperset(map(type, t)):
+        raise ValueError("a tableau must be a tuple of row tuples: %r" % (t,))
+    shape = check_partition(map(len, t))
+    _check_permutation(sum(t, ()))
+    return shape
 
 
 def is_standard(t):
-    """Rows and columns strictly increase and the entries are 1..m."""
-    shape = tableau_shape(t)
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+    """Rows and columns strictly increase in a tableau (by _check_tableau);
+    anything else is not standard."""
+    try:
+        _check_tableau(t)
+    except ValueError:
         return False
-    entries = [x for row in t for x in row]
-    if sorted(entries) != list(range(1, len(entries) + 1)):
-        return False
-    for row in t:
-        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for i in range(len(t) - 1):
-        if any(t[i][j] >= t[i + 1][j] for j in range(len(t[i + 1]))):
-            return False
-    return True
+    rows_rise = all(all(map(lt, row, row[1:])) for row in t)
+    return rows_rise and all(all(map(lt, a, b)) for a, b in zip(t, t[1:]))
 
 
 def _column_word(t):
@@ -110,19 +111,21 @@ def straighten(filling):
     The filling must use each of 1..m once within a partition shape but
     need not be standard; any other filling is refused with ValueError.
     """
-    # a hit is checked for types only, so that an entry that compares like
-    # a cached int (1.0, True) is refused as on a miss, which checks fully
-    entries = sum(filling, ())
-    if not _INT.issuperset(map(type, entries)):
-        _check_permutation(list(entries))
+    # a hit checks form and types only: an entry that compares like a cached
+    # int (1.0, True) is refused as on a miss, which checks fully
+    try:
+        quick = type(filling) is tuple and _INT.issuperset(map(type, sum(filling, ())))
+    except TypeError:
+        quick = False
+    if not quick:
+        _check_tableau(filling)
     return dict(_straighten(filling))
 
 
 @cache
 def _straighten(filling):
     # checked on a miss, so that no bad filling is ever cached
-    check_partition(tableau_shape(filling))
-    _check_permutation([x for row in filling for x in row])
+    _check_tableau(filling)
     grid = [list(row) for row in filling]
     sign = 1
     ncols = len(grid[0]) if grid else 0
@@ -176,10 +179,10 @@ def relabel(sigma, t):
 
 def act(sigma, v):
     """Act on a vector {tableau: coeff}; result is over standard tableaux."""
-    _check_permutation(sigma)
+    sigma = _check_permutation(sigma)
     out = {}
-    for t, coeff in v.items():
-        m = sum(len(row) for row in t)
+    for t, coeff in _items(v):
+        m = sum(_check_tableau(t))
         if len(sigma) != m:
             raise DegreeMismatch(
                 "permutation of degree %d on a tableau with %d entries"
@@ -195,13 +198,13 @@ def natural_columns(sigma, shape):
     """Young's natural matrix of sigma, column by column: for each standard
     tableau t of the shape, in standard_tableaux order, the (row index,
     int) pairs of n_{sigma t} over the standard basis."""
+    sigma = _check_permutation(sigma)
     shape = check_partition(shape)
     if len(sigma) != sum(shape):
         raise DegreeMismatch(
             "permutation of degree %d for shape of size %d"
             % (len(sigma), sum(shape))
         )
-    _check_permutation(sigma)
     return _natural_columns(sigma, shape)
 
 
@@ -218,7 +221,7 @@ def _natural_columns(sigma, shape):
 def rep_matrix(sigma, shape):
     """Matrix of sigma on the natural basis; column j is the image of
     the j-th standard tableau."""
-    cols = natural_columns(tuple(sigma), shape)
+    cols = natural_columns(sigma, shape)
     mat = [[Fraction(0)] * len(cols) for _ in cols]
     for j, col in enumerate(cols):
         for i, c in col:
@@ -227,7 +230,7 @@ def rep_matrix(sigma, shape):
 
 
 def inverse_perm(a):
-    _check_permutation(a)
+    a = _check_permutation(a)
     out = [0] * len(a)
     for i, image in enumerate(a):
         out[image - 1] = i + 1
@@ -236,7 +239,7 @@ def inverse_perm(a):
 
 def cycle_type(sigma):
     """Cycle lengths of a permutation, as a partition."""
-    _check_permutation(sigma)
+    sigma = _check_permutation(sigma)
     seen = [False] * len(sigma)
     lengths = []
     for start in range(len(sigma)):
@@ -258,7 +261,7 @@ def perm_from_cycle_type(kappa, m=None):
     if m is None:
         m = sum(kappa)
     if sum(kappa) != m:
-        raise SizeMismatch("cycle type %r does not fill degree %d" % (kappa, m))
+        raise SizeMismatch("cycle type %r does not fill degree %r" % (kappa, m))
     images = list(range(1, m + 1))
     start = 0
     for part in kappa:

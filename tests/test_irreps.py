@@ -354,6 +354,17 @@ def test_tableau_from_pair_shape_mismatch():
         tableau_from_pair(W13, ((1, 2), (3,)))
 
 
+def test_act_twisted_refuses_a_key_whose_tableau_does_not_fit_w():
+    # a 1-cell tableau on a w with 2 propagating blocks was once acted on,
+    # giving a key that is no vector of any module
+    w = SymmetricMDiagram(2, [(1,), (2,)], [(1,), (2,)])
+    message = "^tableau with 1 cells for 2 propagating blocks$"
+    with pytest.raises(errors.ShapeMismatch, match=message):
+        tableau_from_pair(w, ((1,),))
+    with pytest.raises(errors.ShapeMismatch, match=message):
+        act_twisted(identity_diagram(2), {(w, ((1,),)): 1})
+
+
 @pytest.mark.parametrize(
     "filling", [((0, 1),), ((1, 5),), ((1, 1),), ((1, True),), ((1.0, 2),)]
 )

@@ -1,3 +1,4 @@
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
@@ -5,8 +6,12 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagramalg import errors, symrep
-from diagramalg.partitions import partitions
+from diagramalg import characters, diagrams, errors, irreps, symrep
+from diagramalg import partitions as parts
+from diagramalg.characters import gamma_diagram, gamma_perm
+from diagramalg.diagrams import identity_diagram, perm_diagram
+from diagramalg.irreps import SymmetricMDiagram, act_twisted, tableau_from_pair
+from diagramalg.partitions import check_partition, divisors, partitions
 from diagramalg.symrep import (
     act,
     character_column,
@@ -21,7 +26,6 @@ from diagramalg.symrep import (
     straighten,
     sym_character,
     sym_dim,
-    tableau_shape,
 )
 
 T1 = ((1, 3, 5), (2, 4))
@@ -71,10 +75,15 @@ def test_is_standard():
     assert not is_standard(((1, 2), (2, 3)))
     # rows increase and the entries are 1..4, but the first column descends
     assert not is_standard(((2, 3), (1, 4)))
+    # not tableaux: a float entry and an empty row, which straighten refuses
+    assert is_standard(((1.0, 2),)) is False
+    assert is_standard(((1, 2), ())) is False
+    for t in (None, 5, "x", [[1, 2]], [(1, 2)], ((1, 2), 3), ((1,), (2, (3,)))):
+        assert is_standard(t) is False
 
 
 def test_tableau_shape_and_column_word():
-    assert tableau_shape(T1) == (3, 2)
+    assert symrep._check_tableau(T1) == (3, 2)
     assert symrep._column_word(T1) == (1, 2, 3, 4, 5)
     assert symrep._column_word(T5) == (1, 4, 2, 5, 3)
 
@@ -479,3 +488,92 @@ def test_act_refuses_an_inexact_coefficient(coeff):
     with pytest.raises(ValueError, match="coefficient must be exact"):
         act((1,), {((1,),): coeff})
     assert act((1,), {((1,),): Fraction(1, 3)}) == {((1,),): Fraction(1, 3)}
+
+
+class _Pairs(Mapping):
+    """A vector given as its (key, coefficient) pairs, so that a twisted
+    key may hold a tableau that does not hash."""
+
+    def __init__(self, *pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        for k, c in self.pairs:
+            if k == key:
+                return c
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+W2 = SymmetricMDiagram(2, [(1,), (2,)], [(1,), (2,)])
+
+
+def pair_tableau(t):
+    return tableau_from_pair(W2, t)
+
+
+def twisted_key_tableau(t):
+    return act_twisted(identity_diagram(2), _Pairs(((W2, t), 1)))
+
+# each entry of the symmetric-group layer with good arguments; every
+# argument in turn is swapped for each value of HOSTILE
+ENTRIES = [
+    (check_partition, ((2, 1),)),
+    (divisors, ((4, 2),)),
+    (standard_tableaux, ((2, 1),)),
+    (sym_dim, ((2, 1),)),
+    (sym_character, ((2, 1), (3,))),
+    (character_column, ((2, 1),)),
+    (natural_columns, ((2, 3, 1), (2, 1))),
+    (rep_matrix, ((2, 3, 1), (2, 1))),
+    (is_standard, (((1, 3), (2,)),)),
+    (straighten, (((2, 3), (1,)),)),
+    (act, ((2, 3, 1), {((1, 3), (2,)): 1})),
+    (cycle_type, ((2, 3, 1),)),
+    (inverse_perm, ((2, 3, 1),)),
+    (perm_from_cycle_type, ((2, 1), 3)),
+    (perm_diagram, ((2, 3, 1),)),
+    (gamma_perm, ((2, 1),)),
+    (gamma_diagram, ((2, 1),)),
+    (pair_tableau, (((1, 2),),)),
+    (twisted_key_tableau, (((1, 2),),)),
+]
+
+HOSTILE = [
+    None, True, 1.5, "x", -1, 0, (), [], ((1, 2), 3), ((1,), (2, (3,))),
+    {1: 2}, object(), Fraction(1, 2), [[None]], b"\0", [(1, 2)], {2, 1},
+    [[1, 2]], ((1.0, 2),), ((1, 2), ()),
+]
+
+
+def _clear_caches():
+    for module in (parts, diagrams, symrep, irreps, characters):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize("entry, good", ENTRIES)
+def test_a_hostile_argument_is_answered_or_refused_cold_and_warm(entry, good):
+    # every call returns or raises ValueError or a DiagramAlgebraError: from
+    # cleared caches, and again once the good arguments are cached
+    faults = []
+    for i in range(len(good)):
+        for value in HOSTILE:
+            args = good[:i] + (value,) + good[i + 1 :]
+            for warm in (False, True):
+                _clear_caches()
+                if warm:
+                    entry(*good)
+                try:
+                    entry(*args)
+                except (ValueError, errors.DiagramAlgebraError):
+                    pass
+                except Exception as e:
+                    faults.append((i, value, warm, type(e).__name__, str(e)))
+    assert faults == []
