@@ -516,18 +516,37 @@ def generator(kind, i, k):
 def _covers(k, points, shape):
     """Every cover of points by the blocks that shape allows, as a list.
 
-    The block of the first point takes later points in order: it may end
-    when singles is set or it has two or more points, stops at two points
-    when pairs is set, and with across set a pair joins a top vertex (at
-    most k) to a bottom one.  Without planar, the points a block passes
-    over are left to the rest of the cover, so with points ascending every
-    cover is canonical and the covers come in canonical order.  With
-    planar, points in boundary order, each run a block passes over is
-    covered on its own and placed after the block, and each block is
-    sorted as it is emitted (the covers are then in no particular order).
-    Each cover is built once per call, memoised by the points it covers.
+    The block of the first point is a single when singles is set; with
+    pairs set, a pair with one later point (across: a top vertex, at most
+    k, and a bottom one); otherwise any later points in order.  Without
+    planar, the points a block passes over are left to the rest of the
+    cover, so with points ascending every cover is canonical and the
+    covers come in canonical order.  With planar, points in boundary
+    order, each run a block passes over is covered on its own and placed
+    after the block, and each block is sorted as it is emitted (the covers
+    are then in no particular order).  Each cover is built once per call,
+    memoised by the points it covers.
     """
     pairs, singles, across, planar = shape
+
+    def pair_cover(points):
+        first, rest, single = points[0], points[1:], (points[:1],)
+        out = [single + t for t in memo[rest]] if singles else []
+        for i, nxt in enumerate(rest):
+            if across and (first <= k) == (nxt <= k):
+                continue
+            if planar:
+                pair = ((first, nxt) if first < nxt else (nxt, first),)
+                run = memo[rest[:i]]
+                # a run without a cover leaves none for this pair
+                tails = memo[rest[i + 1 :]] if run else ()
+                for covered in run:
+                    prefix = pair + covered
+                    out += [prefix + t for t in tails]
+            else:
+                pair = ((first, nxt),)
+                out += [pair + t for t in memo[rest[:i] + rest[i + 1 :]]]
+        return out
 
     def cover(points):
         out = []
@@ -535,17 +554,12 @@ def _covers(k, points, shape):
         def grow(inner, block, left, rest):
             # inner: the covers of the runs block passed over (planar);
             # left: the points it passed over (otherwise)
-            if singles or len(block) > 1:
-                ended = (tuple(sorted(block)) if planar else block,)
-                tails = memo[left + rest]
-                for covered in inner:
-                    prefix = ended + covered
-                    out.extend([prefix + t for t in tails])
-            if pairs and len(block) == 2:
-                return
+            ended = (tuple(sorted(block)) if planar else block,)
+            tails = memo[left + rest]
+            for covered in inner:
+                prefix = ended + covered
+                out.extend([prefix + t for t in tails])
             for i, nxt in enumerate(rest):
-                if across and (block[0] <= k) == (nxt <= k):
-                    continue
                 if planar:
                     run = memo[rest[:i]]
                     # a run without a cover leaves none for this block
@@ -558,7 +572,7 @@ def _covers(k, points, shape):
         grow([()], points[:1], (), points[1:])
         return out
 
-    memo = _Memo(cover, {(): [()]})
+    memo = _Memo(pair_cover if pairs else cover, {(): [()]})
     return memo.take(points)
 
 

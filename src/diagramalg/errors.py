@@ -5,10 +5,11 @@ partition (or not mirror-symmetric, or not in a partition shape), a
 non-partition, a non-permutation (images or a tableau filling not 1..m), a
 partition, permutation or tableau that is not iterable or a tableau that is
 not a tuple of row tuples, an inexact number (a float or bool coefficient,
-exponent, power or n), an Element key or a diagram function's or module
-action's argument of the wrong type (a d that is not a Diagram, say), an
-element's or a module vector's coefficients that are not a mapping, an
-unknown family, generator or basis.
+exponent, power, degree or n), an Element key or a diagram function's or
+module action's argument of the wrong type (a d that is not a Diagram),
+coefficients (of an element, a module vector or a column) that are not a
+mapping, columns that are None or name a missing column, an unknown
+family, generator or basis.
 Other bad input raises a DiagramAlgebraError, below.  The CLI prints both
 on stderr as "error: <message>", exit code 1.
 """

@@ -579,15 +579,20 @@ def compose_columns(a_cols, b_cols):
     out = []
     for col in b_cols:
         acc = {}
-        for i, c in col.items():
-            for r, ac in a_cols[i].items():
+        for i, c in _items(col):
+            if type(i) is not int or not 0 <= i < len(a_cols):
+                raise ValueError("row %r names no column of a" % (i,))
+            for r, ac in _items(a_cols[i]):
                 acc[r] = acc.get(r, ZERO) + c * ac
         out.append({r: c for r, c in acc.items() if c})
     return out
 
 
 def column_trace(cols):
+    if cols is None:
+        raise ValueError("expected a list of columns, got None")
     total = ZERO
     for j, col in enumerate(cols):
+        _items(col)
         total = total + col.get(j, ZERO)
     return total

@@ -258,8 +258,9 @@ def cycle_type(sigma):
 def perm_from_cycle_type(kappa, m=None):
     """A canonical permutation of cycle type kappa: consecutive cycles."""
     kappa = check_partition(kappa)
-    if m is None:
-        m = sum(kappa)
+    m = sum(kappa) if m is None else m
+    if type(m) is not int:
+        raise ValueError("degree must be an int, got %r" % (m,))
     if sum(kappa) != m:
         raise SizeMismatch("cycle type %r does not fill degree %r" % (kappa, m))
     images = list(range(1, m + 1))

@@ -696,6 +696,20 @@ def test_identity_rep_and_trace():
         assert column_trace(cols) == LaurentPoly.const(size)
 
 
+def test_column_lists_that_are_not_columns_are_refused():
+    # these ended in AttributeError, IndexError or a bare TypeError
+    with pytest.raises(ValueError, match="expected a mapping"):
+        compose_columns([None], [{0: ONE}])
+    with pytest.raises(ValueError, match="names no column"):
+        compose_columns([{0: ONE}], [{5: ONE}])
+    with pytest.raises(ValueError, match="names no column"):
+        compose_columns([{0: ONE}], [{"x": ONE}])
+    with pytest.raises(ValueError, match="expected a mapping"):
+        column_trace([1])
+    with pytest.raises(ValueError, match="expected a list of columns"):
+        column_trace(None)
+
+
 def test_rep_columns_errors():
     with pytest.raises(errors.RankMismatch):
         rep_columns(identity_diagram(2), PARTITION, 3, (1,))

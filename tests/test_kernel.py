@@ -26,6 +26,7 @@ from diagramalg.diagrams import (
     Diagram,
     _block_owner,
     _covers,
+    algebra_dim,
     concat,
     family_generators,
     enumerate_basis,
@@ -275,6 +276,22 @@ def test_enumerate_basis_matches_validating_reference():
             assert basis == reference_enumerate_basis(family, k), (family, k)
             assert all(Diagram(k, d.blocks) == d for d in basis), (family, k)
             assert all(a < b for a, b in zip(basis, basis[1:])), (family, k)
+
+
+def test_pair_family_bases_at_k6_count_order_and_check():
+    # past the references' k=5: enumerate_basis wraps its covers without
+    # checking them, so a seeded sample goes back through the checking
+    # constructor (about 180,000 diagrams over the seven families)
+    rng = random.Random(6)
+    for family in FAMILIES:
+        if not _SHAPES[family].pairs:
+            continue
+        basis = enumerate_basis(family, 6)
+        assert len(basis) == algebra_dim(family, 6), family
+        blocks = [d.blocks for d in basis]
+        assert all(a < b for a, b in zip(blocks, blocks[1:])), family
+        for d in rng.sample(basis, min(2000, len(basis))):
+            assert Diagram(6, d.blocks) == d, (family, d)
 
 
 def reference_set_partitions(n):

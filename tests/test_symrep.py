@@ -313,6 +313,10 @@ def test_perm_from_cycle_type():
     assert cycle_type(perm_from_cycle_type((4, 2, 1))) == (4, 2, 1)
     with pytest.raises(errors.SizeMismatch):
         perm_from_cycle_type((2, 1), m=5)
+    # True once answered (1,), and the floats ended in a bare TypeError
+    for kappa, m in (((1,), True), ((1,), 1.0), ((2,), 2.0)):
+        with pytest.raises(ValueError, match="degree must be an int"):
+            perm_from_cycle_type(kappa, m)
 
 
 # (3, 1) once ended in an IndexError, and (1, 1) in an answer
