@@ -23,11 +23,12 @@ from .diagrams import (
     ROOK_BRAUER,
     TEMPERLEY_LIEB,
     Diagram,
-    enumeration_cap,
+    _check_cap,
+    _tuple_of,
     normalize_family,
     perm_diagram,
 )
-from .errors import CapExceeded, FamilyUnsupported, InvalidClassLabel
+from .errors import FamilyUnsupported, InvalidClassLabel
 from .irreps import (
     column_trace,
     conjugate,
@@ -35,6 +36,7 @@ from .irreps import (
     rep_columns,
 )
 from .partitions import (
+    _check_ints,
     _labels,
     _ranks,
     binom,
@@ -68,9 +70,9 @@ def gamma_diagram(kappa):
     return perm_diagram(gamma_perm(kappa))
 
 
-def _check_class(family, kappa, k=None, s=None):
+def _check_class(family, kappa, k=..., s=None):
     """Validate the class label (kappa, s); return kappa as a tuple and the
-    tail length, or None for the tail when k is not given.
+    tail length, or None for it when k is not given (k=None is refused).
 
     The planar families take only all-ones cycle types.  With k given,
     |kappa| must be a rank of the family, and the tail fills the k - |kappa|
@@ -83,7 +85,7 @@ def _check_class(family, kappa, k=None, s=None):
             "%s classes are labelled by all-ones cycle types, got %r"
             % (family, kappa)
         )
-    if k is None:
+    if k is ...:
         return kappa, None
     r = sum(kappa)
     if r not in _ranks(family, k):
@@ -136,8 +138,7 @@ def fixed_points(family, k, m, kappa):
     # the class of a permutation gamma_kappa alone has no tail
     kappa, _ = _check_class(family, kappa, k, 0)
     check_rank(family, k, m)
-    if k > enumeration_cap(family):
-        raise CapExceeded("fixed_points at k=%d exceeds the cap" % k)
+    _check_cap("fixed_points", family, k)
     gamma = gamma_diagram(kappa)
     out = {mu: [] for mu in partitions(m)}
     for w in enumerate_symmetric(family, k, m):
@@ -161,6 +162,7 @@ def f_coeff_planar(family, r, m):
     doubles each vertex.
     """
     family = normalize_family(family)
+    _check_ints(r, m)
     pairs, singles, across, planar = _SHAPES[family]
     if not planar:
         raise FamilyUnsupported(
@@ -318,7 +320,8 @@ def class_labels(family, k):
 
 
 def format_partition(p):
-    return "[%s]" % ",".join(map(str, p))
+    parts = p if type(p) is tuple else _tuple_of(p, "a partition")
+    return "[%s]" % ",".join(map(str, parts))
 
 
 CharacterTableFactor = namedtuple("CharacterTableFactor", ["s_block", "f_block"])
@@ -339,9 +342,9 @@ class CharacterTable:
     def __init__(self, family, k, row_labels, col_labels, values):
         self.family = family
         self.k = k
-        self.row_labels = list(row_labels)
-        self.col_labels = list(col_labels)
-        self.values = [list(row) for row in values]
+        self.row_labels = list(_tuple_of(row_labels, "row labels"))
+        self.col_labels = list(_tuple_of(col_labels, "column labels"))
+        self.values = [list(_tuple_of(r, "a row")) for r in _tuple_of(values, "rows")]
         self._factor = None
 
     def __eq__(self, other):
@@ -506,8 +509,7 @@ def character_oracle(family, k, lam_star, kappa, s=None):
     the 4,096-entry _conjugate window until its next label reads them."""
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
-    if k > enumeration_cap(family):
-        raise CapExceeded("character_oracle at k=%d exceeds the cap" % k)
+    _check_cap("character_oracle", family, k)
     elem = class_diagram(family, k, kappa, s)
     # the trace is linear: each term's trace, scaled, and not the matrix of
     # the whole element

@@ -17,13 +17,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
-from .diagrams import _INT, Diagram, _check_family, _check_k, _Value, concat
-from .diagrams import _not_a_diagram, identity_diagram, normalize_family
-from .errors import (
-    AlgebraMismatch,
-    RankMismatch,
-    ZeroSubstitutionWithNegativeExponent,
-)
+from .diagrams import _INT, Diagram, _check_diagram, _check_k, _check_strands
+from .diagrams import _Value, concat, identity_diagram, normalize_family
+from .errors import AlgebraMismatch, ZeroSubstitutionWithNegativeExponent
 
 
 def _items(combo):
@@ -55,14 +51,17 @@ class LaurentPoly(_Value):
         data = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for exp, c in items:
-                if type(exp) is not int:
-                    raise ValueError("exponent must be an int, got %r" % (exp,))
-                if type(c) is not int and not isinstance(c, Fraction):
-                    c = _exact(c, "coefficient")
-                if exp in data:
-                    c += data[exp]
-                data[exp] = c
+            try:
+                for exp, c in items:
+                    if type(exp) is not int:
+                        raise ValueError("exponent must be an int, got %r" % (exp,))
+                    if type(c) is not int and not isinstance(c, Fraction):
+                        c = _exact(c, "coefficient")
+                    if exp in data:
+                        c += data[exp]
+                    data[exp] = c
+            except TypeError:
+                raise ValueError("terms must be a mapping or pairs") from None
         # integral Fractions become ints
         _set_terms(
             self,
@@ -246,11 +245,7 @@ class Element(_Value):
         for d, c in _items(combo or {}):
             if not isinstance(d, Diagram):
                 raise ValueError("keys must be Diagram, got %r" % (d,))
-            if d.k != k:
-                raise RankMismatch(
-                    "diagram on %d strands in an element with k=%d" % (d.k, k)
-                )
-            _check_family(d, family)
+            _check_diagram(d, family, k)
             if not isinstance(c, LaurentPoly):
                 c = LaurentPoly.const(c)
             if c:
@@ -271,8 +266,7 @@ class Element(_Value):
 
     @classmethod
     def from_diagram(cls, d, family, coeff=1):
-        if not isinstance(d, Diagram):
-            raise _not_a_diagram(d)
+        _check_diagram(d)
         return cls(d.k, family, {d: LaurentPoly.coerce(coeff)})
 
     @classmethod
@@ -291,11 +285,7 @@ class Element(_Value):
     def _check_compatible(self, other):
         if not isinstance(other, Element):
             raise TypeError("expected an Element, got %r" % (other,))
-        if self.k != other.k:
-            raise RankMismatch(
-                "elements on different strand counts: %d vs %d"
-                % (self.k, other.k)
-            )
+        _check_strands(self.k, other.k)
         if self.family != other.family:
             raise AlgebraMismatch(
                 "elements of different families: %s vs %s"

@@ -161,6 +161,14 @@ def _check_k(k):
 _INT = frozenset((int,))
 
 
+def _tuple_of(value, what):
+    """value as a tuple, refused with ValueError unless it is iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError("expected %s, got %r" % (what, value)) from None
+
+
 def _sorted_blocks(blocks):
     """The blocks as ascending tuples in order of least vertex, and their
     vertices in order; ValueError unless all of the vertices compare."""
@@ -194,8 +202,20 @@ def _check_int_vertices(vertices):
         raise ValueError("vertices must be integers, got %r" % (bad,))
 
 
-def _not_a_diagram(d):
-    return ValueError("expected a Diagram, got %r" % (d,))
+def _check_diagram(d, family=None, k=None):
+    """Refuse d unless it is a Diagram, on k strands and in family if given."""
+    if not isinstance(d, Diagram):
+        raise ValueError("expected a Diagram, got %r" % (d,))
+    if k is not None and d.k != k:
+        _check_strands(d.k, k)
+    if family is not None and not in_family(d, family):
+        raise AlgebraMismatch("diagram %s is not in the %s family" % (d.text(), family))
+
+
+def _check_strands(k, other):
+    """Refuse two objects that must share their number of strands."""
+    if k != other:
+        raise RankMismatch("strand counts differ: k=%d against k=%d" % (k, other))
 
 
 ConcatResult = namedtuple("ConcatResult", ["product", "deleted"])
@@ -290,8 +310,7 @@ def block_json():
 
 
 def format_diagram(d):
-    if not isinstance(d, Diagram):
-        raise _not_a_diagram(d)
+    _check_diagram(d)
     return d.text()
 
 
@@ -343,12 +362,8 @@ def concat(d1, d2):
     components living entirely in that shared middle row are removed and
     counted.
     """
-    if not isinstance(d1, Diagram):
-        raise _not_a_diagram(d1)
-    if not isinstance(d2, Diagram):
-        raise _not_a_diagram(d2)
-    if d1.k != d2.k:
-        raise RankMismatch("cannot concatenate k=%d with k=%d" % (d1.k, d2.k))
+    _check_diagram(d1)
+    _check_diagram(d2, None, d1.k)
     k = d1.k
     # the lower layer is the blocks of d2, met at its top vertices
     own1, own2 = _block_owner(d1), _block_owner(d2)
@@ -380,8 +395,7 @@ def concat(d1, d2):
 
 def transpose(d):
     """Mirror over the horizontal axis: i <-> i'."""
-    if not isinstance(d, Diagram):
-        raise _not_a_diagram(d)
+    _check_diagram(d)
     k = d.k
     return Diagram(
         k, [tuple(v + k if v <= k else v - k for v in b) for b in d.blocks]
@@ -390,8 +404,7 @@ def transpose(d):
 
 def rank(d):
     """Number of propagating blocks (blocks meeting both rows)."""
-    if not isinstance(d, Diagram):
-        raise _not_a_diagram(d)
+    _check_diagram(d)
     k = d.k
     return sum(1 for b in d.blocks if b[0] <= k < b[-1])
 
@@ -408,8 +421,7 @@ def is_planar(d):
     vertices still to come); a block may be met again only while it is on
     top, otherwise a block opened inside it is still open and they cross.
     """
-    if not isinstance(d, Diagram):
-        raise _not_a_diagram(d)
+    _check_diagram(d)
     blocks = d.blocks
     owner = [0] * (2 * d.k + 1)
     for i, block in enumerate(blocks):
@@ -431,8 +443,7 @@ def is_planar(d):
 
 def in_family(d, family):
     """Membership predicate for each diagram family."""
-    if not isinstance(d, Diagram):
-        raise _not_a_diagram(d)
+    _check_diagram(d)
     try:
         shape = _SHAPES[family]
     except (KeyError, TypeError):
@@ -449,16 +460,8 @@ def in_family(d, family):
     return not planar or is_planar(d)
 
 
-def _check_family(d, family):
-    if not isinstance(d, Diagram):
-        raise _not_a_diagram(d)
-    if family is not None and not in_family(d, family):
-        raise AlgebraMismatch(
-            "diagram %s is not in the %s family" % (d.text(), family)
-        )
-
-
 def identity_diagram(k):
+    _check_k(k)
     return Diagram(k, [(i, k + i) for i in range(1, k + 1)])
 
 
@@ -466,10 +469,7 @@ def _check_permutation(images):
     """Refuse images unless they are the one-line images of a permutation
     of 1..m, m their number, and return them as a tuple; True and 1.0
     compare like 1 but are not images."""
-    try:
-        images = tuple(images)
-    except TypeError:
-        raise ValueError("not a permutation: %r" % (images,)) from None
+    images = _tuple_of(images, "a permutation")
     m = len(images)
     if set(map(type, images)) - {int} or sorted(images) != list(range(1, m + 1)):
         raise ValueError("not a permutation of 1..%d: %r" % (m, images))
@@ -535,17 +535,13 @@ def _covers(k, points, shape):
         for i, nxt in enumerate(rest):
             if across and (first <= k) == (nxt <= k):
                 continue
-            if planar:
-                pair = ((first, nxt) if first < nxt else (nxt, first),)
-                run = memo[rest[:i]]
-                # a run without a cover leaves none for this pair
-                tails = memo[rest[i + 1 :]] if run else ()
-                for covered in run:
-                    prefix = pair + covered
-                    out += [prefix + t for t in tails]
-            else:
-                pair = ((first, nxt),)
-                out += [pair + t for t in memo[rest[:i] + rest[i + 1 :]]]
+            pair = ((first, nxt) if first < nxt else (nxt, first),)
+            run, passed = (memo[rest[:i]], ()) if planar else ([()], rest[:i])
+            # a run without a cover leaves none for this pair
+            tails = memo[passed + rest[i + 1 :]] if run else ()
+            for covered in run:
+                prefix = pair + covered
+                out += [prefix + t for t in tails]
         return out
 
     def cover(points):
@@ -554,20 +550,17 @@ def _covers(k, points, shape):
         def grow(inner, block, left, rest):
             # inner: the covers of the runs block passed over (planar);
             # left: the points it passed over (otherwise)
-            ended = (tuple(sorted(block)) if planar else block,)
+            ended = (tuple(sorted(block)),)
             tails = memo[left + rest]
             for covered in inner:
                 prefix = ended + covered
                 out.extend([prefix + t for t in tails])
             for i, nxt in enumerate(rest):
-                if planar:
-                    run = memo[rest[:i]]
-                    # a run without a cover leaves none for this block
-                    if run:
-                        inner_i = [c + r for c in inner for r in run]
-                        grow(inner_i, block + (nxt,), left, rest[i + 1 :])
-                else:
-                    grow(inner, block + (nxt,), left + rest[:i], rest[i + 1 :])
+                run, passed = (memo[rest[:i]], ()) if planar else ([()], rest[:i])
+                # a run without a cover leaves none for this block
+                if run:
+                    inner_i = [c + r for c in inner for r in run]
+                    grow(inner_i, block + (nxt,), left + passed, rest[i + 1 :])
 
         grow([()], points[:1], (), points[1:])
         return out
@@ -598,15 +591,18 @@ def enumeration_cap(family):
     return size_cap(7 if _SHAPES[normalize_family(family)].pairs else 5)
 
 
-def enumerate_basis(family, k):
-    """All diagrams of the family on k strands, in canonical order."""
-    family = normalize_family(family)
+def _check_cap(caller, family, k):
+    """Refuse k unless it is a positive int within the family's cap."""
     _check_k(k)
     cap = enumeration_cap(family)
     if k > cap:
-        raise CapExceeded(
-            "enumerate_basis(%s, %d) exceeds cap %d" % (family, k, cap)
-        )
+        raise CapExceeded("%s at k=%d exceeds the cap %d" % (caller, k, cap))
+
+
+def enumerate_basis(family, k):
+    """All diagrams of the family on k strands, in canonical order."""
+    family = normalize_family(family)
+    _check_cap("enumerate_basis", family, k)
     shape = _SHAPES[family]
     if shape.planar:
         # covered in the boundary order 1..k, k'..1': each block comes out

@@ -2,16 +2,16 @@
 
 Input of the wrong form raises ValueError: blocks that are not a set
 partition (or not mirror-symmetric, or not in a partition shape), a
-non-partition, a non-permutation (images or a tableau filling not 1..m), a
-partition, permutation or tableau that is not iterable or a tableau that is
-not a tuple of row tuples, an inexact number (a float or bool coefficient,
-exponent, power, degree or n), an Element key or a diagram function's or
-module action's argument of the wrong type (a d that is not a Diagram),
-coefficients (of an element, a module vector or a column) that are not a
-mapping, columns that are None or name a missing column, an unknown
+non-partition or non-permutation (images or a tableau filling not 1..m), a
+tableau that is not a tuple of row tuples, a value that must be iterable and
+is not, an inexact number (a float or bool coefficient, exponent, power,
+degree or n), a count argument that is not an int, Laurent terms that are not
+a mapping or pairs, an argument or Element key that is not a Diagram,
+coefficients that are not a mapping, a row that names no column, an unknown
 family, generator or basis.
-Other bad input raises a DiagramAlgebraError, below.  The CLI prints both
-on stderr as "error: <message>", exit code 1.
+Other bad input raises a DiagramAlgebraError, below: two strand counts that
+differ (RankMismatch) and a k past the enumeration cap (CapExceeded) among
+them.  The CLI prints both on stderr as "error: <message>", exit code 1.
 """
 
 

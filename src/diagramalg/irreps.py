@@ -20,21 +20,21 @@ from .diagrams import (
     Diagram,
     _block_owner,
     _canonical,
-    _check_family,
+    _check_diagram,
     _check_int_vertices,
     _check_k,
     _covers,
     _fuse,
     _joined,
     _Memo,
-    _not_a_diagram,
     _sorted_blocks,
+    _tuple_of,
     _Value,
     is_planar,
     normalize_family,
     rank,
 )
-from .errors import RankMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 from .partitions import check_label, check_partition, check_rank
 from .symrep import (
     _check_tableau,
@@ -108,8 +108,7 @@ class SymmetricMDiagram(_Value):
     def from_diagram(cls, d):
         """The w with w.to_diagram() == d: the top half of each block is a
         top block, propagating when the block also reaches the bottom."""
-        if not isinstance(d, Diagram):
-            raise _not_a_diagram(d)
+        _check_diagram(d)
         k = d.k
         tops = [(tuple(v for v in b if v <= k), b[-1] > k) for b in d.blocks]
         top = [above for above, _ in tops if above]
@@ -236,6 +235,16 @@ def _conjugate(d, top):
     return tuple(root), tuple(tops.values()), components
 
 
+def _check_action(d, x, cls):
+    """Refuse d and x unless they are a Diagram and a cls on one k."""
+    if isinstance(x, cls):
+        try:
+            return _check_diagram(d, None, x.k)
+        except ValueError:
+            pass
+    raise ValueError("expected a Diagram and a %s, got %r, %r" % (cls.__name__, d, x))
+
+
 def conjugate(d, w):
     """Conjugate a symmetric diagram: the stack d w d^T.
 
@@ -244,14 +253,7 @@ def conjugate(d, w):
     permutation of propagating blocks (max-entry order), or None when the
     rank drops.
     """
-    if not (isinstance(d, Diagram) and isinstance(w, SymmetricMDiagram)):
-        raise ValueError(
-            "expected a Diagram and a SymmetricMDiagram, got %r, %r" % (d, w)
-        )
-    if d.k != w.k:
-        raise RankMismatch(
-            "diagram on %d strands against w on %d" % (d.k, w.k)
-        )
+    _check_action(d, w, SymmetricMDiagram)
     # d w d^T is mirror-symmetric and its two halves meet only through the
     # propagating blocks of w, so d stacked on the top of w decides it: a
     # component reaching the top row is a block of w', propagating when it
@@ -278,13 +280,10 @@ def act_twisted(d, v, family=None):
     twist permutation acts on the tableau factor, and each deleted middle
     component contributes a factor n.
     """
-    _check_family(d, family)
+    _check_diagram(d, family)
     out = {}
     for key, coeff in _items(v):
-        try:
-            w, t = key
-        except TypeError:
-            raise ValueError("expected a (w, t) key, got %r" % (key,)) from None
+        w, t = _tuple_of(key, "a (w, t) key")
         _check_pair(w, t)
         res = conjugate(d, w)
         if res.twist is not None:
@@ -432,14 +431,7 @@ def act_tableau(d, tab):
     stack's key is the tableau's sorted blocks: a basis tableau carries its
     symmetric diagram's own top, and any other tableau's is built per call.
     """
-    if not (isinstance(d, Diagram) and isinstance(tab, SetPartitionTableau)):
-        raise ValueError(
-            "expected a Diagram and a SetPartitionTableau, got %r, %r" % (d, tab)
-        )
-    if d.k != tab.k:
-        raise RankMismatch(
-            "diagram on %d strands against a tableau on %d" % (d.k, tab.k)
-        )
+    _check_action(d, tab, SetPartitionTableau)
     k = d.k
     try:
         key = tab._top
@@ -465,7 +457,7 @@ def act_tableau(d, tab):
 def act_natural(d, v, family=None):
     """Act on a combinatorial vector {tableau: coeff} and rewrite any
     non-standard bodies over standard ones."""
-    _check_family(d, family)
+    _check_diagram(d, family)
     out = {}
     for tab, coeff in _items(v):
         moved, deleted = act_tableau(d, tab)
@@ -524,9 +516,7 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
     basis = _normalize_basis(basis)
-    _check_family(d, family)
-    if d.k != k:
-        raise RankMismatch("diagram on %d strands, module at k=%d" % (d.k, k))
+    _check_diagram(d, family, k)
     vectors, base, position = _module_basis(family, k, lam_star, basis)
     if rank(d) < sum(lam_star):
         # fewer than m propagating blocks is zero in the paper's quotient
@@ -576,8 +566,9 @@ def rep_matrix_irrep(d, family, k, lam_star, basis=TWISTED):
 
 def compose_columns(a_cols, b_cols):
     """Columns of the product: apply b first, then a."""
+    a_cols = _tuple_of(a_cols, "a list of columns")
     out = []
-    for col in b_cols:
+    for col in _tuple_of(b_cols, "a list of columns"):
         acc = {}
         for i, c in _items(col):
             if type(i) is not int or not 0 <= i < len(a_cols):
@@ -589,10 +580,8 @@ def compose_columns(a_cols, b_cols):
 
 
 def column_trace(cols):
-    if cols is None:
-        raise ValueError("expected a list of columns, got None")
     total = ZERO
-    for j, col in enumerate(cols):
+    for j, col in enumerate(_tuple_of(cols, "a list of columns")):
         _items(col)
         total = total + col.get(j, ZERO)
     return total

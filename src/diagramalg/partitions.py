@@ -7,20 +7,37 @@ character tables.
 """
 
 import itertools
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from math import comb
 from operator import lt
 
-from .diagrams import _SHAPES, _check_k, normalize_family
+from .diagrams import _SHAPES, _check_k, _tuple_of, normalize_family
 from .errors import InvalidRank, LabelNotInFamily
+
+
+def _check_ints(*values):
+    """Refuse each value that is not an int; True is not a count."""
+    for n in values:
+        if type(n) is not int:
+            raise ValueError("expected an int, got %r" % (n,))
+
+
+def _checked_cache(count):
+    """count cached, its arguments checked by _check_ints before the cache."""
+    cached = cache(count)
+
+    @wraps(count)
+    def checked(*args):
+        _check_ints(*args)
+        return cached(*args)
+
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
 
 
 def check_partition(p):
     """Validate and return a partition as a tuple."""
-    try:
-        p = tuple(p)
-    except TypeError:
-        raise ValueError("not a partition: %r" % (p,)) from None
+    p = p if type(p) is tuple else _tuple_of(p, "a partition")
     # True and 1.0 compare like 1 but are not parts; the checks are C loops
     # because every entry of F checks two partitions
     if p and (set(map(type, p)) != {int} or min(p) < 1):
@@ -30,7 +47,7 @@ def check_partition(p):
     return p
 
 
-@cache
+@_checked_cache
 def partitions(m):
     """All partitions of m, descending lexicographic: (m,) first."""
     if m < 0:
@@ -50,8 +67,11 @@ def partitions(m):
 def multiplicities(p):
     """Map part size i to its multiplicity m_i(p)."""
     out = {}
-    for part in p:
-        out[part] = out.get(part, 0) + 1
+    try:
+        for part in p:
+            out[part] = out.get(part, 0) + 1
+    except TypeError:
+        raise ValueError("expected hashable parts, got %r" % (p,)) from None
     return out
 
 
@@ -69,12 +89,13 @@ def divisors(kappa):
 
 def binom(a, b):
     """Binomial coefficient, zero outside 0 <= b <= a."""
+    _check_ints(a, b)
     if b < 0 or a < 0 or b > a:
         return 0
     return comb(a, b)
 
 
-@cache
+@_checked_cache
 def stirling2(n, j):
     """Stirling number of the second kind, zero outside 0 <= j <= n."""
     if not 0 <= j <= n:
@@ -95,6 +116,7 @@ def _stirling_row(n):
 
 def double_factorial(n):
     """n!! with the conventions (-1)!! = 1 and n!! = 0 for n < -1."""
+    _check_ints(n)
     if n < -1:
         return 0
     out = 1
@@ -106,10 +128,11 @@ def double_factorial(n):
 
 def catalan(n):
     """The n-th Catalan number."""
+    _check_ints(n)
     return comb(2 * n, n) // (n + 1)
 
 
-@cache
+@_checked_cache
 def bell(n):
     """Number of set partitions of an n-element set."""
     return sum(stirling2(n, j) for j in range(n + 1))

@@ -34,6 +34,7 @@ from diagramalg.diagrams import (
     ROOK_BRAUER,
     SYMMETRIC_GROUP,
     TEMPERLEY_LIEB,
+    enumerate_basis,
     parse_diagram,
     perm_diagram,
 )
@@ -440,6 +441,19 @@ def test_character_oracle_matches_closed_form():
                 )
     with pytest.raises(errors.CapExceeded):
         character_oracle("Partition", 6, (1,), (1,) * 6)
+
+
+def test_a_refusal_at_the_cap_names_the_caller_k_and_the_cap(monkeypatch):
+    monkeypatch.setenv("DIAGRAMALG_CAP", "1")
+    for caller, call in (
+        ("enumerate_basis", lambda: enumerate_basis(PARTITION, 2)),
+        ("fixed_points", lambda: fixed_points(PARTITION, 2, 2, (1, 1))),
+        ("character_oracle", lambda: character_oracle(PARTITION, 2, (1,), (1,))),
+    ):
+        with pytest.raises(
+            errors.CapExceeded, match="^%s at k=2 exceeds the cap 1$" % caller
+        ):
+            call()
 
 
 def test_character_oracle_reads_the_enumeration_cap(monkeypatch):

@@ -708,6 +708,37 @@ def test_column_lists_that_are_not_columns_are_refused():
         column_trace([1])
     with pytest.raises(ValueError, match="expected a list of columns"):
         column_trace(None)
+    # and these in a bare TypeError or a KeyError
+    for a_cols, b_cols in (
+        (None, [{0: ONE}]),
+        ([{0: ONE}], None),
+        ({1: 2}, [{0: ONE}]),
+    ):
+        with pytest.raises(ValueError):
+            compose_columns(a_cols, b_cols)
+    with pytest.raises(ValueError, match="expected a list of columns"):
+        column_trace(5)
+
+
+def test_a_strand_count_mismatch_has_one_wording():
+    # diagrams, symmetric diagrams, tableaux, modules and elements on 13
+    # strands against a diagram or an element on 12
+    d12 = identity_diagram(12)
+    calls = (
+        lambda: concat(D13, d12),
+        lambda: concat(d12, D13),
+        lambda: conjugate(d12, W13),
+        lambda: act_tableau(d12, T13),
+        lambda: rep_columns(d12, PARTITION, 13, (1,)),
+        lambda: Element(13, PARTITION, {d12: ONE}),
+        lambda: Element.identity(12, PARTITION) + Element.identity(13, PARTITION),
+    )
+    for call in calls:
+        with pytest.raises(
+            errors.RankMismatch,
+            match=r"^strand counts differ: k=1[23] against k=1[23]$",
+        ):
+            call()
 
 
 def test_rep_columns_errors():

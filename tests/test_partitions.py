@@ -1,12 +1,15 @@
 import functools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from diagramalg.characters import f_coeff_planar
 from diagramalg.partitions import (
     bell,
     binom,
+    catalan,
     check_partition,
     divisors,
     double_factorial,
@@ -113,6 +116,60 @@ def test_double_factorial():
     assert double_factorial(5) == 15
     assert double_factorial(6) == 48
     assert double_factorial(-3) == 0
+
+
+# every int argument of each counting function in turn, swapped for a value
+# that is not an int
+COUNTS = [
+    (partitions, (3,)),
+    (bell, (3,)),
+    (stirling2, (3, 1)),
+    (binom, (3, 1)),
+    (catalan, (2,)),
+    (double_factorial, (5,)),
+    pytest.param(
+        functools.partial(f_coeff_planar, "TemperleyLieb"), (4, 2), id="f_coeff_planar"
+    ),
+]
+NOT_INTS = [True, False, None, "x", 1.5, 2.0, Fraction(7, 2), Fraction(2), [3]]
+
+
+@pytest.mark.parametrize("count, good", COUNTS)
+def test_a_counting_function_refuses_an_argument_that_is_not_an_int(count, good):
+    # refused cold and again once the good call is cached: a bool hashes
+    # like 0 or 1, and 2.0 like 2, so a check after a cache would answer
+    for warm in (False, True):
+        if warm:
+            count(*good)
+        else:
+            getattr(count, "cache_clear", lambda: None)()
+        for i in range(len(good)):
+            for bad in NOT_INTS:
+                args = good[:i] + (bad,) + good[i + 1 :]
+                with pytest.raises(ValueError, match="expected an int, got "):
+                    count(*args)
+
+
+def test_the_quoted_counting_answers_are_refused():
+    # each was answered before the counting functions checked their ints
+    for call in (
+        lambda: double_factorial(1.5),
+        lambda: double_factorial(Fraction(7, 2)),
+        lambda: partitions(True),
+        lambda: stirling2(True, 1),
+        lambda: bell(True),
+        lambda: catalan(True),
+        lambda: binom(3, True),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_the_cached_counts_keep_their_statistics_under_the_public_names():
+    for count in (partitions, bell, stirling2):
+        count.cache_clear()
+        count(4, 2) if count is stirling2 else count(4)
+        assert count.cache_info().misses >= 1 and count.cache_info().currsize >= 1
 
 
 def test_rank_sets():

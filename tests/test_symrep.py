@@ -6,11 +6,18 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import diagramalg as dalg
 from diagramalg import characters, diagrams, errors, irreps, symrep
 from diagramalg import partitions as parts
 from diagramalg.characters import gamma_diagram, gamma_perm
 from diagramalg.diagrams import identity_diagram, perm_diagram
-from diagramalg.irreps import SymmetricMDiagram, act_twisted, tableau_from_pair
+from diagramalg.coeff import ONE
+from diagramalg.irreps import (
+    SetPartitionTableau,
+    SymmetricMDiagram,
+    act_twisted,
+    tableau_from_pair,
+)
 from diagramalg.partitions import check_partition, divisors, partitions
 from diagramalg.symrep import (
     act,
@@ -548,6 +555,74 @@ ENTRIES = [
     (twisted_key_tableau, (((1, 2),),)),
 ]
 
+# every other callable of the package, classes included, with good
+# arguments at k <= 2
+D2 = identity_diagram(2)
+W21 = SymmetricMDiagram(2, [(1,), (2,)], [(1,)])
+TAB2 = SetPartitionTableau(2, [(1,)], [[(2,)]])
+LABELS = [(), (1,)]
+ENTRIES += [
+    (dalg.Diagram, (2, [(1, 3), (2, 4)])),
+    (dalg.Element, (2, "Partition", {D2: 1})),
+    (dalg.LaurentPoly, ({0: 1},)),
+    (SymmetricMDiagram, (2, [(1,), (2,)], [(1,)])),
+    (SetPartitionTableau, (2, [(1,)], [[(2,)]])),
+    (dalg.CharacterTable, ("Partition", 1, LABELS, LABELS, [[1, 1], [0, 1]])),
+    (dalg.ConcatResult, (D2, 0)),
+    (dalg.ConjugateResult, (W21, 1, 0, (1,))),
+    (dalg.act_natural, (D2, {TAB2: 1}, "Partition")),
+    (dalg.act_tableau, (D2, TAB2)),
+    (dalg.act_twisted, (D2, {(W21, ((1,),)): 1}, "Partition")),
+    (dalg.algebra_dim, ("Partition", 2)),
+    (dalg.bell, (3,)),
+    (dalg.binom, (3, 1)),
+    (dalg.catalan, (2,)),
+    (dalg.character_oracle, ("Partition", 2, (1,), (1,), 1)),
+    (dalg.character_table, ("Partition", 2)),
+    (dalg.class_diagram, ("Partition", 2, (1,), 1)),
+    (dalg.class_labels, ("Partition", 2)),
+    (dalg.column_trace, ([{0: ONE}],)),
+    (dalg.compose_columns, ([{0: ONE}], [{0: ONE}])),
+    (dalg.concat, (D2, D2)),
+    (dalg.conjugate, (D2, W21)),
+    (dalg.double_factorial, (5,)),
+    (dalg.enumerate_basis, ("Partition", 2)),
+    (dalg.enumerate_sspt, ("Partition", 2, (1,))),
+    (dalg.enumerate_symmetric, ("Partition", 2, 1)),
+    (dalg.enumeration_cap, ("Partition",)),
+    (dalg.f_coeff, ("Partition", (1,), (1,))),
+    (dalg.f_coeff_planar, ("TemperleyLieb", 2, 0)),
+    (dalg.family_generators, ("Partition", 2)),
+    (dalg.fixed_points, ("Partition", 2, 1, (1, 1))),
+    (dalg.format_diagram, (D2,)),
+    (dalg.format_partition, ((2, 1),)),
+    (dalg.generator, ("S", 1, 2)),
+    (dalg.identity_diagram, (2,)),
+    (dalg.in_family, (D2, "Partition")),
+    (dalg.irr_character, ("Partition", 2, (1,), (1,), 1)),
+    (dalg.is_planar, (D2,)),
+    (dalg.lambda_star_labels, ("Partition", 2)),
+    (dalg.multiplicities, ((2, 1),)),
+    (dalg.normalize_family, ("Partition",)),
+    (dalg.parse_diagram, ("1 1' | 2 2'", 2)),
+    (dalg.partitions, (3,)),
+    (dalg.rank, (D2,)),
+    (dalg.rank_set, ("Partition", 2)),
+    (dalg.rep_columns, (D2, "Partition", 2, (1,), "Tableau")),
+    (dalg.rep_matrix_irrep, (D2, "Partition", 2, (1,), "Twisted")),
+    (dalg.size_cap, (5,)),
+    (dalg.stirling2, (3, 2)),
+    (dalg.table_determinant_check, ("Partition", 2)),
+    (dalg.tableau_from_pair, (W21, ((1,),))),
+    (dalg.transpose, (D2,)),
+]
+# an exception type takes any message
+ENTRIES += [
+    (value, ("message",))
+    for name, value in sorted(vars(errors).items())
+    if isinstance(value, type) and issubclass(value, Exception)
+]
+
 HOSTILE = [
     None, True, 1.5, "x", -1, 0, (), [], ((1, 2), 3), ((1,), (2, (3,))),
     {1: 2}, object(), Fraction(1, 2), [[None]], b"\0", [(1, 2)], {2, 1},
@@ -560,6 +635,13 @@ def _clear_caches():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def test_the_hostile_table_covers_every_public_callable():
+    covered = {id(entry) for entry, _ in ENTRIES}
+    public = (getattr(dalg, name) for name in dalg.__all__)
+    missing = [f for f in public if callable(f) and id(f) not in covered]
+    assert missing == []
 
 
 @pytest.mark.parametrize("entry, good", ENTRIES)
