@@ -16,6 +16,7 @@ from operator import add, mul
 
 from .coeff import ZERO, Element, LaurentPoly
 from .diagrams import (
+    _INT,
     _SHAPES,
     BRAUER,
     PARTITION,
@@ -28,7 +29,7 @@ from .diagrams import (
     normalize_family,
     perm_diagram,
 )
-from .errors import FamilyUnsupported, InvalidClassLabel
+from .errors import FamilyUnsupported, InvalidClassLabel, LabelNotInFamily
 from .irreps import (
     column_trace,
     conjugate,
@@ -162,7 +163,8 @@ def f_coeff_planar(family, r, m):
     doubles each vertex.
     """
     family = normalize_family(family)
-    _check_ints(r, m)
+    if type(r) is not int or type(m) is not int:
+        _check_ints(r, m)
     pairs, singles, across, planar = _SHAPES[family]
     if not planar:
         raise FamilyUnsupported(
@@ -362,10 +364,14 @@ class CharacterTable:
         character tables and F the fixed-point count matrix, rows of F and
         columns of S indexed by the twists of the row labels; built when
         first asked for, S from the character columns the table reads and
-        F from the cached columns of F."""
+        F from the cached columns of F.  The labels must be those of the
+        family's table at k."""
         if self._factor is None:
-            rows, family = self.row_labels, self.family
+            family, k = normalize_family(self.family), self.k
+            rows = lambda_star_labels(family, k)
             mus = [_twist(family, label) for label in rows]
+            if self.row_labels != rows or self.col_labels != mus:
+                raise LabelNotInFamily("not the %s labels at k=%d" % (family, k))
             s_block = _rows_at(
                 family,
                 rows,
@@ -465,9 +471,11 @@ def character_table(family, k):
 def _det_bareiss(matrix):
     """Exact integer determinant, fraction-free elimination."""
     n = len(matrix)
+    if any(len(row) != n or not _INT.issuperset(map(type, row)) for row in matrix):
+        raise ValueError("expected a square matrix of ints, got %r" % (matrix,))
     if n == 0:
         return 1
-    m = [list(map(int, row)) for row in matrix]
+    m = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for col in range(n - 1):

@@ -179,7 +179,7 @@ def _cmd_symdiag(args):
         ws,
         lambda w: '{"top":[%s],"propagating":[%s]}'
         % (",".join(map(block, w.top)), ",".join(map(block, w.propagating))),
-        lambda w: w.text(blocks),
+        lambda w: irreps._symmetric_text(w, blocks),
     ), 0
 
 
@@ -196,7 +196,7 @@ def _cmd_sspt(args):
         tabs,
         lambda t: '{"lambda_star":%s,"first_row":%s,"body":[%s]}'
         % (block(t.lambda_star), row(t.first_row), ",".join(map(row, t.body))),
-        lambda t: t.text(text_block),
+        lambda t: irreps._tableau_text(t, text_block),
     ), 0
 
 

@@ -32,10 +32,14 @@ def _items(combo):
 
 def _exact(value, what):
     """value as a Fraction; floats and bools convert silently to one, so
-    they are refused rather than read as exact values."""
-    if isinstance(value, (bool, float)):
-        raise ValueError("%s must be exact, got %r" % (what, value))
-    return Fraction(value)
+    they are refused rather than read as exact values, as is a value that
+    is not a number at all."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return Fraction(value)
+        except TypeError:
+            pass
+    raise ValueError("%s must be exact, got %r" % (what, value))
 
 
 class LaurentPoly(_Value):
@@ -144,6 +148,8 @@ class LaurentPoly(_Value):
 
     def shift(self, by):
         """The polynomial times n**by."""
+        if type(by) is not int:
+            raise ValueError("shift must be an int, got %r" % (by,))
         if not by:
             return self
         return LaurentPoly._make({e + by: c for e, c in self.terms.items()})
@@ -210,9 +216,12 @@ class LaurentPoly(_Value):
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(
-            {t["exp"]: Fraction(t["num"], t["den"]) for t in obj}
-        )
+        """The polynomial of to_json_obj's list of {exp, num, den} terms."""
+        try:
+            terms = {t["exp"]: Fraction(t["num"], t["den"]) for t in obj}
+        except (TypeError, KeyError, ZeroDivisionError):
+            raise ValueError("expected a list of terms, got %r" % (obj,)) from None
+        return cls(terms)
 
 
 # the slot's own setter (see _Value), which __setattr__ refuses to reach

@@ -422,11 +422,7 @@ def is_planar(d):
     top, otherwise a block opened inside it is still open and they cross.
     """
     _check_diagram(d)
-    blocks = d.blocks
-    owner = [0] * (2 * d.k + 1)
-    for i, block in enumerate(blocks):
-        for v in block:
-            owner[v] = i
+    blocks, owner = d.blocks, _block_owner(d)
     left = list(map(len, blocks))
     stack = []
     for v in _boundary(d.k):

@@ -1,17 +1,21 @@
 """Exception types shared across the package.
 
-Input of the wrong form raises ValueError: blocks that are not a set
-partition (or not mirror-symmetric, or not in a partition shape), a
-non-partition or non-permutation (images or a tableau filling not 1..m), a
-tableau that is not a tuple of row tuples, a value that must be iterable and
-is not, an inexact number (a float or bool coefficient, exponent, power,
-degree or n), a count argument that is not an int, Laurent terms that are not
-a mapping or pairs, an argument or Element key that is not a Diagram,
-coefficients that are not a mapping, a row that names no column, an unknown
-family, generator or basis.
+Input of the wrong form, to a function or to a method, raises ValueError:
+blocks that are not a set partition (or not mirror-symmetric, or not in a
+partition shape), a non-partition or non-permutation (images or a tableau
+filling not 1..m), a tableau that is not a tuple of row tuples, a value that
+must be iterable and is not, an inexact number or no number at all (a float,
+bool or None coefficient, exponent, power, degree or n), a count argument or
+a shift that is not an int, Laurent terms that are not a mapping or pairs
+(or, as JSON, not a list of exp/num/den terms), an argument or Element key
+that is not a Diagram, coefficients that are not a mapping, a row that names
+no column, a determinant of a table that is not a square matrix of ints, an
+unknown family, generator or basis.
 Other bad input raises a DiagramAlgebraError, below: two strand counts that
 differ (RankMismatch) and a k past the enumeration cap (CapExceeded) among
 them.  The CLI prints both on stderr as "error: <message>", exit code 1.
+The one exception is a binary operator: Element(...) * 3 or
+Element(...) + None keeps Python's rule and may raise TypeError.
 """
 
 

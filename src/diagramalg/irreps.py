@@ -23,6 +23,7 @@ from .diagrams import (
     _check_diagram,
     _check_int_vertices,
     _check_k,
+    _check_strands,
     _covers,
     _fuse,
     _joined,
@@ -128,19 +129,22 @@ class SymmetricMDiagram(_Value):
     def __hash__(self):
         return hash((self.k, self.top, self.propagating))
 
-    def text(self, blocks=None):
-        """The top blocks as {1 2}, or [1 2] when propagating; blocks is a
-        symmetric_blocks() pair a listing shares, so each block of it is
-        rendered once."""
-        free, prop = symmetric_blocks() if blocks is None else blocks
-        props = self.propagating
-        return " ".join([prop[b] if b in props else free[b] for b in self.top])
+    def text(self):
+        """The top blocks as {1 2}, or [1 2] when propagating."""
+        return _symmetric_text(self, symmetric_blocks())
 
     def __repr__(self):
         return "SymmetricMDiagram(k=%d, %s)" % (self.k, self.text())
 
 
 _set_w_k, _set_top, _set_propagating = SymmetricMDiagram._setters
+
+
+def _symmetric_text(w, blocks):
+    """w.text() from blocks, a symmetric_blocks() pair a listing shares."""
+    free, prop = blocks
+    props = w.propagating
+    return " ".join([prop[b] if b in props else free[b] for b in w.top])
 
 
 def symmetric_blocks():
@@ -237,11 +241,10 @@ def _conjugate(d, top):
 
 def _check_action(d, x, cls):
     """Refuse d and x unless they are a Diagram and a cls on one k."""
-    if isinstance(x, cls):
-        try:
-            return _check_diagram(d, None, x.k)
-        except ValueError:
-            pass
+    if isinstance(d, Diagram) and isinstance(x, cls):
+        if d.k != x.k:
+            _check_strands(d.k, x.k)
+        return
     raise ValueError("expected a Diagram and a %s, got %r, %r" % (cls.__name__, d, x))
 
 
@@ -299,9 +302,9 @@ class SetPartitionTableau(_Value):
 
     The first row holds the non-propagating blocks (always kept sorted by
     largest entry); the body holds the propagating blocks in the cells of
-    a partition shape.  A basis tableau carries its sorted blocks, the key
-    of its stack, in _top, which takes no part in equality, hashing, order
-    or copies.
+    a partition shape.  Every tableau carries its blocks in canonical
+    order, the key of its stack, in _top, which takes no part in equality,
+    hashing, order or copies.
     """
 
     __slots__ = ("k", "first_row", "body", "_top")
@@ -318,20 +321,23 @@ class SetPartitionTableau(_Value):
                 rows.append(tuple(map(tuple, map(sorted, row))))
                 yield from rows[-1]
 
-        _canonical(blocks(), k)
+        top = _canonical(blocks(), k)
         check_partition(map(len, rows))
         _set_tab_k(self, k)
         _set_first_row(self, tuple(sorted(first, key=_last)))
         _set_body(self, tuple(rows))
+        _set_tab_top(self, top)
 
     @classmethod
-    def _make(cls, k, first_row, body):
-        """Wrap a first row sorted by largest entry and a body of sorted
-        blocks in a partition shape, checking nothing."""
+    def _make(cls, k, first_row, body, top):
+        """Wrap a first row sorted by largest entry, a body of sorted blocks
+        in a partition shape and top, all of their blocks in canonical
+        order (the stack key), checking nothing."""
         tab = object.__new__(cls)
         _set_tab_k(tab, k)
         _set_first_row(tab, first_row)
         _set_body(tab, body)
+        _set_tab_top(tab, top)
         return tab
 
     @property
@@ -372,23 +378,26 @@ class SetPartitionTableau(_Value):
     def __hash__(self):
         return hash((self.k, self.first_row, self.body))
 
-    def text(self, block=None):
-        """The first row and the body rows, each block as {1,2}; block is a
-        tableau_blocks() memo a listing shares, so each block of it is
-        rendered once."""
-        block = (tableau_blocks() if block is None else block).__getitem__
-
-        def fmt_blocks(blocks):
-            return " ".join(map(block, blocks)) if blocks else "-"
-
-        rows = " / ".join(map(fmt_blocks, self.body))
-        return "%s ; %s" % (fmt_blocks(self.first_row), rows if rows else "-")
+    def text(self):
+        """The first row and the body rows, each block as {1,2}."""
+        return _tableau_text(self, tableau_blocks())
 
     def __repr__(self):
         return "SetPartitionTableau(k=%d, %s)" % (self.k, self.text())
 
 
 _set_tab_k, _set_first_row, _set_body, _set_tab_top = SetPartitionTableau._setters
+
+
+def _tableau_text(tab, memo):
+    """tab.text() from memo, a tableau_blocks() memo a listing shares."""
+    block = memo.__getitem__
+
+    def fmt_blocks(blocks):
+        return " ".join(map(block, blocks)) if blocks else "-"
+
+    rows = " / ".join(map(fmt_blocks, tab.body))
+    return "%s ; %s" % (fmt_blocks(tab.first_row), rows if rows else "-")
 
 
 def _check_pair(w, t):
@@ -403,13 +412,19 @@ def _check_pair(w, t):
         )
 
 
+def _pair_tableaux(w, ts):
+    """The tableau of (w, t) for each tableau t of 1..m, checking nothing;
+    all of them share w's top as their key."""
+    prop = w.prop_max_order()
+    first = tuple(sorted((b for b in w.top if b not in prop), key=_last))
+    return [SetPartitionTableau._make(w.k, first, relabel(prop, t), w.top) for t in ts]
+
+
 def tableau_from_pair(w, t):
     """Place the i-th propagating block of w (max-entry order) at the cell
     holding i in the tableau t, whose entries must be 1..m."""
     _check_pair(w, t)
-    prop = w.prop_max_order()
-    nonprop = [b for b in w.top if b not in prop]
-    return SetPartitionTableau(w.k, nonprop, relabel(prop, t))
+    return _pair_tableaux(w, (t,))[0]
 
 
 def enumerate_sspt(family, k, lam_star):
@@ -428,16 +443,12 @@ def act_tableau(d, tab):
     and returns None at the first cell whose component has none left (two
     propagating blocks collided, or one failed to reach the top); the top
     blocks left form the first row, and the body may be non-standard.  The
-    stack's key is the tableau's sorted blocks: a basis tableau carries its
-    symmetric diagram's own top, and any other tableau's is built per call.
+    stack's key is the tableau's blocks in canonical order, which it
+    carries, and the stack's top row is the new tableau's key.
     """
     _check_action(d, tab, SetPartitionTableau)
     k = d.k
-    try:
-        key = tab._top
-    except AttributeError:
-        key = tuple(sorted(chain(tab.first_row, *tab.body)))
-    root, top, components = _conjugate(d, key)
+    root, top, components = _conjugate(d, tab._top)
     tops = {root[b[0]]: b for b in top}
     body = []
     for row in tab.body:
@@ -451,7 +462,7 @@ def act_tableau(d, tab):
     first_row = tuple(sorted(tops.values(), key=_last))
     # every component without a top vertex lay in the middle
     deleted = components - len(top)
-    return SetPartitionTableau._make(k, first_row, tuple(body)), deleted
+    return SetPartitionTableau._make(k, first_row, tuple(body), top), deleted
 
 
 def act_natural(d, v, family=None):
@@ -463,9 +474,10 @@ def act_natural(d, v, family=None):
         moved, deleted = act_tableau(d, tab)
         if moved is not None:
             scale = coeff * LaurentPoly.monomial(deleted)
-            (order, filling), first = moved._ordered_body(), moved.first_row
+            order, filling = moved._ordered_body()
+            first, top = moved.first_row, moved._top
             for u, c in straighten(filling).items():
-                key = SetPartitionTableau._make(d.k, first, relabel(order, u))
+                key = SetPartitionTableau._make(d.k, first, relabel(order, u), top)
                 out[key] = out.get(key, ZERO) + c * scale
     return {key: p for key, p in out.items() if p}
 
@@ -499,14 +511,9 @@ def _module_basis(family, k, lam_star, basis):
             base[w] = len(vectors)
             vectors.extend((w, t) for t in ts)
             continue
-        # tableau_from_pair, on blocks already canonical
-        prop = w.prop_max_order()
-        first = tuple(sorted((b for b in w.top if b not in prop), key=_last))
-        base[first, prop] = len(vectors)
-        for t in ts:
-            tab = SetPartitionTableau._make(k, first, relabel(prop, t))
-            _set_tab_top(tab, w.top)  # its blocks sorted: share w's tuple
-            vectors.append(tab)
+        tabs = _pair_tableaux(w, ts)
+        base[tabs[0].first_row, w.prop_max_order()] = len(vectors)
+        vectors += tabs
     return _ModuleBasis(tuple(vectors), base, {t: i for i, t in enumerate(ts)})
 
 

@@ -23,12 +23,14 @@ def _check_ints(*values):
 
 
 def _checked_cache(count):
-    """count cached, its arguments checked by _check_ints before the cache."""
+    """count cached, its arguments checked for int before the cache."""
     cached = cache(count)
 
     @wraps(count)
     def checked(*args):
-        _check_ints(*args)
+        for n in args:
+            if type(n) is not int:
+                _check_ints(*args)
         return cached(*args)
 
     checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
@@ -89,7 +91,8 @@ def divisors(kappa):
 
 def binom(a, b):
     """Binomial coefficient, zero outside 0 <= b <= a."""
-    _check_ints(a, b)
+    if type(a) is not int or type(b) is not int:
+        _check_ints(a, b)
     if b < 0 or a < 0 or b > a:
         return 0
     return comb(a, b)
@@ -116,7 +119,8 @@ def _stirling_row(n):
 
 def double_factorial(n):
     """n!! with the conventions (-1)!! = 1 and n!! = 0 for n < -1."""
-    _check_ints(n)
+    if type(n) is not int:
+        _check_ints(n)
     if n < -1:
         return 0
     out = 1
@@ -128,7 +132,8 @@ def double_factorial(n):
 
 def catalan(n):
     """The n-th Catalan number."""
-    _check_ints(n)
+    if type(n) is not int:
+        _check_ints(n)
     return comb(2 * n, n) // (n + 1)
 
 

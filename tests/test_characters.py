@@ -664,6 +664,35 @@ def _fraction_det(matrix):
     return det
 
 
+def test_a_table_of_the_wrong_form_is_refused_by_factor_and_determinant():
+    labels = [(), (1,)]
+    good = ("Partition", 1, labels, labels, [[1, 1], [0, 1]])
+    for i, value, error in (
+        (0, None, ValueError),
+        (0, "Planar", ValueError),
+        (1, None, errors.IndexOutOfRange),
+        (1, 2, errors.LabelNotInFamily),
+        (2, [(), (2,)], errors.LabelNotInFamily),
+        (2, [(1,), ()], errors.LabelNotInFamily),
+        (2, [None], errors.LabelNotInFamily),
+        (3, [(), (3,)], errors.LabelNotInFamily),
+        (3, [(1,), "x"], errors.LabelNotInFamily),
+    ):
+        table = CharacterTable(*good[:i], value, *good[i + 1 :])
+        with pytest.raises(error):
+            table.factor()
+    brauer = CharacterTable("brauer", *good[1:])
+    with pytest.raises(errors.LabelNotInFamily, match="^not the Brauer labels at k=1$"):
+        brauer.factor()
+    for values in ([[None]], [[1, 2], [3]], [[1, 2]], [[1.0]], [[True]], [[1], [2]]):
+        with pytest.raises(ValueError, match="^expected a square matrix of ints"):
+            CharacterTable(*good[:4], values).determinant()
+    assert CharacterTable(*good).determinant() == 1
+    assert CharacterTable("partition", *good[1:]).factor() == (
+        CharacterTable(*good).factor()
+    )
+
+
 def test_bareiss_determinant_matches_fraction_elimination():
     assert characters._det_bareiss([]) == 1
     # a zero pivot column, a row swap, and a zero only the last step sees

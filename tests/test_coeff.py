@@ -367,7 +367,7 @@ def test_laurent_refuses_floats_and_bool_exponents():
     assert LaurentPoly({0: Fraction(1, 10)}).terms == {0: Fraction(1, 10)}
 
 
-@pytest.mark.parametrize("n", [0.1, 2.0, True, False])
+@pytest.mark.parametrize("n", [0.1, 2.0, True, False, None, object(), b"1", [1]])
 def test_evaluate_refuses_an_inexact_n(n):
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
     poly = LaurentPoly.monomial(1)
@@ -380,6 +380,40 @@ def test_evaluate_refuses_an_inexact_n(n):
         assert str(info.value) == "n must be exact, got %r" % (n,)
     assert poly.evaluate(Fraction(1, 10)) == Fraction(1, 10)
     assert elem.evaluate(2) == {d: 2}
+
+
+def test_a_coefficient_that_is_no_number_is_named():
+    for value in (None, object(), b"1", [1]):
+        with pytest.raises(ValueError) as info:
+            LaurentPoly({0: value})
+        assert str(info.value) == "coefficient must be exact, got %r" % (value,)
+    assert LaurentPoly({0: "1/2"}).terms == {0: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("by", [1.5, True, None, Fraction(2), "1"])
+def test_shift_refuses_a_by_that_is_not_an_int(by):
+    poly = LaurentPoly({0: 1, 1: 2})
+    with pytest.raises(ValueError, match="^shift must be an int, got "):
+        poly.shift(by)
+    assert poly.shift(-1) == LaurentPoly({-1: 1, 0: 2}) and poly.shift(0) is poly
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        None,
+        3,
+        [{}],
+        [{"exp": 0, "num": 1}],
+        [[0, 1, 1]],
+        [{"exp": 0, "num": 1, "den": 0}],
+        [{"exp": 0, "num": 1.5, "den": 1}],
+        {"exp": 0, "num": 1, "den": 1},
+    ],
+)
+def test_from_json_obj_refuses_what_to_json_obj_does_not_write(obj):
+    with pytest.raises(ValueError, match="^expected a list of terms, got "):
+        LaurentPoly.from_json_obj(obj)
 
 
 def test_laurent_equals_no_bool_or_float():

@@ -6,7 +6,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -42,6 +42,7 @@ from diagramalg.irreps import (
     _enumerate_symmetric,
     _module_basis,
     _symmetric_candidates,
+    act_natural,
     act_tableau,
     conjugate,
     enumerate_sspt,
@@ -590,12 +591,18 @@ def assert_conjugate_matches_reference(d, w):
     )
 
 
+def assert_keyed(tab):
+    """tab carries its stack key: its blocks in canonical order."""
+    assert tab._top == tuple(sorted(chain(tab.first_row, *tab.body))), tab
+
+
 def assert_act_tableau_matches_reference(d, tab):
     moved, deleted = act_tableau(d, tab)
     expected, expected_deleted = reference_act_tableau(d, tab)
     if expected is None:
         assert moved is None, (d.text(), tab.text())
     else:
+        assert_keyed(moved)
         assert (moved.first_row, moved.body) == (
             expected.first_row,
             expected.body,
@@ -669,6 +676,27 @@ def test_cached_tableau_basis_matches_enumerate_sspt():
                 assert len(set(tabs)) == len(tabs), (family, k, lam)
 
 
+def test_tableau_from_pair_equals_the_checking_constructors_tableau():
+    # the tableau of (w, t) is made from w's blocks, checking nothing; the
+    # constructor checks and sorts the same blocks
+    built = 0
+    for family in FAMILIES:
+        for k in range(1, 5):
+            for lam in lambda_star_labels(family, k):
+                for w in enumerate_symmetric(family, k, sum(lam)):
+                    prop = w.prop_max_order()
+                    first = [b for b in w.top if b not in prop]
+                    for t in standard_tableaux(lam):
+                        tab = tableau_from_pair(w, t)
+                        rows = [[prop[i - 1] for i in row] for row in t]
+                        checked = SetPartitionTableau(k, first, rows)
+                        assert tab == checked, (family, k, lam, w, t)
+                        assert tab._top == checked._top == w.top
+                        assert_keyed(tab)
+                        built += 1
+    assert built == 620, built
+
+
 def test_every_basis_tableau_keys_its_stack_by_its_symmetric_diagrams_top():
     for family in FAMILIES:
         for k in range(1, 6):
@@ -701,20 +729,19 @@ def random_tableau(rng, k):
 
 def test_act_tableau_matches_reference_on_tableaux_the_basis_did_not_build():
     # a constructed tableau, and a copy or a pickle of a basis tableau,
-    # carry no stack key: each action builds its own and stores none
+    # carry their own stack key, as the tableau each action returns does
     rng = random.Random(20181828)
     built = non_standard = 0
 
     def check(d, tabs):
         nonlocal built, non_standard
         for tab in [random_tableau(rng, d.k) for _ in range(2)]:
-            assert not hasattr(tab, "_top")
+            assert_keyed(tab)
             non_standard += not tab.is_standard()
             assert_act_tableau_matches_reference(d, tab)
-            assert not hasattr(tab, "_top")
             built += 1
         for twin in twins(rng.choice(tabs)):
-            assert not hasattr(twin, "_top")
+            assert_keyed(twin)
             assert_act_tableau_matches_reference(d, twin)
             built += 1
 
@@ -770,7 +797,9 @@ def test_make_wraps_the_fields_of_a_checked_value_into_the_same_value(index):
     value, fields = five_values()[index]
     cls = type(value)
     values = tuple(getattr(value, name) for name in fields)
-    made = cls._make(*values)
+    # a tableau is made with its stack key, which is no field
+    key = (value._top,) if cls is SetPartitionTableau else ()
+    made = cls._make(*values, *key)
     assert type(made) is cls and made == value and hash(made) == hash(value)
     assert cls._key(made) == cls._key(value)
     message = "^%s is immutable$" % cls.__name__
@@ -782,6 +811,10 @@ def test_make_wraps_the_fields_of_a_checked_value_into_the_same_value(index):
     assert made.__reduce__() == (cls, values)
     assert pickle.loads(pickle.dumps(made)) == value
     assert copy.copy(made) == value
+    if key:
+        assert made._top is value._top
+        for tab in (made, *twins(made)):
+            assert_keyed(tab)
 
 
 def test_del_cannot_poison_a_cached_symmetric_diagram():
@@ -808,19 +841,29 @@ def test_owner_cache_takes_no_part_in_equality_order_or_pickle():
 
 
 def test_tableau_key_takes_no_part_in_equality_order_copy_or_pickle():
-    # basis tableaux carry their stack's key; a tableau made from the same
-    # fields carries none
+    # a basis tableau shares its symmetric diagram's top as its key; a
+    # tableau constructed from the same fields, a copy, a pickle and every
+    # tableau an action or tableau_from_pair returns carry an equal key
+    # of their own
     tabs = enumerate_sspt(PARTITION, 3, (1,))
     fresh = [SetPartitionTableau(t.k, t.first_row, t.body) for t in tabs]
-    for keyed, bare in zip(tabs, fresh):
-        assert hasattr(keyed, "_top") and not hasattr(bare, "_top")
-        assert keyed == bare and hash(keyed) == hash(bare)
-        assert not keyed < bare and not bare < keyed
-        assert [keyed < t for t in fresh] == [bare < t for t in tabs]
-        assert keyed.__reduce__() == bare.__reduce__()
-        assert pickle.dumps(keyed) == pickle.dumps(bare)
-        for twin in twins(keyed) + twins(bare):
-            assert not hasattr(twin, "_top")
+    ws = enumerate_symmetric(PARTITION, 3, 1)
+    gens = family_generators(PARTITION, 3)
+    for w, listed, built in zip(ws, tabs, fresh):
+        assert listed._top is w.top and built._top is not w.top
+        assert listed == built and hash(listed) == hash(built)
+        assert not listed < built and not built < listed
+        assert [listed < t for t in fresh] == [built < t for t in tabs]
+        assert listed.__reduce__() == built.__reduce__()
+        assert pickle.dumps(listed) == pickle.dumps(built)
+        paired = tableau_from_pair(w, ((1,),))
+        assert paired == listed and paired._top is w.top
+        moved = [act_tableau(d, listed)[0] for d in gens]
+        moved = [t for t in moved if t is not None]
+        moved += [t for d in gens for t in act_natural(d, {listed: 1})]
+        assert moved
+        for tab in (listed, built, *twins(listed), *twins(built), *moved):
+            assert_keyed(tab)
 
 
 def test_values_of_one_type_order_by_their_fields():

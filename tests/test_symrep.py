@@ -623,6 +623,40 @@ ENTRIES += [
     if isinstance(value, type) and issubclass(value, Exception)
 ]
 
+# the methods that read an argument, each on a fixed value
+POLY = dalg.LaurentPoly({0: 1, 1: 2})
+
+
+def poly_evaluate(n):
+    return POLY.evaluate(n)
+
+
+def element_evaluate(n):
+    return dalg.Element.identity(2, "partition").evaluate(n)
+
+
+def poly_shift(by):
+    return POLY.shift(by)
+
+
+def table_factor(*args):
+    return dalg.CharacterTable(*args).factor()
+
+
+def table_determinant(*args):
+    return dalg.CharacterTable(*args).determinant()
+
+
+TABLE = ("Partition", 1, LABELS, LABELS, [[1, 1], [0, 1]])
+ENTRIES += [
+    (poly_evaluate, (3,)),
+    (element_evaluate, (Fraction(1, 2),)),
+    (poly_shift, (1,)),
+    (dalg.LaurentPoly.from_json_obj, ([{"exp": 0, "num": 1, "den": 2}],)),
+    (table_factor, TABLE),
+    (table_determinant, TABLE),
+]
+
 HOSTILE = [
     None, True, 1.5, "x", -1, 0, (), [], ((1, 2), 3), ((1,), (2, (3,))),
     {1: 2}, object(), Fraction(1, 2), [[None]], b"\0", [(1, 2)], {2, 1},
