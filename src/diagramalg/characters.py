@@ -321,9 +321,12 @@ def class_labels(family, k):
     return [_twist(family, label) for label in lambda_star_labels(family, k)]
 
 
+def _parts(p):
+    return p if type(p) is tuple else _tuple_of(p, "a partition")
+
+
 def format_partition(p):
-    parts = p if type(p) is tuple else _tuple_of(p, "a partition")
-    return "[%s]" % ",".join(map(str, parts))
+    return "[%s]" % ",".join(map(str, _parts(p)))
 
 
 CharacterTableFactor = namedtuple("CharacterTableFactor", ["s_block", "f_block"])
@@ -391,21 +394,32 @@ class CharacterTable:
     def determinant(self):
         return _det_bareiss(self.values)
 
+    def _check_shape(self):
+        """Refuse a table the text and csv writers cannot read in step: one
+        row per row label, each with one value per column label."""
+        rows, cols = len(self.row_labels), len(self.col_labels)
+        if len(self.values) != rows or {*map(len, self.values)} - {cols}:
+            raise ValueError("expected %d rows of %d values" % (rows, cols))
+
     def to_json(self, factor=False):
         obj = {
             "family": self.family,
             "k": self.k,
-            "rows": [list(r) for r in self.row_labels],
-            "cols": [list(c) for c in self.col_labels],
+            "rows": list(map(list, map(_parts, self.row_labels))),
+            "cols": list(map(list, map(_parts, self.col_labels))),
             "values": self.values,
         }
         if factor:
             fac = self.factor()
             obj["s_block"] = fac.s_block
             obj["f_block"] = fac.f_block
-        return json.dumps(obj, separators=(",", ":"))
+        try:
+            return json.dumps(obj, separators=(",", ":"))
+        except TypeError as e:
+            raise ValueError("expected a table of JSON values: %s" % e) from None
 
     def to_csv(self, factor=False):
+        self._check_shape()
         lines = []
 
         def section(rows, cols, values, corner):
@@ -434,6 +448,7 @@ class CharacterTable:
         return "\n".join(lines) + "\n"
 
     def to_text(self, factor=False):
+        self._check_shape()
         headers = ["lambda*\\kappa", *map(format_partition, self.col_labels)]
         rows = [
             (format_partition(label), *[str(v) for v in row])

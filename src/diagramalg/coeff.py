@@ -217,8 +217,14 @@ class LaurentPoly(_Value):
     @classmethod
     def from_json_obj(cls, obj):
         """The polynomial of to_json_obj's list of {exp, num, den} terms."""
+        terms = {}
         try:
-            terms = {t["exp"]: Fraction(t["num"], t["den"]) for t in obj}
+            for t in obj:
+                num, den = t["num"], t["den"]
+                # True reads as 1 in a Fraction but is no coefficient
+                if type(num) is bool or type(den) is bool:
+                    raise TypeError
+                terms[t["exp"]] = Fraction(num, den)
         except (TypeError, KeyError, ZeroDivisionError):
             raise ValueError("expected a list of terms, got %r" % (obj,)) from None
         return cls(terms)

@@ -9,11 +9,12 @@ components vanished from the middle; the algebra layer turns that count
 into a power of the parameter n.
 """
 
+import gc
 import os
 import re
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 from .errors import (
@@ -130,6 +131,15 @@ class Diagram(_Value):
         _set_k(d, k)
         _set_blocks(d, blocks)
         return d
+
+    @classmethod
+    def _make_all(cls, k, listing):
+        """_make over a listing of canonical blocks, in C-level passes with
+        no Python frame per diagram (a deque of length 0 drains each)."""
+        out = list(map(object.__new__, repeat(cls, len(listing))))
+        deque(map(_set_k, out, repeat(k)), 0)
+        deque(map(_set_blocks, out, listing), 0)
+        return out
 
     def __eq__(self, other):
         return (
@@ -277,11 +287,12 @@ class _Memo(dict):
         return out
 
     def take(self, key):
-        """The value for key, dropping every other value now: a make that
-        reads this memo forms a cycle with it, which only the garbage
-        collector would free."""
+        """The value for key, dropping every other value and make now: a
+        make that reads this memo forms a cycle with it, which would
+        otherwise wait for the cyclic garbage collector."""
         out = self[key]
         self.clear()
+        del self.make
         return out
 
 
@@ -522,12 +533,20 @@ def _covers(k, points, shape):
     after the block, and each block is sorted as it is emitted (the covers
     are then in no particular order).  Each cover is built once per call,
     memoised by the points it covers.
+
+    No reference cycle outlives the call (take drops the memo's make, and
+    grow's name is deleted), so reference counting frees all it allocates.
+    The cyclic collector is paused while it builds: the tens of thousands
+    of tuples of a listing would each count toward a collector pass, and
+    none of them can be garbage.  The pause covers the build alone, not
+    the caller's wrap of the listing (a pause over the wrap measured a
+    higher peak RSS).
     """
     pairs, singles, across, planar = shape
 
     def pair_cover(points):
         first, rest, single = points[0], points[1:], (points[:1],)
-        out = [single + t for t in memo[rest]] if singles else []
+        out = list(map(single.__add__, memo[rest])) if singles else []
         for i, nxt in enumerate(rest):
             if across and (first <= k) == (nxt <= k):
                 continue
@@ -536,33 +555,37 @@ def _covers(k, points, shape):
             # a run without a cover leaves none for this pair
             tails = memo[passed + rest[i + 1 :]] if run else ()
             for covered in run:
-                prefix = pair + covered
-                out += [prefix + t for t in tails]
+                out += map((pair + covered).__add__, tails)
         return out
+
+    def grow(out, inner, block, left, rest):
+        # inner: the covers of the runs block passed over (planar);
+        # left: the points it passed over (otherwise)
+        ended = (tuple(sorted(block)),)
+        tails = memo[left + rest]
+        for covered in inner:
+            out += map((ended + covered).__add__, tails)
+        for i, nxt in enumerate(rest):
+            run, passed = (memo[rest[:i]], ()) if planar else ([()], rest[:i])
+            # a run without a cover leaves none for this block
+            if run:
+                inner_i = [c + r for c in inner for r in run]
+                grow(out, inner_i, block + (nxt,), left + passed, rest[i + 1 :])
 
     def cover(points):
         out = []
-
-        def grow(inner, block, left, rest):
-            # inner: the covers of the runs block passed over (planar);
-            # left: the points it passed over (otherwise)
-            ended = (tuple(sorted(block)),)
-            tails = memo[left + rest]
-            for covered in inner:
-                prefix = ended + covered
-                out.extend([prefix + t for t in tails])
-            for i, nxt in enumerate(rest):
-                run, passed = (memo[rest[:i]], ()) if planar else ([()], rest[:i])
-                # a run without a cover leaves none for this block
-                if run:
-                    inner_i = [c + r for c in inner for r in run]
-                    grow(inner_i, block + (nxt,), left + passed, rest[i + 1 :])
-
-        grow([()], points[:1], (), points[1:])
+        grow(out, [()], points[:1], (), points[1:])
         return out
 
     memo = _Memo(pair_cover if pairs else cover, {(): [()]})
-    return memo.take(points)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return memo.take(points)
+    finally:
+        del grow  # it reads itself through this name
+        if enabled:
+            gc.enable()
 
 
 def size_cap(default):
@@ -607,7 +630,7 @@ def enumerate_basis(family, k):
     else:
         # in vertex order every cover is canonical and in basis order
         listing = _covers(k, tuple(range(1, 2 * k + 1)), shape)
-    return [Diagram._make(k, blocks) for blocks in listing]
+    return Diagram._make_all(k, listing)
 
 
 @lru_cache(maxsize=None)

@@ -408,6 +408,8 @@ def test_shift_refuses_a_by_that_is_not_an_int(by):
         [[0, 1, 1]],
         [{"exp": 0, "num": 1, "den": 0}],
         [{"exp": 0, "num": 1.5, "den": 1}],
+        [{"exp": 0, "num": True, "den": 1}],
+        [{"exp": 0, "num": 1, "den": True}],
         {"exp": 0, "num": 1, "den": 1},
     ],
 )

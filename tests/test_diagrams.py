@@ -1,10 +1,11 @@
+import gc
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagramalg import errors
+from diagramalg import diagrams, errors, irreps
 from diagramalg.characters import character_oracle
 from diagramalg.coeff import Element
 from diagramalg.diagrams import (
@@ -386,6 +387,41 @@ def test_enumerate_basis_matches_filtered_partition_basis():
             full = enumerate_basis("partition", k)
             filtered = [d for d in full if in_family(d, family)]
             assert enumerate_basis(family, k) == filtered, (family, k)
+
+
+def test_listings_leave_no_cyclic_garbage():
+    # every object the cover builder allocates is freed by reference
+    # counting: with the collector off, a pass finds nothing left over.
+    # The symmetric diagrams are built past their cache, which later
+    # tableaux share their tops with, so each call builds
+    leaks = []
+    gc.collect()
+    gc.disable()
+    try:
+        for family in FAMILIES:
+            for k in (1, 2, 3, 4):
+                enumerate_basis(family, k)
+                leaks.append((family, k, gc.collect()))
+                for m in rank_set(family, k):
+                    irreps._enumerate_symmetric.__wrapped__(family, k, m)
+                    leaks.append((family, k, m, gc.collect()))
+    finally:
+        gc.enable()
+    assert [leak for leak in leaks if leak[-1]] == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_listing_leaves_the_collector_as_it_found_it(enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        enumerate_basis("partition", 3)
+        assert gc.isenabled() is enabled
+        # a build that raises comes back the same way
+        with pytest.raises(TypeError):
+            diagrams._covers(2, (1, "x"), diagrams._SHAPES["Rook"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_enumerate_basis_closed_under_multiplication():

@@ -647,6 +647,18 @@ def table_determinant(*args):
     return dalg.CharacterTable(*args).determinant()
 
 
+def table_to_json(*args):
+    return dalg.CharacterTable(*args).to_json()
+
+
+def table_to_text(*args):
+    return dalg.CharacterTable(*args).to_text()
+
+
+def table_to_csv(*args):
+    return dalg.CharacterTable(*args).to_csv()
+
+
 TABLE = ("Partition", 1, LABELS, LABELS, [[1, 1], [0, 1]])
 ENTRIES += [
     (poly_evaluate, (3,)),
@@ -655,6 +667,9 @@ ENTRIES += [
     (dalg.LaurentPoly.from_json_obj, ([{"exp": 0, "num": 1, "den": 2}],)),
     (table_factor, TABLE),
     (table_determinant, TABLE),
+    (table_to_json, TABLE),
+    (table_to_text, TABLE),
+    (table_to_csv, TABLE),
 ]
 
 HOSTILE = [
