@@ -428,7 +428,7 @@ class CharacterTable:
                 (format_partition(label), *row)
                 for label, row in zip(rows, values)
             ]
-            return out + _joined(",", labelled)
+            return out + _row_lines(",", labelled)
 
         lines += section(
             self.row_labels, self.col_labels, self.values, "lambda*/kappa"
@@ -464,11 +464,11 @@ class CharacterTable:
             fac = self.factor()
             for name, block in zip(fac._fields, fac):
                 lines += ["", name + ":"]
-                lines += _joined("  ", block)
+                lines += _row_lines("  ", block)
         return "\n".join(lines) + "\n"
 
 
-def _joined(sep, rows):
+def _row_lines(sep, rows):
     """The str of the cells of each row joined by sep, every row of one
     length through one %-format (faster than a join per row)."""
     line = sep.join(["%s"] * len(rows[0])) if rows else ""

@@ -258,8 +258,6 @@ class Element(_Value):
         family = normalize_family(family)
         clean = {}
         for d, c in _items(combo or {}):
-            if not isinstance(d, Diagram):
-                raise ValueError("keys must be Diagram, got %r" % (d,))
             _check_diagram(d, family, k)
             if not isinstance(c, LaurentPoly):
                 c = LaurentPoly.const(c)

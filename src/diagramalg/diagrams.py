@@ -82,9 +82,10 @@ def normalize_family(name):
 class _Value:
     """An immutable value.  Its fields, the public names in its __slots__
     (a private slot, as Diagram's _owner, is a cache), are set once through
-    _setters, the slots' own setters, by the checking constructor or _make;
-    copies and pickles go through the checking constructor, values of one
-    class order by their fields, and each keeps its own __eq__ and __hash__."""
+    _setters, the slots' own setters, by the checking constructor, _make or
+    _make_all; copies and pickles go through the checking constructor,
+    values of one class order by their fields, and each keeps its own
+    __eq__ and __hash__."""
 
     __slots__ = ()
 
@@ -106,6 +107,17 @@ class _Value:
             return NotImplemented
         return self._key(self) < self._key(other)
 
+    @classmethod
+    def _make_all(cls, n, *columns):
+        """n values wrapped from fields already checked, one column per field
+        in slot order (repeat() for a field they all share), in C-level
+        passes with no Python frame per value (a deque of length 0 drains
+        each)."""
+        out = list(map(object.__new__, repeat(cls, n)))
+        for setter, column in zip(cls._setters, columns):
+            deque(map(setter, out, column), 0)
+        return out
+
 
 class Diagram(_Value):
     """A set partition of {1..2k}, hashed and compared in canonical form.
@@ -123,23 +135,6 @@ class Diagram(_Value):
         _check_k(k)
         _set_k(self, k)
         _set_blocks(self, _canonical(blocks, 2 * k))
-
-    @classmethod
-    def _make(cls, k, blocks):
-        """Wrap blocks already in canonical form, checking nothing."""
-        d = object.__new__(cls)
-        _set_k(d, k)
-        _set_blocks(d, blocks)
-        return d
-
-    @classmethod
-    def _make_all(cls, k, listing):
-        """_make over a listing of canonical blocks, in C-level passes with
-        no Python frame per diagram (a deque of length 0 drains each)."""
-        out = list(map(object.__new__, repeat(cls, len(listing))))
-        deque(map(_set_k, out, repeat(k)), 0)
-        deque(map(_set_blocks, out, listing), 0)
-        return out
 
     def __eq__(self, other):
         return (
@@ -630,7 +625,7 @@ def enumerate_basis(family, k):
     else:
         # in vertex order every cover is canonical and in basis order
         listing = _covers(k, tuple(range(1, 2 * k + 1)), shape)
-    return Diagram._make_all(k, listing)
+    return Diagram._make_all(len(listing), repeat(k), listing)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ components in the middle row and each deletion contributes a factor n.
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 
 from .coeff import ZERO, LaurentPoly, _items
@@ -159,38 +159,37 @@ def tableau_blocks():
 
 
 def _symmetric_candidates(family, k, m):
-    # A top pair cannot propagate (its block would have four vertices), so
-    # the pair families propagate top singles, and all of them when
-    # one-vertex blocks are not allowed.  A planar family's tops are
-    # non-crossing, but a block may still pass over a propagating one, so
-    # the caller filters them; each top is sorted into canonical order.
+    # The (top, propagating) pairs, sorted.  A top pair cannot propagate
+    # (its block would have four vertices), so the pair families propagate
+    # top singles, and all of them when one-vertex blocks are not allowed.
+    # A planar family's tops are non-crossing, but a block may still pass
+    # over a propagating one, so the caller filters them; each top is
+    # sorted into canonical order.
     shape = _SHAPES[family]
+    out = []
     if shape.pairs and not shape.singles:
         # the m propagating points, then a perfect matching of the others
         for ends in combinations(range(1, k + 1), m):
             prop = tuple((v,) for v in ends)
             rest = tuple(v for v in range(1, k + 1) if v not in ends)
-            for pairs in _covers(k, rest, shape):
-                top = tuple(sorted(prop + pairs))
-                yield SymmetricMDiagram._make(k, top, prop)
-        return
-    for top in _covers(k, tuple(range(1, k + 1)), shape._replace(singles=True)):
-        top = tuple(sorted(top))
-        ends = [b for b in top if len(b) == 1] if shape.pairs else top
-        for prop in combinations(ends, m):
-            yield SymmetricMDiagram._make(k, top, prop)
+            tops = map(tuple, map(sorted, map(prop.__add__, _covers(k, rest, shape))))
+            out += zip(tops, repeat(prop))
+    else:
+        for top in _covers(k, tuple(range(1, k + 1)), shape._replace(singles=True)):
+            top = tuple(sorted(top))
+            ends = [b for b in top if len(b) == 1] if shape.pairs else top
+            out += zip(repeat(top), combinations(ends, m))
+    out.sort()
+    return out
 
 
 @lru_cache(maxsize=None)
 def _enumerate_symmetric(family, k, m):
-    planar = _SHAPES[family].planar
-    out = []
-    for w in _symmetric_candidates(family, k, m):
-        if planar and not is_planar(w.to_diagram()):
-            continue
-        out.append(w)
-    out.sort(key=lambda w: (w.top, w.propagating))
-    return tuple(out)
+    pairs = _symmetric_candidates(family, k, m)
+    ws = SymmetricMDiagram._make_all(len(pairs), repeat(k), *zip(*pairs))
+    if _SHAPES[family].planar:
+        ws = [w for w in ws if is_planar(w.to_diagram())]
+    return tuple(ws)
 
 
 def enumerate_symmetric(family, k, m):

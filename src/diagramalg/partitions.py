@@ -140,7 +140,7 @@ def catalan(n):
 @_checked_cache
 def bell(n):
     """Number of set partitions of an n-element set."""
-    return sum(stirling2(n, j) for j in range(n + 1))
+    return sum(_stirling_row(n)) if n >= 0 else 0
 
 
 def _ranks(family, k):

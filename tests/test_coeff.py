@@ -184,7 +184,7 @@ def test_element_construction_checks():
         Element.from_diagram(p1, "rook") + Element.identity(3, "rook")
     with pytest.raises(errors.AlgebraMismatch):
         Element.from_diagram(p1, "rook") + Element.from_diagram(p1, "motzkin")
-    with pytest.raises(ValueError, match="keys must be Diagram"):
+    with pytest.raises(ValueError, match="expected a Diagram"):
         Element(1, "partition", {"1 1'": 1})
     with pytest.raises(TypeError, match="expected an Element"):
         Element.identity(2, "partition") + 1

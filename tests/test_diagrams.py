@@ -393,9 +393,12 @@ def test_listings_leave_no_cyclic_garbage():
     # every object the cover builder allocates is freed by reference
     # counting: with the collector off, a pass finds nothing left over.
     # The symmetric diagrams are built past their cache, which later
-    # tableaux share their tops with, so each call builds
+    # tableaux share their tops with, so each call builds.  What earlier
+    # tests left alive is frozen out of the collector's reach, so each pass
+    # walks only what the listings made
     leaks = []
     gc.collect()
+    gc.freeze()
     gc.disable()
     try:
         for family in FAMILIES:
@@ -407,6 +410,7 @@ def test_listings_leave_no_cyclic_garbage():
                     leaks.append((family, k, m, gc.collect()))
     finally:
         gc.enable()
+        gc.unfreeze()
     assert [leak for leak in leaks if leak[-1]] == []
 
 

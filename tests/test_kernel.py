@@ -6,7 +6,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 
 import pytest
 
@@ -448,12 +448,16 @@ def test_symmetric_tops_with_exactly_m_singles_match_the_filter():
         planar = _SHAPES[family].planar
         for k in range(1, 9):
             for m in rank_set(family, k):
-                found = list(_symmetric_candidates(family, k, m))
+                found = _symmetric_candidates(family, k, m)
                 expected = [
                     w for w in reference_symmetric_candidates(family, k, m)
                     if not planar or not crosses(w.top)
                 ]
-                assert sorted(found) == sorted(expected), (family, k, m)
+                assert found == sorted((w.top, w.propagating) for w in expected), (
+                    family,
+                    k,
+                    m,
+                )
                 kept = sorted(
                     w for w in expected
                     if not planar or is_planar(w.to_diagram())
@@ -797,9 +801,13 @@ def test_make_wraps_the_fields_of_a_checked_value_into_the_same_value(index):
     value, fields = five_values()[index]
     cls = type(value)
     values = tuple(getattr(value, name) for name in fields)
-    # a tableau is made with its stack key, which is no field
+    # a tableau is made with its stack key, which is no field; a diagram is
+    # only ever made in bulk
     key = (value._top,) if cls is SetPartitionTableau else ()
-    made = cls._make(*values, *key)
+    if cls is Diagram:
+        made = Diagram._make_all(1, (value.k,), (value.blocks,))[0]
+    else:
+        made = cls._make(*values, *key)
     assert type(made) is cls and made == value and hash(made) == hash(value)
     assert cls._key(made) == cls._key(value)
     message = "^%s is immutable$" % cls.__name__
@@ -815,6 +823,15 @@ def test_make_wraps_the_fields_of_a_checked_value_into_the_same_value(index):
         assert made._top is value._top
         for tab in (made, *twins(made)):
             assert_keyed(tab)
+
+
+def test_make_all_wraps_symmetric_diagrams_as_the_checking_constructor_does():
+    pairs = [(w.top, w.propagating) for w in enumerate_symmetric(ROOK_BRAUER, 4, 2)]
+    checked = [SymmetricMDiagram(4, top, prop) for top, prop in pairs]
+    made = SymmetricMDiagram._make_all(len(pairs), repeat(4), *zip(*pairs))
+    assert all(type(w) is SymmetricMDiagram for w in made)
+    assert made == checked and list(map(hash, made)) == list(map(hash, checked))
+    assert SymmetricMDiagram._make_all(0, repeat(4)) == []
 
 
 def test_del_cannot_poison_a_cached_symmetric_diagram():
