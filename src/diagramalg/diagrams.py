@@ -334,22 +334,24 @@ def _block_owner(d):
         return d._owner
 
 
-def _fuse(d, below, count):
-    """Stack d above a layer of count nodes; return (parent, components).
+def _fuse(d, below, count, lower):
+    """Stack d above a layer of count nodes; return (roots, components).
 
     The one union-find behind every stack, over blocks: nodes 0..n-1 are
     the blocks of d (n = len(d.blocks)), read from its cached layout, and
     n.. are the nodes of the layer below.  Middle vertex j joins d's block
-    at bottom k + j to node n + below[j-1].  Path halving, finds inline;
-    each union that joins two components takes one off the count.  The
-    parents are left for the caller's finds.
+    at bottom k + j to lower-layer node below[j-1].  Path halving; each
+    union that joins two components takes one off the count.  roots[v] is
+    the root of d's top vertex v for v in 1..k and roots[k + i] that of
+    lower-layer node lower[i-1] (index 0 unused); equal roots mean one
+    component.  No caller sees the parents.
     """
     k = d.k
     n = len(d.blocks)
-    size = n + count
-    parent = list(range(size))
-    components = size
-    for a, b in zip(_block_owner(d)[k + 1 :], below):
+    owner = _block_owner(d)
+    parent = list(range(n + count))
+    components = len(parent)
+    for a, b in zip(owner[k + 1 :], below):
         b += n
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -358,7 +360,18 @@ def _fuse(d, below, count):
         if a != b:
             parent[b] = a
             components -= 1
-    return parent, components
+    # two loops: one over a chain with a mapped offset made concat 5% slower
+    roots = [0]
+    for r in owner[1 : k + 1]:
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        roots.append(r)
+    for r in lower:
+        r += n
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        roots.append(r)
+    return roots, components
 
 
 def concat(d1, d2):
@@ -371,26 +384,15 @@ def concat(d1, d2):
     _check_diagram(d1)
     _check_diagram(d2, None, d1.k)
     k = d1.k
-    # the lower layer is the blocks of d2, met at its top vertices
-    own1, own2 = _block_owner(d1), _block_owner(d2)
-    parent, components = _fuse(d1, own2[1 : k + 1], len(d2.blocks))
-    # the outer vertices in order, d1's tops 1..k then d2's bottoms
-    # k+1..2k (its nodes after d1's n1): each block opens at its least
-    # vertex and grows in ascending order, so the blocks come out canonical
+    # the lower layer is the blocks of d2, met at its top vertices and read
+    # at its bottoms, so roots[v] is the root of the product's vertex v
+    own2 = _block_owner(d2)
+    roots, components = _fuse(d1, own2[1 : k + 1], len(d2.blocks), own2[k + 1 :])
+    # each block opens at its least vertex and grows in ascending order, so
+    # the blocks come out canonical
     outer = {}
-    for v in range(1, k + 1):
-        r = own1[v]
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
-        if r in outer:
-            outer[r].append(v)
-        else:
-            outer[r] = [v]
-    n1 = len(d1.blocks)
-    for v in range(k + 1, 2 * k + 1):
-        r = own2[v] + n1
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
+    for v in range(1, 2 * k + 1):
+        r = roots[v]
         if r in outer:
             outer[r].append(v)
         else:

@@ -11,14 +11,13 @@ components in the middle row and each deletion contributes a factor n.
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from operator import itemgetter
 
 from .coeff import ZERO, LaurentPoly, _items
 from .diagrams import (
     _SHAPES,
     Diagram,
-    _block_owner,
     _canonical,
     _check_diagram,
     _check_int_vertices,
@@ -40,6 +39,7 @@ from .partitions import check_label, check_partition, check_rank
 from .symrep import (
     _check_tableau,
     _natural_columns,
+    _straighten,
     is_standard,
     relabel,
     standard_tableaux,
@@ -221,13 +221,7 @@ def _conjugate(d, top):
     for i, b in enumerate(top):
         for v in b:
             below[v - 1] = i
-    parent, components = _fuse(d, below, len(top))
-    n = len(d.blocks)
-    root = [0]
-    for r in chain(_block_owner(d)[1 : k + 1], [n + i for i in below]):
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
-        root.append(r)
+    root, components = _fuse(d, below, len(top), below)
     tops = {}
     for v in range(1, k + 1):
         r = root[v]
@@ -554,7 +548,7 @@ def rep_columns(d, family, k, lam_star, basis=TWISTED):
         order, filling = moved._ordered_body()
         row = base[moved.first_row, order]
         columns.append(
-            {row + position[u]: monomial[e, c] for u, c in straighten(filling).items()}
+            {row + position[u]: monomial[e, c] for u, c in _straighten(filling)}
         )
     return columns
 

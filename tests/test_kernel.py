@@ -26,6 +26,7 @@ from diagramalg.diagrams import (
     Diagram,
     _block_owner,
     _covers,
+    _fuse,
     algebra_dim,
     concat,
     family_generators,
@@ -486,6 +487,44 @@ def reference_roots(size, groups):
             if rv != ra:
                 parent[rv] = ra
     return [find(v) for v in range(size)]
+
+
+def test_fuse_roots_split_the_nodes_as_the_reference_does():
+    # d's blocks are nodes 0..n-1 and the lower layer's count nodes follow;
+    # middle vertex j joins d's block at bottom k + j to below[j-1]
+    rng = random.Random(20181837)
+    for family in FAMILIES:
+        for k in range(1, 6):
+            # basis diagrams where the listing is small, words above
+            basis = enumerate_basis(family, k) if k <= 3 else None
+            for i in range(40):
+                d = rng.choice(basis) if basis else random_word(rng, family, k)
+                count = rng.randint(1, k)
+                if i % 2:
+                    # onto: every lower node meets d
+                    below = list(range(count))
+                    below += [rng.randrange(count) for _ in range(k - count)]
+                    rng.shuffle(below)
+                else:
+                    # a node that meets nothing, as d2's bottom-only blocks
+                    below = [rng.randrange(count) for _ in range(k)]
+                lower = [rng.randrange(count) for _ in range(rng.randint(0, 2 * k))]
+                roots, components = _fuse(d, below, count, lower)
+                n = len(d.blocks)
+                owner = {v: b for b, block in enumerate(d.blocks) for v in block}
+                expected = reference_roots(
+                    n + count,
+                    [(owner[k + j], n + c) for j, c in enumerate(below, 1)],
+                )
+                nodes = [owner[v] for v in range(1, k + 1)]
+                nodes += [n + c for c in lower]
+                where = (d.text(), below, lower)
+                assert len(roots) == len(nodes) + 1, where
+                # equal roots exactly where the reference's roots are equal
+                pairs = set(zip(roots[1:], (expected[x] for x in nodes)))
+                assert len(pairs) == len(set(roots[1:])), where
+                assert len(pairs) == len({r for _, r in pairs}), where
+                assert components == len(set(expected)), where
 
 
 def reference_conjugate(d, w):
