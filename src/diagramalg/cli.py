@@ -447,7 +447,7 @@ def build_parser():
     family_type = _arg(diagrams.normalize_family)
     partition_type = _arg(_partition)
 
-    def add_common(p, n_flag=False, fmt=("text", "json")):
+    def add_common(p, n_flag=False, fmt=("text", "json"), lambda_star=False):
         p.add_argument(
             "--family", type=family_type, required=True, help="diagram family"
         )
@@ -462,6 +462,10 @@ def build_parser():
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
         p.add_argument("--out", default=None, help="write output to a file")
+        if lambda_star:
+            p.add_argument(
+                "--lambda-star", type=partition_type, required=True, dest="lambda_star"
+            )
 
     p = sub.add_parser("mul", help="multiply two diagrams")
     add_common(p, n_flag=True)
@@ -483,26 +487,17 @@ def build_parser():
     p.set_defaults(func=_cmd_symdiag)
 
     p = sub.add_parser("sspt", help="list standard set-partition tableaux")
-    add_common(p)
-    p.add_argument(
-        "--lambda-star", type=partition_type, required=True, dest="lambda_star"
-    )
+    add_common(p, lambda_star=True)
     p.set_defaults(func=_cmd_sspt)
 
     p = sub.add_parser("irrep", help="matrix of a diagram on a module")
-    add_common(p, n_flag=True)
-    p.add_argument(
-        "--lambda-star", type=partition_type, required=True, dest="lambda_star"
-    )
+    add_common(p, n_flag=True, lambda_star=True)
     p.add_argument("--d", required=True, help="diagram, block notation")
     p.add_argument("--basis", type=_arg(irreps._normalize_basis), default="Twisted")
     p.set_defaults(func=_cmd_irrep)
 
     p = sub.add_parser("char", help="irreducible character value")
-    add_common(p, fmt=None)
-    p.add_argument(
-        "--lambda-star", type=partition_type, required=True, dest="lambda_star"
-    )
+    add_common(p, fmt=None, lambda_star=True)
     p.add_argument("--kappa", type=partition_type, required=True)
     p.add_argument("--s", type=int, default=None, help="tail length check")
     p.set_defaults(func=_cmd_char)

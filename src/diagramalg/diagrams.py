@@ -282,13 +282,14 @@ class _Memo(dict):
         return out
 
     def take(self, key):
-        """The value for key, dropping every other value and make now: a
-        make that reads this memo forms a cycle with it, which would
-        otherwise wait for the cyclic garbage collector."""
-        out = self[key]
-        self.clear()
-        del self.make
-        return out
+        """The value for key, dropping every other value and make now, even
+        if making it raises: a make that reads this memo forms a cycle with
+        it, which would otherwise wait for the cyclic garbage collector."""
+        try:
+            return self[key]
+        finally:
+            self.clear()
+            del self.make
 
 
 @lru_cache(maxsize=None)
@@ -529,7 +530,8 @@ def _covers(k, points, shape):
     order, each run a block passes over is covered on its own and placed
     after the block, and each block is sorted as it is emitted (the covers
     are then in no particular order).  Each cover is built once per call,
-    memoised by the points it covers.
+    memoised by the points it covers; a miss nests two frames per point, so
+    points too many for the recursion limit raise CapExceeded.
 
     No reference cycle outlives the call (take drops the memo's make, and
     grow's name is deleted), so reference counting frees all it allocates.
@@ -579,6 +581,9 @@ def _covers(k, points, shape):
     gc.disable()
     try:
         return memo.take(points)
+    except RecursionError:
+        message = "covering %d points exceeds the recursion limit" % len(points)
+        raise CapExceeded(message) from None
     finally:
         del grow  # it reads itself through this name
         if enabled:

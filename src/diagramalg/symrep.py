@@ -63,27 +63,21 @@ def standard_tableaux(shape):
 
 @cache
 def _standard_tableaux(shape):
-    m = sum(shape)
-    if m == 0:
-        return ((),)
-    filled = [0] * len(shape)
-    grid = [[0] * part for part in shape]
-    out = []
-
-    def rec(number):
-        if number > m:
-            out.append(tuple(tuple(row) for row in grid))
-            return
-        for r in range(len(shape)):
-            if filled[r] < shape[r] and (r == 0 or filled[r - 1] > filled[r]):
-                grid[r][filled[r]] = number
-                filled[r] += 1
-                rec(number + 1)
-                filled[r] -= 1
-
-    rec(1)
-    out.sort(key=_column_word)
-    return tuple(out)
+    # up Young's lattice: level n maps each n-cell shape inside `shape` to its
+    # tableaux; n ends every row that can grow, an empty row below included
+    level = {(): [()]}
+    for n in range(1, sum(shape) + 1):
+        grown = {}
+        for sub, tableaux in level.items():
+            for r, (length, part) in enumerate(zip(sub + (0,), shape)):
+                if length < part and (r == 0 or sub[r - 1] > length):
+                    bigger = sub[:r] + (length + 1,) + sub[r + 1 :]
+                    grown.setdefault(bigger, []).extend(
+                        t[:r] + (t[r] + (n,) if length else (n,),) + t[r + 1 :]
+                        for t in tableaux
+                    )
+        level = grown
+    return tuple(sorted(level[shape], key=_column_word))
 
 
 # perfbench reads the statistics of this cache under the public name

@@ -549,6 +549,25 @@ def test_huge_k_is_an_error_line(command, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["symdiag", "--family", "rook", "--k", "2000", "--m", "2000"],
+        ["sspt", "--family", "planarrook", "--k", "600", "--lambda-star", "[600]"],
+    ],
+)
+def test_a_cover_too_deep_for_the_recursion_limit_is_an_error_line(command, capsys):
+    # each answer is small, but covering the k points (command[4]) nests at
+    # least two Python frames per point, past the default limit of 1,000 on
+    # every supported interpreter however shallow the caller
+    assert run(command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: covering %s points exceeds the recursion limit\n" % command[4]
+    )
+
+
 @pytest.mark.parametrize("family", ["planarrook", "temperleylieb"])
 def test_char_at_the_identity_class_of_k1200(family, capsys):
     symrep._sym_character.cache_clear()

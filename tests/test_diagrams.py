@@ -414,6 +414,23 @@ def test_listings_leave_no_cyclic_garbage():
     assert [leak for leak in leaks if leak[-1]] == []
 
 
+def test_a_cover_too_deep_for_the_recursion_limit_leaves_no_cyclic_garbage():
+    # the refusal drops the memo's make as take does, so what the partial
+    # build made is freed with the error, not left for the collector
+    points = tuple(range(1, 2001))
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        with pytest.raises(errors.CapExceeded, match="covering 2000 points"):
+            diagrams._covers(2000, points, diagrams._SHAPES["Rook"])
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    assert leaked == 0
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_a_listing_leaves_the_collector_as_it_found_it(enabled):
     (gc.enable if enabled else gc.disable)()

@@ -68,6 +68,27 @@ def test_standard_tableaux_small_shapes():
     assert standard_tableaux((2, 1)) == (((1, 3), (2,)), ((1, 2), (3,)))
 
 
+def test_standard_tableaux_are_the_standard_fillings_by_column_word():
+    # every filling of the shape by a permutation of 1..m that is_standard
+    # accepts, in column-word order
+    for m in range(8):
+        for shape in partitions(m):
+            starts = [sum(shape[:r]) for r in range(len(shape))]
+            fillings = (
+                tuple(perm[s : s + part] for s, part in zip(starts, shape))
+                for perm in perms(m)
+            )
+            expected = sorted(filter(is_standard, fillings), key=symrep._column_word)
+            assert standard_tableaux(shape) == tuple(expected), shape
+
+
+def test_a_1500_cell_row_or_column_has_one_tableau():
+    # the walk up Young's lattice takes no frame per cell
+    entries = tuple(range(1, 1501))
+    assert standard_tableaux((1500,)) == ((entries,),)
+    assert standard_tableaux((1,) * 1500) == (tuple((e,) for e in entries),)
+
+
 def test_column_reading_tableau_comes_first():
     for shape in [(3, 2), (2, 2, 1), (4, 1), (3, 3), (2, 1, 1)]:
         first = standard_tableaux(shape)[0]
