@@ -528,20 +528,23 @@ def _parser():
 
 
 def run(argv=None):
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        if args.out is not None:
-            _check_out(args.out)
-        text, code = args.func(args)
-        _emit(text, args.out)
-        return code
-    # a k too large for a range overflows (no budget bounds it yet)
-    except (DiagramAlgebraError, ValueError, OverflowError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    # a command's objects die when it returns and form no reference cycle,
+    # so a collector pass over them while they live finds nothing to free
+    with diagrams._collector_paused():
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
+        try:
+            if args.out is not None:
+                _check_out(args.out)
+            text, code = args.func(args)
+            _emit(text, args.out)
+            return code
+        # a k too large for a range overflows (no budget bounds it yet)
+        except (DiagramAlgebraError, ValueError, OverflowError, OSError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
 
 
 def main():

@@ -13,6 +13,7 @@ import gc
 import os
 import re
 from collections import deque, namedtuple
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter
@@ -518,6 +519,21 @@ def generator(kind, i, k):
     return Diagram(k, blocks)
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, then turn it
+    back on only if it was on, also when the body raises: the one copy of
+    the pause rule, for work that allocates many objects and leaves no
+    reference cycle behind."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _covers(k, points, shape):
     """Every cover of points by the blocks that shape allows, as a list.
 
@@ -537,9 +553,10 @@ def _covers(k, points, shape):
     grow's name is deleted), so reference counting frees all it allocates.
     The cyclic collector is paused while it builds: the tens of thousands
     of tuples of a listing would each count toward a collector pass, and
-    none of them can be garbage.  The pause covers the build alone, not
-    the caller's wrap of the listing (a pause over the wrap measured a
-    higher peak RSS).
+    none of them can be garbage.  The pause covers the build alone: a CLI
+    command runs whole with the collector paused (cli.run), while a
+    library caller's wrap of the listing runs with it as the caller left
+    it.
     """
     pairs, singles, across, planar = shape
 
@@ -577,17 +594,14 @@ def _covers(k, points, shape):
         return out
 
     memo = _Memo(pair_cover if pairs else cover, {(): [()]})
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        return memo.take(points)
+        with _collector_paused():
+            return memo.take(points)
     except RecursionError:
         message = "covering %d points exceeds the recursion limit" % len(points)
         raise CapExceeded(message) from None
     finally:
         del grow  # it reads itself through this name
-        if enabled:
-            gc.enable()
 
 
 def size_cap(default):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -858,6 +859,99 @@ def test_one_parser_serves_every_run_like_a_fresh_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     for argv, seen in zip(PARSER_REUSE_SEQUENCE, shared):
         assert (run(argv), capsys.readouterr()) == seen, argv
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(enabled, monkeypatch, capsys):
+    paused = []
+    real_emit = cli._emit
+
+    def emit(text, out_path):
+        paused.append(not gc.isenabled())
+        real_emit(text, out_path)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in (
+            (["basis", "--family", "brauer", "--k", "3"], 0),
+            (["basis", "--family", "partition", "--k", "9"], 1),
+            (["basis", "--family", "nosuch", "--k", "2"], 2),
+            (["--help"], 0),
+        ):
+            assert run(argv) == code, argv
+            capsys.readouterr()
+            assert gc.isenabled() is enabled, argv
+        # the command ran paused through its output
+        assert paused == [True]
+        with diagrams._collector_paused():
+            with diagrams._collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            with diagrams._collector_paused():
+                raise KeyError("raised in the body")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+# argparse's own --help and refusal paths are left out: they leave a few
+# dozen objects in cycles, and such a command ends at once, so the pause
+# defers next to nothing
+WARM_COMMANDS = {
+    "mul": [
+        "mul", "--family", "partition", "--k", "2",
+        "--lhs", "1 2 | 1' 2'", "--rhs", "1 1' | 2 2'",
+    ],
+    "basis-text": ["basis", "--family", "rookbrauer", "--k", "3"],
+    "basis-json": [
+        "basis", "--family", "planarpartition", "--k", "3", "--format", "json",
+    ],
+    "dims": ["dims", "--family", "partition", "--k", "4"],
+    "symdiag": ["symdiag", "--family", "partition", "--k", "4", "--m", "2"],
+    "sspt": [
+        "sspt", "--family", "partition", "--k", "3", "--lambda-star", "[2]",
+    ],
+    "irrep-n": [
+        "irrep", "--family", "partition", "--k", "3", "--lambda-star", "[1]",
+        "--d", "1 2 | 1' | 2' | 3 3'", "--n", "7/2",
+    ],
+    "char": [
+        "char", "--family", "partition", "--k", "3",
+        "--lambda-star", "[]", "--kappa", "[1,1,1]",
+    ],
+    "table-text": ["table", "--family", "brauer", "--k", "4", "--factor"],
+    "table-csv": [
+        "table", "--family", "brauer", "--k", "4", "--factor", "--format", "csv",
+    ],
+    "table-json": [
+        "table", "--family", "brauer", "--k", "4", "--factor", "--format", "json",
+    ],
+    "verify": ["verify", "--suite", "ring-axioms", "--cases", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", WARM_COMMANDS.values(), ids=WARM_COMMANDS)
+def test_a_warm_command_leaves_no_cyclic_garbage(argv, capsys):
+    # run pauses the collector for the whole command, which defers no work
+    # only if everything the command drops is freed by reference counting.
+    # The first run fills the caches; what is alive before the second is
+    # frozen out of the collector's reach, so the pass walks only what the
+    # second run left
+    assert run(argv) == 0
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    capsys.readouterr()
+    assert leaked == 0
 
 
 def test_basis_equivalence_checks_the_full_action_below_rank_m(
