@@ -16,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from . import characters, diagrams, irreps, symrep
 from .coeff import ONE, ZERO, Element, LaurentPoly
@@ -268,8 +269,8 @@ def _suite_module_axiom(family, k, rng, cases, fail):
         lam = rng.choice(labels)
         cols_a = irreps.rep_columns(a, family, k, lam)
         cols_b = irreps.rep_columns(b, family, k, lam)
-        prod, deleted = diagrams.concat(a, b)
-        cols_ab = irreps.rep_columns(prod, family, k, lam)
+        ab, deleted = diagrams.concat(a, b)
+        cols_ab = irreps.rep_columns(ab, family, k, lam)
         scale = LaurentPoly.monomial(deleted)
         scaled = [
             {i: scale * c for i, c in col.items()} for col in cols_ab
@@ -318,6 +319,7 @@ def _suite_wedderburn(family, k, rng, cases, fail):
 
 
 def _suite_fixedpoint(family, k, rng, cases, fail):
+    diagrams._check_cap("fixed_points", family, k)
     for kappa in characters.class_labels(family, k):
         if sum(kappa) != k:
             continue
@@ -373,10 +375,107 @@ def _suite_determinant(family, k, rng, cases, fail):
     return "%s, k=%d, |det|=%d" % (family, k, check.determinant)
 
 
+def _suite_trace_oracle(family, k, rng, cases, fail):
+    diagrams._check_cap("character_oracle", family, k)
+    fmt = characters.format_partition
+    misses = irreps._conjugate.cache_info().misses
+    labels = lambda_star_labels(family, k)
+    classes = characters.class_labels(family, k)
+    # classes outer, labels inner, the order character_oracle asks for
+    for kappa in classes:
+        for lam in labels:
+            trace = characters.character_oracle(family, k, lam, kappa)
+            value = characters.irr_character(family, k, lam, kappa)
+            if trace != LaurentPoly.const(value):
+                cell = (family, k, fmt(lam), fmt(kappa), trace, value)
+                fail("%s k=%d lambda*=%s kappa=%s: trace %s, chi %d" % cell)
+    cells = len(classes) * len(labels)
+    stacks = irreps._conjugate.cache_info().misses - misses
+    return "%s, k=%d, %d cells, %d stacks built" % (family, k, cells, stacks)
+
+
+def _cells(lam):
+    """The cells (i, j) of lam, 1-indexed."""
+    return [(i, j) for i, part in enumerate(lam, 1) for j in range(1, part + 1)]
+
+
+def _transpose(lam):
+    width = lam[0] if lam else 0
+    return tuple(sum(part >= j for part in lam) for j in range(1, width + 1))
+
+
+def _hook_product(lam):
+    cols = _transpose(lam)
+    return prod(lam[i - 1] - j + cols[j - 1] - i + 1 for i, j in _cells(lam))
+
+
+def _symmetric_dim(lam, n):
+    # f^(n - m, lam): the hook length formula for S_n
+    return factorial(n) // _hook_product((n - sum(lam),) + lam)
+
+
+def _general_linear_dim(lam, n):
+    # s_lam(1^n): the hook content formula for GL_n
+    return prod(n + j - i for i, j in _cells(lam)) // _hook_product(lam)
+
+
+def _orthogonal_dim(lam, n):
+    # El Samra and King for O(n); a part past the length of lam counts as 0
+    pad = (0,) * sum(lam)
+    rows, cols = lam + pad, _transpose(lam) + pad
+    return prod(
+        n + rows[i - 1] + rows[j - 1] - i - j
+        if i <= j
+        else n - cols[i - 1] - cols[j - 1] + i + j - 2
+        for i, j in _cells(lam)
+    ) // _hook_product(lam)
+
+
+# family -> (D(lambda*, N), b(N)) for a group G on a space T: S_N, GL_N or
+# O(N) on C^N (and C^N + C with rooks), SL_2 on C^2, C^2 + C or C^2 (x) C^2,
+# GL_1 on C + C.  A planar label (m,) stands for its SL_2 or GL_1 weight
+_TENSOR_SPACES = {
+    "Partition": (_symmetric_dim, lambda n: n),
+    "SymmetricGroup": (_general_linear_dim, lambda n: n),
+    "Rook": (_general_linear_dim, lambda n: n + 1),
+    "Brauer": (_orthogonal_dim, lambda n: n),
+    "RookBrauer": (_orthogonal_dim, lambda n: n + 1),
+    "TemperleyLieb": (lambda lam, n: sum(lam) + 1, lambda n: 2),
+    "Motzkin": (lambda lam, n: sum(lam) + 1, lambda n: 3),
+    "PlanarRook": (lambda lam, n: 1, lambda n: 2),
+    "PlanarPartition": (lambda lam, n: 2 * sum(lam) + 1, lambda n: 4),
+}
+
+
+def _suite_schur_weyl(family, k, rng, cases, fail):
+    """Fail each cell (kappa, N) of character_table(family, k), N = 2k ..
+    3k, where the Schur–Weyl identity fails.  On T^(x k), each cycle of
+    gamma_kappa adds b(N) = dim T to the trace; for N >= 2k the modules
+    split T^(x k), lambda* D_lambda*(N) times, so sum over lambda* of
+    D_lambda*(N) * chi^lambda*(kappa) = b(N) ** len(kappa), polynomials in
+    N of degree at most k, which k + 1 values of N decide."""
+    table = characters.character_table(family, k)
+    dim, base = _TENSOR_SPACES[table.family]
+    for n in range(2 * k, 3 * k + 1):
+        dims = [dim(lam, n) for lam in table.row_labels]
+        for c, kappa in enumerate(table.col_labels):
+            left = sum(d * row[c] for d, row in zip(dims, table.values))
+            right = base(n) ** len(kappa)
+            if left != right:
+                cell = (family, k, characters.format_partition(kappa), n, left, right)
+                fail("%s k=%d kappa=%s N=%d: %d != %d" % cell)
+    return (
+        "%s, k=%d, %d cells, each a class's sum over the labels weighted by D(N)"
+        " at one N in %d..%d, not a single entry"
+        % (family, k, len(table.col_labels) * (k + 1), 2 * k, 3 * k)
+    )
+
+
 _PARTITION_ONLY = (diagrams.PARTITION,)
 
-# suite -> (runner, default families, default k of a family), in the
-# order a bare verify runs them.  Every runner takes (family, k, rng,
+# suite -> (runner, default families, default k of a family).  A bare
+# verify runs them in this order, all but the _NAMED_ONLY ones, which run
+# only when --suite names them.  Every runner takes (family, k, rng,
 # cases, fail), calls fail(message) once per failed check and returns
 # what its ok line reports; table-regression reads only fail.
 _SUITES = {
@@ -391,7 +490,10 @@ _SUITES = {
     "fixedpoint-vs-formula": (_suite_fixedpoint, _PARTITION_ONLY, lambda f: 3),
     "table-regression": (_suite_table_regression, (None,), lambda f: None),
     "determinant": (_suite_determinant, diagrams.FAMILIES, lambda f: 3),
+    "trace-oracle": (_suite_trace_oracle, diagrams.FAMILIES, lambda f: 3),
+    "schur-weyl": (_suite_schur_weyl, diagrams.FAMILIES, lambda f: 6),
 }
+_NAMED_ONLY = ("trace-oracle", "schur-weyl")
 
 
 def _cmd_verify(args):
@@ -421,7 +523,8 @@ def _run_suites(args, report):
     ok line for each run without one; True if no check failed."""
     rng = random.Random(args.seed)
     ok = True
-    for suite in [args.suite] if args.suite else _SUITES:
+    bare = [suite for suite in _SUITES if suite not in _NAMED_ONLY]
+    for suite in [args.suite] if args.suite else bare:
         runner, families, default_k = _SUITES[suite]
         for fam in [args.family] if args.family else families:
             k = default_k(fam) if args.k is None else args.k

@@ -600,6 +600,27 @@ def test_verify_all_suites(capsys):
     out = capsys.readouterr().out
     assert out.strip().endswith("all checks passed")
     assert "FAIL" not in out
+    # the suites that run only when --suite names them print no line
+    for suite in cli._NAMED_ONLY:
+        assert suite not in out
+
+
+@pytest.mark.parametrize(
+    "suite, caller",
+    [("fixedpoint-vs-formula", "fixed_points"), ("trace-oracle", "character_oracle")],
+)
+def test_verify_refuses_a_k_past_the_cap_before_listing_classes(
+    suite, caller, monkeypatch, capsys
+):
+    def unlisted(family, k):
+        raise AssertionError("classes listed at k=%d" % k)
+
+    monkeypatch.setattr(characters, "class_labels", unlisted)
+    huge = "99999999999999999999"
+    assert run(["verify", "--suite", suite, "--family", "rook", "--k", huge]) == 1
+    assert capsys.readouterr() == (
+        "", "error: %s at k=%s exceeds the cap 7\n" % (caller, huge)
+    )
 
 
 def test_verify_deterministic(capsys):
@@ -751,7 +772,7 @@ USAGE = {
         "usage: diagramalg verify [-h]\n"
         "                         [--suite {ring-axioms,module-axiom,"
         "basis-equivalence,wedderburn,fixedpoint-vs-formula,"
-        "table-regression,determinant}]\n"
+        "table-regression,determinant,trace-oracle,schur-weyl}]\n"
         "                         [--family FAMILY] [--k K] [--seed SEED]\n"
         "                         [--cases CASES] [--out OUT]\n"
     ),
@@ -1072,6 +1093,29 @@ def _factor_is_negated(monkeypatch):
     monkeypatch.setattr(characters.CharacterTable, "factor", negated)
 
 
+def _chi_is_off_at_class_2(monkeypatch):
+    real = characters.irr_character
+
+    def off(family, k, lam, kappa, s=None):
+        return real(family, k, lam, kappa, s) + (kappa == (2,))
+
+    monkeypatch.setattr(characters, "irr_character", off)
+
+
+def _first_entry_is_off(monkeypatch):
+    real = characters.character_table
+
+    def off(family, k):
+        table = real(family, k)
+        values = [list(row) for row in table.values]
+        values[0][0] += 1
+        return characters.CharacterTable(
+            table.family, k, table.row_labels, table.col_labels, values
+        )
+
+    monkeypatch.setattr(characters, "character_table", off)
+
+
 def _determinant_is_off(monkeypatch):
     monkeypatch.setattr(
         characters,
@@ -1133,6 +1177,21 @@ SUITE_FAULTS = [
         ],
     ),
     ("determinant", _determinant_is_off, ["Brauer, k=2, got 1, expected 2"]),
+    # the Brauer k=2 column at [2] reads 1, 1, -1 down the labels
+    (
+        "trace-oracle",
+        _chi_is_off_at_class_2,
+        [
+            re.escape("Brauer k=2 lambda*=%s kappa=[2]: trace %s, chi %s" % cell)
+            for cell in (("[]", 1, 2), ("[2]", 1, 2), ("[1,1]", -1, 0))
+        ],
+    ),
+    # the identity at kappa = [] reads 1 = 1 before the fault, 2 after
+    (
+        "schur-weyl",
+        _first_entry_is_off,
+        [re.escape("Brauer k=2 kappa=[] N=%d: 2 != 1" % n) for n in (4, 5, 6)],
+    ),
 ]
 
 
