@@ -112,19 +112,13 @@ def class_diagram(family, k, kappa, s=None):
     family = normalize_family(family)
     kappa, s = _check_class(family, kappa, k, s)
     r = sum(kappa)
-    blocks = []
     perm = gamma_perm(kappa)
-    for j in range(1, r + 1):
-        blocks.append((perm[j - 1], k + j))
+    blocks = [(perm[j - 1], k + j) for j in range(1, r + 1)]
     if _SHAPES[family].singles:
-        for j in range(r + 1, k + 1):
-            blocks.append((j,))
-            blocks.append((k + j,))
+        blocks += [b for j in range(r + 1, k + 1) for b in ((j,), (k + j,))]
     else:
-        for a in range(s):
-            lo = r + 2 * a + 1
-            blocks.append((lo, lo + 1))
-            blocks.append((k + lo, k + lo + 1))
+        lows = range(r + 1, r + 2 * s, 2)
+        blocks += [b for lo in lows for b in ((lo, lo + 1), (k + lo, k + lo + 1))]
     d = Diagram(k, blocks)
     return Element(k, family, {d: LaurentPoly.monomial(-s)})
 
@@ -173,7 +167,8 @@ def f_coeff_planar(family, r, m):
     if m < 0:
         return 0
     if not pairs:
-        return f_coeff_planar(TEMPERLEY_LIEB, 2 * r, 2 * m)
+        r, m = 2 * r, 2 * m
+        _, singles, across, _ = _SHAPES[TEMPERLEY_LIEB]
     return sum(
         binom(r, m + 2 * t) * (binom(m + 2 * t, t) - binom(m + 2 * t, t - 1))
         for t in range((r - m) // 2 + 1)

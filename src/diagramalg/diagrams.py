@@ -274,23 +274,12 @@ class _Memo(dict):
 
     __slots__ = ("make",)
 
-    def __init__(self, make, items=()):
-        super().__init__(items)
+    def __init__(self, make):
         self.make = make
 
     def __missing__(self, key):
         out = self[key] = self.make(key)
         return out
-
-    def take(self, key):
-        """The value for key, dropping every other value and make now, even
-        if making it raises: a make that reads this memo forms a cycle with
-        it, which would otherwise wait for the cyclic garbage collector."""
-        try:
-            return self[key]
-        finally:
-            self.clear()
-            del self.make
 
 
 @lru_cache(maxsize=None)
@@ -534,6 +523,26 @@ def _collector_paused():
             gc.enable()
 
 
+def _unfold(memo, make, key):
+    """memo[key], made first if missing: make(key) is a generator that
+    yields each key it needs not yet in memo, is sent its value back and
+    returns its own.  One loop runs the generators as a stack, so no call
+    nests in another; no key may need itself, even through others."""
+    value = memo.get(key)
+    builds = [] if value is not None else [(key, make(key))]
+    while builds:
+        key, build = builds[-1]
+        try:
+            need = build.send(value)
+        except StopIteration as done:
+            value = memo[key] = done.value
+            builds.pop()
+        else:
+            builds.append((need, make(need)))
+            value = None
+    return value
+
+
 def _covers(k, points, shape):
     """Every cover of points by the blocks that shape allows, as a list.
 
@@ -545,63 +554,78 @@ def _covers(k, points, shape):
     covers come in canonical order.  With planar, points in boundary
     order, each run a block passes over is covered on its own and placed
     after the block, and each block is sorted as it is emitted (the covers
-    are then in no particular order).  Each cover is built once per call,
-    memoised by the points it covers; a miss nests two frames per point, so
-    points too many for the recursion limit raise CapExceeded.
+    are then in no particular order).
 
-    No reference cycle outlives the call (take drops the memo's make, and
-    grow's name is deleted), so reference counting frees all it allocates.
-    The cyclic collector is paused while it builds: the tens of thousands
-    of tuples of a listing would each count toward a collector pass, and
-    none of them can be garbage.  The pause covers the build alone: a CLI
-    command runs whole with the collector paused (cli.run), while a
-    library caller's wrap of the listing runs with it as the caller left
-    it.
+    Each set of points is covered once per call, by a generator (pair_cover
+    or cover) that _unfold runs, so the caller's stack depth cannot change
+    the answer.  The cyclic collector is paused while it builds and the
+    memo is emptied before the pause ends: none of the tens of thousands of
+    tuples can be garbage.  A CLI command runs whole with the collector
+    paused (cli.run); a library caller's wrap of the listing runs with it
+    as the caller left it.
     """
     pairs, singles, across, planar = shape
+    memo = {(): [()]}
 
     def pair_cover(points):
         first, rest, single = points[0], points[1:], (points[:1],)
-        out = list(map(single.__add__, memo[rest])) if singles else []
+        out = []
+        if singles:
+            tails = memo.get(rest)
+            if tails is None:
+                tails = yield rest
+            out += map(single.__add__, tails)
         for i, nxt in enumerate(rest):
             if across and (first <= k) == (nxt <= k):
                 continue
             pair = ((first, nxt) if first < nxt else (nxt, first),)
-            run, passed = (memo[rest[:i]], ()) if planar else ([()], rest[:i])
-            # a run without a cover leaves none for this pair
-            tails = memo[passed + rest[i + 1 :]] if run else ()
+            if planar:
+                run, key = memo.get(rest[:i]), rest[i + 1 :]
+                if run is None:
+                    run = yield rest[:i]
+                # a run without a cover leaves none for this pair
+                if not run:
+                    continue
+            else:
+                run, key = [()], rest[:i] + rest[i + 1 :]
+            tails = memo.get(key)
+            if tails is None:
+                tails = yield key
             for covered in run:
                 out += map((pair + covered).__add__, tails)
         return out
 
-    def grow(out, inner, block, left, rest):
-        # inner: the covers of the runs block passed over (planar);
-        # left: the points it passed over (otherwise)
-        ended = (tuple(sorted(block)),)
-        tails = memo[left + rest]
-        for covered in inner:
-            out += map((ended + covered).__add__, tails)
-        for i, nxt in enumerate(rest):
-            run, passed = (memo[rest[:i]], ()) if planar else ([()], rest[:i])
-            # a run without a cover leaves none for this block
-            if run:
-                inner_i = [c + r for c in inner for r in run]
-                grow(out, inner_i, block + (nxt,), left + passed, rest[i + 1 :])
-
     def cover(points):
+        # a state: a block from the first point, rest the points after it,
+        # and inner the covers of the runs it passed over (planar) or left
+        # the points it passed over.  A state ends its block, then pushes one
+        # child per point of rest, last first so that they pop in order.
         out = []
-        grow(out, [()], points[:1], (), points[1:])
+        states = [([()], points[:1], (), points[1:])]
+        while states:
+            inner, block, left, rest = states.pop()
+            ended = (tuple(sorted(block)),)
+            tails = memo.get(left + rest)
+            if tails is None:
+                tails = yield left + rest
+            for covered in inner:
+                out += map((ended + covered).__add__, tails)
+            for i in range(len(rest) - 1, -1, -1):
+                grown = block + rest[i : i + 1]
+                if planar:
+                    run = memo.get(rest[:i])
+                    if run is None:
+                        run = yield rest[:i]
+                    inner_i = [c + r for c in inner for r in run]
+                    states.append((inner_i, grown, left, rest[i + 1 :]))
+                else:
+                    states.append((inner, grown, left + rest[:i], rest[i + 1 :]))
         return out
 
-    memo = _Memo(pair_cover if pairs else cover, {(): [()]})
-    try:
-        with _collector_paused():
-            return memo.take(points)
-    except RecursionError:
-        message = "covering %d points exceeds the recursion limit" % len(points)
-        raise CapExceeded(message) from None
-    finally:
-        del grow  # it reads itself through this name
+    with _collector_paused():
+        covers = _unfold(memo, pair_cover if pairs else cover, points)
+        memo.clear()
+    return covers
 
 
 def size_cap(default):
@@ -703,9 +727,8 @@ _FAMILY_GENERATORS = {
 def family_generators(family, k):
     """The standard generating diagrams of the family at k strands."""
     _check_k(k)
-    out = []
-    for kind in _FAMILY_GENERATORS[normalize_family(family)]:
-        hi = k if kind == "P" else k - 1
-        for i in range(1, hi + 1):
-            out.append(generator(kind, i, k))
-    return out
+    return [
+        generator(kind, i, k)
+        for kind in _FAMILY_GENERATORS[normalize_family(family)]
+        for i in range(1, k + 1 if kind == "P" else k)
+    ]

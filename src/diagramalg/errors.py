@@ -12,9 +12,8 @@ that is not a Diagram, coefficients that are not a mapping, a row that names
 no column, a determinant of a table that is not a square matrix of ints, an
 unknown family, generator or basis.
 Other bad input raises a DiagramAlgebraError, below: two strand counts that
-differ (RankMismatch) and a k past the enumeration cap or too deep for the
-recursion limit (CapExceeded) among them.  The CLI prints both on stderr as
-"error: <message>", exit code 1.
+differ (RankMismatch) and a k past the enumeration cap (CapExceeded) among
+them.  The CLI prints both on stderr as "error: <message>", exit code 1.
 The one exception is a binary operator: Element(...) * 3 or
 Element(...) + None keeps Python's rule and may raise TypeError.
 """
@@ -45,8 +44,7 @@ class RankMismatch(DiagramAlgebraError):
 
 
 class CapExceeded(DiagramAlgebraError):
-    """An enumeration was requested beyond the configured size cap, or its
-    covers nest too deep for the recursion limit."""
+    """An enumeration was requested beyond the configured size cap."""
 
 
 class InvalidCap(DiagramAlgebraError):

@@ -8,7 +8,7 @@ character tables.
 
 import itertools
 from functools import cache, lru_cache, wraps
-from math import comb
+from math import comb, prod
 from operator import lt
 
 from .diagrams import _SHAPES, _check_k, _tuple_of, normalize_family
@@ -54,16 +54,13 @@ def partitions(m):
     """All partitions of m, descending lexicographic: (m,) first."""
     if m < 0:
         return ()
-
-    def rec(rest, maxpart):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, maxpart), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-
-    return tuple(rec(m, m))
+    # by[n]: the partitions of n; those opening with part f are f followed
+    # by the partitions of n - f whose parts are at most f
+    by = [[()]]
+    for n in range(1, m + 1):
+        opening = ((f, p) for f in range(n, 0, -1) for p in by[n - f])
+        by.append([(f, *p) for f, p in opening if not p or p[0] <= f])
+    return tuple(by[m])
 
 
 def multiplicities(p):
@@ -121,13 +118,7 @@ def double_factorial(n):
     """n!! with the conventions (-1)!! = 1 and n!! = 0 for n < -1."""
     if type(n) is not int:
         _check_ints(n)
-    if n < -1:
-        return 0
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 1, -2)) if n >= -1 else 0
 
 
 def catalan(n):

@@ -15,7 +15,7 @@ from math import factorial, prod
 from operator import lt
 
 from .coeff import _exact, _items
-from .diagrams import _INT, _check_permutation
+from .diagrams import _INT, _check_permutation, _unfold
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition, partitions
 
@@ -43,14 +43,8 @@ def is_standard(t):
 
 def _column_word(t):
     """Entries read down each column, columns left to right."""
-    if not t:
-        return ()
-    word = []
-    for j in range(len(t[0])):
-        for row in t:
-            if j < len(row):
-                word.append(row[j])
-    return tuple(word)
+    columns = range(len(t[0]) if t else 0)
+    return tuple(row[j] for j in columns for row in t if j < len(row))
 
 
 def standard_tableaux(shape):
@@ -90,12 +84,7 @@ def _column(grid, j):
 
 def _sort_sign(values):
     # parity of the permutation sorting the (distinct) values ascending
-    inv = sum(
-        1
-        for a in range(len(values))
-        for b in range(a + 1, len(values))
-        if values[a] > values[b]
-    )
+    inv = sum(a > b for i, a in enumerate(values) for b in values[i + 1 :])
     return -1 if inv % 2 else 1, sorted(values)
 
 
@@ -116,42 +105,39 @@ def straighten(filling):
     return dict(_straighten(filling))
 
 
+# every filling a straightening has reached, to its expansion
+_GARNIR = {}
+
+
 @cache
 def _straighten(filling):
     # checked on a miss, so that no bad filling is ever cached
     _check_tableau(filling)
+    return _unfold(_GARNIR, _garnir, filling)
+
+
+def _garnir(filling):
+    # for _unfold: sort the columns, then expand by the Garnir relation at
+    # the first row descent, yielding each moved filling not yet expanded
     grid = [list(row) for row in filling]
     sign = 1
-    ncols = len(grid[0]) if grid else 0
-    for j in range(ncols):
-        col = _column(grid, j)
-        s, ordered = _sort_sign(col)
+    for j in range(len(grid[0]) if grid else 0):
+        s, ordered = _sort_sign(_column(grid, j))
         sign *= s
         for r, value in enumerate(ordered):
             grid[r][j] = value
-    violation = None
     for i, row in enumerate(grid):
-        for j in range(len(row) - 1):
-            if row[j] > row[j + 1]:
-                violation = (i, j)
-                break
-        if violation:
+        j = next((j for j in range(len(row) - 1) if row[j] > row[j + 1]), None)
+        if j is not None:
             break
-    if violation is None:
-        return ((tuple(tuple(row) for row in grid), sign),)
-    i, j = violation
-    col_a = _column(grid, j)
-    col_b = _column(grid, j + 1)
-    a_vals = col_a[i:]
-    b_vals = col_b[: i + 1]
+    else:
+        return ((tuple(map(tuple, grid)), sign),)
+    a_vals, b_vals = _column(grid, j)[i:], _column(grid, j + 1)[: i + 1]
     old = a_vals + b_vals
     combined = sorted(old)
     result = {}
     for new_b in combinations(combined, len(b_vals)):
-        rest = list(combined)
-        for x in new_b:
-            rest.remove(x)
-        new_a = rest
+        new_a = [x for x in combined if x not in new_b]
         if new_a == a_vals:
             continue
         move_sign, _ = _sort_sign([old.index(x) for x in new_a + list(new_b)])
@@ -160,7 +146,10 @@ def _straighten(filling):
             moved[i + offset][j] = value
         for r, value in enumerate(new_b):
             moved[r][j + 1] = value
-        sub = _straighten(tuple(tuple(row) for row in moved))
+        moved = tuple(map(tuple, moved))
+        sub = _GARNIR.get(moved)
+        if sub is None:
+            sub = yield moved
         for t, c in sub:
             result[t] = result.get(t, 0) - sign * move_sign * c
     return tuple((t, c) for t, c in result.items() if c)
@@ -234,18 +223,14 @@ def inverse_perm(a):
 def cycle_type(sigma):
     """Cycle lengths of a permutation, as a partition."""
     sigma = _check_permutation(sigma)
-    seen = [False] * len(sigma)
-    lengths = []
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
+    seen, lengths = set(), []
+    for x in sigma:
         length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = sigma[x] - 1
-            length += 1
-        lengths.append(length)
+        while x not in seen:
+            seen.add(x)
+            x, length = sigma[x - 1], length + 1
+        if length:
+            lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
 
 
@@ -257,21 +242,16 @@ def perm_from_cycle_type(kappa, m=None):
         raise ValueError("degree must be an int, got %r" % (m,))
     if sum(kappa) != m:
         raise SizeMismatch("cycle type %r does not fill degree %r" % (kappa, m))
-    images = list(range(1, m + 1))
-    start = 0
+    images, start = [], 0
     for part in kappa:
-        for offset in range(part - 1):
-            images[start + offset] = start + offset + 2
-        images[start + part - 1] = start + 1
+        images += [*range(start + 2, start + part + 1), start + 1]
         start += part
     return tuple(images)
 
 
 def _hook_dim(lam):
     """f^lam, chi^lam at the identity class, by the hook length formula."""
-    cols = [
-        sum(1 for part in lam if part > j) for j in range(max(lam, default=0))
-    ]
+    cols = [sum(part > j for part in lam) for j in range(max(lam, default=0))]
     hooks = prod(
         part - j + cols[j] - i - 1
         for i, part in enumerate(lam)
@@ -280,13 +260,15 @@ def _hook_dim(lam):
     return factorial(sum(lam)) // hooks
 
 
+@cache
 def _rim_hooks(lam, r):
-    """Yield (lam minus the hook, sign) for each rim hook of length r of lam:
+    """(lam minus the hook, sign) for each rim hook of length r of lam:
     on the beta-set a hook moves a bead b to an empty b - r, and its sign is
     -1 to the number of beads it passes."""
     nrows = len(lam)
     beta = [lam[i] + (nrows - 1 - i) for i in range(nrows)]
     bset = set(beta)
+    out = []
     for b in beta:
         nb = b - r
         if nb < 0 or nb in bset:
@@ -294,7 +276,8 @@ def _rim_hooks(lam, r):
         height = sum(1 for x in beta if nb < x < b)
         newbeta = sorted((bset - {b}) | {nb}, reverse=True)
         newlam = (newbeta[i] - (nrows - 1 - i) for i in range(nrows))
-        yield tuple(x for x in newlam if x), -1 if height % 2 else 1
+        out.append((tuple(x for x in newlam if x), -1 if height % 2 else 1))
+    return tuple(out)
 
 
 def sym_character(lam, mu):
@@ -310,12 +293,19 @@ def sym_character(lam, mu):
 
 @cache
 def _sym_character(lam, mu):
-    if not mu or mu[0] == 1:
-        # the identity class, where every rim-hook recursion ends
-        return _hook_dim(lam)
-    return sum(
-        sign * _sym_character(nu, mu[1:]) for nu, sign in _rim_hooks(lam, mu[0])
-    )
+    # level: each shape left by rim hooks of the parts of mu so far, to its
+    # signed count; the parts of 1 left are the identity class, by hooks.
+    # The entries of one table meet the same shapes, so _rim_hooks is cached
+    level = {lam: 1}
+    for r in mu:
+        if r == 1:
+            break
+        below = {}
+        for shape, count in level.items():
+            for nu, sign in _rim_hooks(shape, r):
+                below[nu] = below.get(nu, 0) + sign * count
+        level = below
+    return sum(count * _hook_dim(shape) for shape, count in level.items())
 
 
 # perfbench reads the statistics of this cache under the public name

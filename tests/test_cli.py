@@ -557,16 +557,36 @@ def test_huge_k_is_an_error_line(command, capsys):
         ["sspt", "--family", "planarrook", "--k", "600", "--lambda-star", "[600]"],
     ],
 )
-def test_a_cover_too_deep_for_the_recursion_limit_is_an_error_line(command, capsys):
-    # each answer is small, but covering the k points (command[4]) nests at
-    # least two Python frames per point, past the default limit of 1,000 on
-    # every supported interpreter however shallow the caller
-    assert run(command) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: covering %s points exceeds the recursion limit\n" % command[4]
+def test_a_cover_of_thousands_of_points_answers(command, capsys):
+    # each answer is one line, the k points (command[4]) all in one-vertex
+    # blocks; a cover builder that nested Python frames per point refused
+    # these at the recursion limit of 1,000
+    k = int(command[4])
+    line = {
+        "symdiag": " ".join("[%d]" % v for v in range(1, k + 1)),
+        "sspt": "- ; " + " ".join("{%d}" % v for v in range(1, k + 1)),
+    }[command[0]]
+    assert run(command) == 0
+    assert capsys.readouterr() == (line + "\n", "")
+
+
+def _nested(depth, call):
+    """call() from depth more Python frames than the caller's."""
+    return call() if depth == 0 else _nested(depth - 1, call)
+
+
+def test_a_listing_does_not_depend_on_the_callers_stack_depth(capsys, monkeypatch):
+    # uncached, so that each run builds its covers
+    monkeypatch.setattr(
+        irreps, "_enumerate_symmetric", irreps._enumerate_symmetric.__wrapped__
     )
+    command = ["symdiag", "--family", "rook", "--k", "300", "--m", "300"]
+    outputs = []
+    for depth in (0, 800):
+        assert _nested(depth, lambda: run(command)) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.count("\n") == 1 and outputs[0].err == ""
 
 
 @pytest.mark.parametrize("family", ["planarrook", "temperleylieb"])

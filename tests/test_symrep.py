@@ -274,6 +274,22 @@ def test_identity_class_needs_no_recursion_on_a_cleared_cache():
     assert sym_character((3,) * 400, (1,) * 1200) == sym_dim((400, 400, 400))
 
 
+def test_a_class_of_600_rim_hooks_needs_no_recursion():
+    # one level per part of mu, 600 dominoes deep on a cleared cache
+    symrep._sym_character.cache_clear()
+    assert sym_character((1200,), (2,) * 600) == 1
+    # every vertical domino has leg length 1, so the column reads (-1)^601
+    assert sym_character((1,) * 1202, (2,) * 601) == -1
+
+
+def test_straighten_of_a_long_reversed_row_needs_no_recursion():
+    # a reversed row of 60 reaches the standard one through a chain of
+    # Garnir moves over a thousand long; every filling of one row is
+    # n_standard
+    row = tuple(range(60, 0, -1))
+    assert straighten((row,)) == {(row[::-1],): 1}
+
+
 @cache
 def rim_hook_character(lam, mu):
     """chi^lam(mu) one entry at a time: the hook length formula at the
