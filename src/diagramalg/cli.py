@@ -62,7 +62,9 @@ def _check_out(path):
     """Refuse an --out that cannot be written before any work starts,
     creating and truncating nothing, with the error open() would give."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOENT
@@ -76,7 +78,7 @@ def _check_out(path):
 def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -320,6 +322,7 @@ def _suite_wedderburn(family, k, rng, cases, fail):
 
 def _suite_fixedpoint(family, k, rng, cases, fail):
     diagrams._check_cap("fixed_points", family, k)
+    fmt = characters.format_partition
     for kappa in characters.class_labels(family, k):
         if sum(kappa) != k:
             continue
@@ -327,15 +330,7 @@ def _suite_fixedpoint(family, k, rng, cases, fail):
             counted = characters.fixed_points(family, k, m, kappa)
             for mu, ws in counted.items():
                 if len(ws) != characters.f_coeff(family, kappa, mu):
-                    fail(
-                        "%s k=%d kappa=%s mu=%s"
-                        % (
-                            family,
-                            k,
-                            characters.format_partition(kappa),
-                            characters.format_partition(mu),
-                        )
-                    )
+                    fail("%s k=%d kappa=%s mu=%s" % (family, k, fmt(kappa), fmt(mu)))
     return "%s, k=%d" % (family, k)
 
 

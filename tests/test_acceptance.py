@@ -6,21 +6,22 @@ oracles against closed forms, dimension identities, symmetric-diagram
 counts against all closed formulas, agreement of the two module bases,
 multiplicativity of the representations, the worked action examples, and
 the character table determinant identity.  All comparisons are exact.
+The oracle sweeps call the runners of `verify` over their (family, k)
+cells, so tier-1 and `verify` check each oracle with one loop.
 """
 
 import random
+import re
 import time
 
+from diagramalg import cli
 from diagramalg.characters import (
-    character_oracle,
     character_table,
     class_labels,
     f_coeff,
     fixed_points,
-    irr_character,
     table_determinant_check,
 )
-from diagramalg.diagrams import family_generators
 from diagramalg.coeff import LaurentPoly
 from diagramalg.diagrams import (
     _SHAPES,
@@ -35,7 +36,6 @@ from diagramalg.diagrams import (
     SYMMETRIC_GROUP,
     TEMPERLEY_LIEB,
     algebra_dim,
-    concat,
     enumerate_basis,
     generator,
     parse_diagram,
@@ -46,10 +46,8 @@ from diagramalg.irreps import (
     act_natural,
     act_tableau,
     act_twisted,
-    compose_columns,
     conjugate,
     enumerate_symmetric,
-    rep_columns,
 )
 from diagramalg.partitions import (
     binom,
@@ -181,6 +179,17 @@ def symmetric_count(family, k, m):
     raise AssertionError(family)
 
 
+def run_suite(suite, cells, rng=None, cases=None):
+    """Run verify's runner for suite over each (family, k) of cells in
+    turn, assert that it wrote no FAIL message, and return what its ok
+    lines report."""
+    runner = cli._SUITES[suite][0]
+    failed = []
+    details = [runner(family, k, rng, cases, failed.append) for family, k in cells]
+    assert failed == []
+    return details
+
+
 def test_published_character_tables_with_factorizations():
     start = time.monotonic()
     for family, k, labels, xi, f in PUBLISHED:
@@ -226,38 +235,24 @@ def test_character_trace_oracle_equals_closed_form(monkeypatch):
     # past the default cap of 5 on the two partition families
     monkeypatch.setenv("DIAGRAMALG_CAP", "6")
     start = time.monotonic()
-    cells = 0
-    for family in FAMILIES:
-        for k in range(1, 7):
-            # classes outer: the stacks of one class diagram are met again
-            # at the next label, inside the _conjugate window
-            for kappa in class_labels(family, k):
-                for lam in lambda_star_labels(family, k):
-                    trace = character_oracle(family, k, lam, kappa)
-                    value = irr_character(family, k, lam, kappa)
-                    assert trace == LaurentPoly.const(value), (
-                        family, k, lam, kappa,
-                    )
-                    cells += 1
-    assert cells == 5663
+    details = run_suite(
+        "trace-oracle", [(f, k) for f in FAMILIES for k in range(1, 7)]
+    )
+    assert sum(int(re.search(r"(\d+) cells", d)[1]) for d in details) == 5663
     assert time.monotonic() - start < 300.0
 
 
 def test_fixed_point_counts_match_closed_formula(monkeypatch):
     monkeypatch.setenv("DIAGRAMALG_CAP", "7")
     start = time.monotonic()
-    for family in FAMILIES:
-        for k in range(1, 8):
-            for kappa in partitions(k):
-                if _SHAPES[family].planar:
-                    if kappa != (1,) * k:
-                        continue
-                for m in rank_set(family, k):
-                    counted = fixed_points(family, k, m, kappa)
-                    for mu, ws in counted.items():
-                        assert len(ws) == f_coeff(family, kappa, mu), (
-                            family, k, kappa, m, mu,
-                        )
+    cells = [(f, k) for f in FAMILIES for k in range(1, 8)]
+    # the runner's classes of size k: partitions(k) in order, the identity
+    # class alone on a planar family
+    for family, k in cells:
+        assert [c for c in class_labels(family, k) if sum(c) == k] == (
+            [(1,) * k] if _SHAPES[family].planar else list(partitions(k))
+        )
+    run_suite("fixedpoint-vs-formula", cells)
     assert time.monotonic() - start < 120.0
 
 
@@ -276,15 +271,10 @@ def test_wedderburn_dimension_sums():
     }
     assert algebra_dim(PARTITION, 4) == 4140
     assert algebra_dim(BRAUER, 5) == 945
-    for family, top in ranges.items():
-        for k in range(1, top + 1):
-            total = 0
-            for lam in lambda_star_labels(family, k):
-                count_w = len(enumerate_symmetric(family, k, sum(lam)))
-                dim = count_w * sym_dim(lam)
-                total += dim * dim
-            basis = enumerate_basis(family, k)
-            assert total == len(basis) == algebra_dim(family, k), (family, k)
+    cells = [(f, k) for f, top in ranges.items() for k in range(1, top + 1)]
+    run_suite("wedderburn", cells)
+    for family, k in cells:
+        assert len(enumerate_basis(family, k)) == algebra_dim(family, k), (family, k)
     assert time.monotonic() - start < 60.0
 
 
@@ -313,37 +303,15 @@ def test_symmetric_diagram_counts_match_formulas():
 
 
 def test_twisted_and_tableau_bases_agree():
-    for family in FAMILIES:
-        for k in range(1, 6):
-            gens = family_generators(family, k)
-            for lam in lambda_star_labels(family, k):
-                for g in gens:
-                    twisted = rep_columns(g, family, k, lam, "Twisted")
-                    tableau = rep_columns(g, family, k, lam, "Tableau")
-                    assert twisted == tableau, (family, k, lam, g.text())
+    # every generator on every module, and the zero action below rank m
+    cells = [(f, k) for f in FAMILIES for k in range(1, 6)]
+    run_suite("basis-equivalence", cells)
 
 
 def test_representation_is_multiplicative():
-    rng = random.Random(20240816)
-    for family in FAMILIES:
-        for k in (3, 4):
-            basis = enumerate_basis(family, k)
-            labels = lambda_star_labels(family, k)
-            for _ in range(100):
-                a = rng.choice(basis)
-                b = rng.choice(basis)
-                lam = rng.choice(labels)
-                prod, deleted = concat(a, b)
-                lhs = compose_columns(
-                    rep_columns(a, family, k, lam),
-                    rep_columns(b, family, k, lam),
-                )
-                scale = LaurentPoly.monomial(deleted)
-                rhs = [
-                    {i: scale * c for i, c in col.items()}
-                    for col in rep_columns(prod, family, k, lam)
-                ]
-                assert lhs == rhs, (family, k, lam, a.text(), b.text())
+    # one generator through every call: 1,800 seeded triples (a, b, lambda*)
+    cells = [(f, k) for f in FAMILIES for k in (3, 4)]
+    run_suite("module-axiom", cells, random.Random(20240816), 100)
 
 
 def test_worked_action_examples():
@@ -463,9 +431,7 @@ def test_worked_action_examples():
 
 
 def test_character_table_determinant_identity():
-    for family in FAMILIES:
-        for k in range(1, 9):
-            check = table_determinant_check(family, k)
-            assert check.ok, (family, k, check)
+    cells = [(f, k) for f in FAMILIES for k in range(1, 9)]
+    run_suite("determinant", cells)
     assert table_determinant_check(PARTITION, 3).determinant == 12
     assert table_determinant_check(BRAUER, 4).determinant == 192

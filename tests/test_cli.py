@@ -486,16 +486,21 @@ UNWRITABLE_OUT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 @pytest.mark.parametrize("command", sorted(UNWRITABLE_OUT_COMMANDS))
 def test_unwritable_out_is_a_domain_error(command, where, tmp_path, capsys):
-    target = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+    # an empty --out is refused as open("") refuses it, not read as stdout
+    target = {
+        "missing-directory": tmp_path / "missing" / "x",
+        "directory": tmp_path,
+        "empty": "",
+    }[where]
     code = run(UNWRITABLE_OUT_COMMANDS[command] + ["--out", str(target)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert str(target) in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(str(target)) in captured.err
     assert not (tmp_path / "missing").exists()
 
 
