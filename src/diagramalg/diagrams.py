@@ -12,6 +12,7 @@ into a power of the parameter n.
 import gc
 import os
 import re
+from bisect import bisect_right
 from collections import deque, namedtuple
 from contextlib import contextmanager
 from functools import lru_cache
@@ -408,11 +409,6 @@ def rank(d):
     return sum(1 for b in d.blocks if b[0] <= k < b[-1])
 
 
-def _boundary(k):
-    """The vertices in boundary order 1..k, k'..1' (k' is vertex 2k)."""
-    return (*range(1, k + 1), *range(2 * k, k, -1))
-
-
 def is_planar(d):
     """True iff no two blocks cross in the boundary order 1..k, k'..1'.
 
@@ -424,7 +420,7 @@ def is_planar(d):
     blocks, owner = d.blocks, _block_owner(d)
     left = list(map(len, blocks))
     stack = []
-    for v in _boundary(d.k):
+    for v in (*range(1, d.k + 1), *range(2 * d.k, d.k, -1)):
         b = owner[v]
         if left[b] == len(blocks[b]):
             stack.append(b)
@@ -544,86 +540,94 @@ def _unfold(memo, make, key):
 
 
 def _covers(k, points, shape):
-    """Every cover of points by the blocks that shape allows, as a list.
+    """Every cover of points, ascending, by the blocks that shape allows: a
+    list of canonical covers in canonical order, none sorted after it is made.
 
-    The block of the first point is a single when singles is set; with
+    The block of the least point left is a single when singles is set; with
     pairs set, a pair with one later point (across: a top vertex, at most
     k, and a bottom one); otherwise any later points in order.  Without
     planar, the points a block passes over are left to the rest of the
-    cover, so with points ascending every cover is canonical and the
-    covers come in canonical order.  With planar, points in boundary
-    order, each run a block passes over is covered on its own and placed
-    after the block, and each block is sorted as it is emitted (the covers
-    are then in no particular order).
+    cover.  With planar, the points left lie in faces (ascending tuples),
+    and a block takes later points of its own face only: it cuts the face
+    into the runs between its points in the boundary order 1..k, k'..1',
+    the last run wrapping around to the first (so it takes the top points
+    passed over on the way to the bottom row), and each run becomes a face.
+    Without singles a pair that leaves a run of odd size has no cover and is
+    dropped at once.
 
-    Each set of points is covered once per call, by a generator (pair_cover
-    or cover) that _unfold runs, so the caller's stack depth cannot change
-    the answer.  The cyclic collector is paused while it builds and the
-    memo is emptied before the pause ends: none of the tens of thousands of
-    tuples can be garbage.  A CLI command runs whole with the collector
-    paused (cli.run); a library caller's wrap of the listing runs with it
-    as the caller left it.
+    Each set of points, or of faces, is covered once per call, by a
+    generator (pair_cover or cover) that _unfold runs, so the caller's
+    stack depth cannot change the answer.  The cyclic collector is paused
+    while it builds and the memo is emptied before the pause ends: none of
+    the tens of thousands of tuples can be garbage.  A CLI command runs
+    whole with the collector paused (cli.run); a library caller's wrap of
+    the listing runs with it as the caller left it.
     """
     pairs, singles, across, planar = shape
     memo = {(): [()]}
 
-    def pair_cover(points):
+    def faces(others, *runs):
+        # the other faces and each run with points, in order of least point
+        return tuple(sorted(others + tuple(filter(None, runs))))
+
+    def pair_cover(key):
+        points, others = (key[0], key[1:]) if planar else (key, ())
         first, rest, single = points[0], points[1:], (points[:1],)
         out = []
         if singles:
-            tails = memo.get(rest)
-            if tails is None:
-                tails = yield rest
-            out += map(single.__add__, tails)
-        for i, nxt in enumerate(rest):
-            if across and (first <= k) == (nxt <= k):
-                continue
-            pair = ((first, nxt) if first < nxt else (nxt, first),)
-            if planar:
-                run, key = memo.get(rest[:i]), rest[i + 1 :]
-                if run is None:
-                    run = yield rest[:i]
-                # a run without a cover leaves none for this pair
-                if not run:
-                    continue
-            else:
-                run, key = [()], rest[:i] + rest[i + 1 :]
+            key = faces(others, rest) if planar else rest
             tails = memo.get(key)
             if tails is None:
                 tails = yield key
-            for covered in run:
-                out += map((pair + covered).__add__, tails)
+            out += map(single.__add__, tails)
+        tops = bisect_right(rest, k) if planar else 0
+        for i, nxt in enumerate(rest):
+            if across and (first <= k) == (nxt <= k):
+                continue
+            if planar:
+                # a bottom partner leaves the tops passed over to the last run
+                t = tops if i >= tops else 0
+                if not singles and (i - t) % 2:
+                    continue
+                key = faces(others, rest[t:i], rest[:t] + rest[i + 1 :])
+            else:
+                key = rest[:i] + rest[i + 1 :]
+            tails = memo.get(key)
+            if tails is None:
+                tails = yield key
+            out += map(((first, nxt),).__add__, tails)
         return out
 
-    def cover(points):
+    def cover(key):
         # a state: a block from the first point, rest the points after it,
-        # and inner the covers of the runs it passed over (planar) or left
-        # the points it passed over.  A state ends its block, then pushes one
-        # child per point of rest, last first so that they pop in order.
+        # left the points it passed over (planar: the top points it passed
+        # on its way to the bottom row) and runs the faces it cut off.  A
+        # state ends its block, then pushes one child per point of rest,
+        # last first so that they pop in order.
+        points, others = (key[0], key[1:]) if planar else (key, ())
         out = []
-        states = [([()], points[:1], (), points[1:])]
+        states = [(points[:1], (), (), points[1:])]
         while states:
-            inner, block, left, rest = states.pop()
-            ended = (tuple(sorted(block)),)
-            tails = memo.get(left + rest)
+            block, runs, left, rest = states.pop()
+            key = faces(others, *runs, left + rest) if planar else left + rest
+            tails = memo.get(key)
             if tails is None:
-                tails = yield left + rest
-            for covered in inner:
-                out += map((ended + covered).__add__, tails)
+                tails = yield key
+            out += map((block,).__add__, tails)
+            tops = bisect_right(rest, k) if planar else 0
             for i in range(len(rest) - 1, -1, -1):
                 grown = block + rest[i : i + 1]
                 if planar:
-                    run = memo.get(rest[:i])
-                    if run is None:
-                        run = yield rest[:i]
-                    inner_i = [c + r for c in inner for r in run]
-                    states.append((inner_i, grown, left, rest[i + 1 :]))
+                    t = tops if i >= tops else 0
+                    runs_i, left_i = runs + (rest[t:i],), left + rest[:t]
+                    states.append((grown, runs_i, left_i, rest[i + 1 :]))
                 else:
-                    states.append((inner, grown, left + rest[:i], rest[i + 1 :]))
+                    states.append((grown, runs, left + rest[:i], rest[i + 1 :]))
         return out
 
+    start = faces((), points) if planar else points
     with _collector_paused():
-        covers = _unfold(memo, pair_cover if pairs else cover, points)
+        covers = _unfold(memo, pair_cover if pairs else cover, start)
         memo.clear()
     return covers
 
@@ -662,14 +666,7 @@ def enumerate_basis(family, k):
     """All diagrams of the family on k strands, in canonical order."""
     family = normalize_family(family)
     _check_cap("enumerate_basis", family, k)
-    shape = _SHAPES[family]
-    if shape.planar:
-        # covered in the boundary order 1..k, k'..1': each block comes out
-        # ascending, but neither the blocks nor the diagrams in order
-        listing = sorted(map(tuple, map(sorted, _covers(k, _boundary(k), shape))))
-    else:
-        # in vertex order every cover is canonical and in basis order
-        listing = _covers(k, tuple(range(1, 2 * k + 1)), shape)
+    listing = _covers(k, tuple(range(1, 2 * k + 1)), _SHAPES[family])
     return Diagram._make_all(len(listing), repeat(k), listing)
 
 

@@ -163,23 +163,23 @@ def _symmetric_candidates(family, k, m):
     # (its block would have four vertices), so the pair families propagate
     # top singles, and all of them when one-vertex blocks are not allowed.
     # A planar family's tops are non-crossing, but a block may still pass
-    # over a propagating one, so the caller filters them; each top is
-    # sorted into canonical order.
+    # over a propagating one, so the caller filters them.
     shape = _SHAPES[family]
     out = []
     if shape.pairs and not shape.singles:
-        # the m propagating points, then a perfect matching of the others
+        # the m propagating points, then a perfect matching of the others;
+        # each top is sorted into canonical order, and so are the pairs
         for ends in combinations(range(1, k + 1), m):
             prop = tuple((v,) for v in ends)
             rest = tuple(v for v in range(1, k + 1) if v not in ends)
             tops = map(tuple, map(sorted, map(prop.__add__, _covers(k, rest, shape))))
             out += zip(tops, repeat(prop))
+        out.sort()
     else:
+        # the tops come in canonical order, and the ends of each in order
         for top in _covers(k, tuple(range(1, k + 1)), shape._replace(singles=True)):
-            top = tuple(sorted(top))
             ends = [b for b in top if len(b) == 1] if shape.pairs else top
             out += zip(repeat(top), combinations(ends, m))
-    out.sort()
     return out
 
 

@@ -9,7 +9,7 @@ removal on beta-sets, one entry at a time or a whole column at once.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from math import factorial, prod
 from operator import lt
@@ -105,20 +105,18 @@ def straighten(filling):
     return dict(_straighten(filling))
 
 
-# every filling a straightening has reached, to its expansion
-_GARNIR = {}
-
-
 @cache
 def _straighten(filling):
-    # checked on a miss, so that no bad filling is ever cached
+    # checked on a miss, so that no bad filling is ever cached; the fillings
+    # that the miss reaches are memoised for it alone
     _check_tableau(filling)
-    return _unfold(_GARNIR, _garnir, filling)
+    memo = {}
+    return _unfold(memo, partial(_garnir, memo), filling)
 
 
-def _garnir(filling):
+def _garnir(memo, filling):
     # for _unfold: sort the columns, then expand by the Garnir relation at
-    # the first row descent, yielding each moved filling not yet expanded
+    # the first row descent, yielding each moved filling not in memo
     grid = [list(row) for row in filling]
     sign = 1
     for j in range(len(grid[0]) if grid else 0):
@@ -147,7 +145,7 @@ def _garnir(filling):
         for r, value in enumerate(new_b):
             moved[r][j + 1] = value
         moved = tuple(map(tuple, moved))
-        sub = _GARNIR.get(moved)
+        sub = memo.get(moved)
         if sub is None:
             sub = yield moved
         for t, c in sub:

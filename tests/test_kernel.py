@@ -366,36 +366,34 @@ def reference_noncrossing(points):
     return cover(points)
 
 
-def _unordered(covers):
-    """Covers as a sorted list, each with its blocks sorted."""
-    return sorted(tuple(sorted(cover)) for cover in covers)
-
-
 def test_list_generators_match_the_recursive_ones_in_order():
     # _covers gives the old non-planar lists in their order, which
-    # enumerate_basis keeps; planar covers come in no fixed order (the
-    # listing sorts them), so they compare as sets of covers
+    # enumerate_basis keeps; a planar reference covers the points in
+    # boundary order, so its covers are put in canonical form and order
+    # before they are compared, in order, with the ascending listing
     for family in FAMILIES:
         shape = _SHAPES[family]
         pairs, singles, across, planar = shape
         for k in range(1, 6 if pairs else 5):
             tops = tuple(range(1, k + 1))
+            points = tuple(range(1, 2 * k + 1))
             bottom = range(2 * k, k, -1) if planar else range(k + 1, 2 * k + 1)
-            points = tops + tuple(bottom)
+            ref = tops + tuple(bottom)
             if pairs:
-                for pts, single in ((points, singles), (tops, True)):
+                cases = ((points, ref, singles), (tops, tops, True))
+                for pts, ref_pts, single in cases:
                     found = _covers(k, pts, shape._replace(singles=single))
                     expected = list(
-                        reference_matchings(k, pts, single, across, planar)
+                        reference_matchings(k, ref_pts, single, across, planar)
                     )
                     assert type(found) is list, (family, k)
                     if planar:
-                        found, expected = _unordered(found), _unordered(expected)
+                        expected = sorted(tuple(sorted(c)) for c in expected)
                     assert found == expected, (family, k, pts)
             elif planar:
                 found = _covers(k, points, shape)
-                expected = reference_noncrossing(points)
-                assert _unordered(found) == _unordered(expected), k
+                expected = reference_noncrossing(ref)
+                assert found == sorted(tuple(sorted(c)) for c in expected), k
             else:
                 for n in (k, 2 * k):
                     found = _covers(k, tuple(range(1, n + 1)), shape)
@@ -468,6 +466,49 @@ def test_symmetric_tops_with_exactly_m_singles_match_the_filter():
                     k,
                     m,
                 )
+
+
+@lru_cache(maxsize=None)
+def pair_crosses(k, pair):
+    """crosses on a pair of blocks, read in the boundary order 1..k, k'..1'."""
+    return crosses([sorted(v if v <= k else 3 * k + 1 - v for v in b) for b in pair])
+
+
+def test_every_shape_lists_canonical_covers_in_order_and_planar_ones_by_filter():
+    # one listing rule for every shape: ascending points give canonical
+    # covers in strictly increasing order, and a planar shape's list is its
+    # non-planar twin's list without the covers with two blocks that cross.
+    # The points: every vertex, the top row, and each top-row subset that
+    # _symmetric_candidates covers (a shape met twice is checked once)
+    cases = {}
+    for family in FAMILIES:
+        base = _SHAPES[family]
+        for shape in (base, base._replace(singles=True)):
+            for k in range(1, 7 if shape.pairs else 6):
+                tops = tuple(range(1, k + 1))
+                cases[shape, k, tuple(range(1, 2 * k + 1))] = family
+                cases[shape, k, tops] = family
+                if base.pairs and not base.singles:
+                    for m in rank_set(family, k):
+                        for ends in combinations(tops, m):
+                            rest = tuple(v for v in tops if v not in ends)
+                            cases[shape, k, rest] = family
+    for (shape, k, points), family in cases.items():
+        where = (family, shape.singles, k, points)
+        found = _covers(k, points, shape)
+        # canonical: blocks ascending, in order, covering the points once
+        for block in set(chain.from_iterable(found)):
+            assert list(block) == sorted(block), where
+        for cover in found:
+            assert cover == tuple(sorted(cover)), where
+            assert sorted(chain.from_iterable(cover)) == list(points), where
+        assert all(a < b for a, b in zip(found, found[1:])), where
+        if shape.planar:
+            twin = _covers(k, points, shape._replace(planar=False))
+            assert found == [
+                c for c in twin
+                if not any(map(pair_crosses, repeat(k), combinations(c, 2)))
+            ], where
 
 
 def reference_roots(size, groups):
@@ -741,6 +782,9 @@ def test_tableau_from_pair_equals_the_checking_constructors_tableau():
 
 
 def test_every_basis_tableau_keys_its_stack_by_its_symmetric_diagrams_top():
+    # the tableaux are built anew from the symmetric diagrams cached now, as
+    # an earlier test may have cleared that cache but not this one
+    _module_basis.cache_clear()
     for family in FAMILIES:
         for k in range(1, 6):
             for lam in lambda_star_labels(family, k):
@@ -900,7 +944,8 @@ def test_tableau_key_takes_no_part_in_equality_order_copy_or_pickle():
     # a basis tableau shares its symmetric diagram's top as its key; a
     # tableau constructed from the same fields, a copy, a pickle and every
     # tableau an action or tableau_from_pair returns carry an equal key
-    # of their own
+    # of their own (both caches from one build, as above)
+    _module_basis.cache_clear()
     tabs = enumerate_sspt(PARTITION, 3, (1,))
     fresh = [SetPartitionTableau(t.k, t.first_row, t.body) for t in tabs]
     ws = enumerate_symmetric(PARTITION, 3, 1)

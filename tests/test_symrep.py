@@ -290,6 +290,29 @@ def test_straighten_of_a_long_reversed_row_needs_no_recursion():
     assert straighten((row,)) == {(row[::-1],): 1}
 
 
+def test_a_straightening_keeps_no_filling_it_reached_once_it_returns():
+    # each miss memoises the fillings it reaches for itself alone, so after
+    # it returns no mapping of the module holds one of them; only
+    # _straighten's cache keeps the expansion of the filling it was given
+    def holds_a_filling(mapping):
+        return any(
+            type(key) is tuple and key and all(type(row) is tuple for row in key)
+            for key in mapping
+        )
+
+    symrep._straighten.cache_clear()
+    row = tuple(range(12, 0, -1))
+    assert straighten((row,)) == {(row[::-1],): 1}
+    assert straighten(((3, 1, 2), (6, 4), (5,))) is not None
+    assert symrep._straighten.cache_info().currsize == 2
+    held = [
+        name
+        for name, value in vars(symrep).items()
+        if isinstance(value, Mapping) and holds_a_filling(value)
+    ]
+    assert held == []
+
+
 @cache
 def rim_hook_character(lam, mu):
     """chi^lam(mu) one entry at a time: the hook length formula at the
