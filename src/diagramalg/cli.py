@@ -4,8 +4,8 @@ Subcommands cover diagram multiplication, basis and module enumeration,
 representation matrices, characters, character tables, and a self-check
 suite.  Each command returns its text and exit code, and run writes the
 text to stdout or --out.  Exit codes: 0 on success, 1 for domain errors
-(bad diagrams, labels outside a family, caps) and an --out that cannot be
-written, 2 for usage errors.
+(bad diagrams, labels outside a family, caps), an --out that cannot be
+written and memory running out, 2 for usage errors.
 """
 
 import argparse
@@ -639,10 +639,15 @@ def run(argv=None):
             text, code = args.func(args)
             _emit(text, args.out)
             return code
-        # a k too large for a range overflows (no budget bounds it yet)
+        # a k too large for a range overflows, and a listing too large for
+        # memory runs until it is out (no budget bounds either yet); that
+        # traceback holds what ran out, so the line waits until it is freed
         except (DiagramAlgebraError, ValueError, OverflowError, OSError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 1
+            message = exc
+        except MemoryError:
+            message = "out of memory"
+        print("error: %s" % message, file=sys.stderr)
+        return 1
 
 
 def main():

@@ -326,8 +326,8 @@ def _block_owner(d):
         return d._owner
 
 
-def _fuse(d, below, count, lower):
-    """Stack d above a layer of count nodes; return (roots, components).
+def _fuse(d, below, count, lower, outer):
+    """Stack d above a layer of count nodes; return (roots, blocks, middle).
 
     The one union-find behind every stack, over blocks: nodes 0..n-1 are
     the blocks of d (n = len(d.blocks)), read from its cached layout, and
@@ -336,7 +336,9 @@ def _fuse(d, below, count, lower):
     union that joins two components takes one off the count.  roots[v] is
     the root of d's top vertex v for v in 1..k and roots[k + i] that of
     lower-layer node lower[i-1] (index 0 unused); equal roots mean one
-    component.  No caller sees the parents.
+    component.  blocks maps each root to its outer nodes among 1..outer,
+    listed ascending and keyed in order of least node, so the blocks come
+    out canonical; middle counts the components with no outer node.
     """
     k = d.k
     n = len(d.blocks)
@@ -363,7 +365,14 @@ def _fuse(d, below, count, lower):
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
         roots.append(r)
-    return roots, components
+    blocks = {}
+    for v in range(1, outer + 1):
+        r = roots[v]
+        if r in blocks:
+            blocks[r].append(v)
+        else:
+            blocks[r] = [v]
+    return roots, blocks, components - len(blocks)
 
 
 def concat(d1, d2):
@@ -377,20 +386,10 @@ def concat(d1, d2):
     _check_diagram(d2, None, d1.k)
     k = d1.k
     # the lower layer is the blocks of d2, met at its top vertices and read
-    # at its bottoms, so roots[v] is the root of the product's vertex v
+    # at its bottoms, so every vertex of the product is an outer node
     own2 = _block_owner(d2)
-    roots, components = _fuse(d1, own2[1 : k + 1], len(d2.blocks), own2[k + 1 :])
-    # each block opens at its least vertex and grows in ascending order, so
-    # the blocks come out canonical
-    outer = {}
-    for v in range(1, 2 * k + 1):
-        r = roots[v]
-        if r in outer:
-            outer[r].append(v)
-        else:
-            outer[r] = [v]
-    # every component without an outer vertex lay in the middle and vanishes
-    return ConcatResult(Diagram(k, outer.values()), components - len(outer))
+    _, blocks, middle = _fuse(d1, own2[1 : k + 1], len(d2.blocks), own2[k + 1 :], 2 * k)
+    return ConcatResult(Diagram(k, blocks.values()), middle)
 
 
 def transpose(d):
@@ -523,19 +522,23 @@ def _unfold(memo, make, key):
     """memo[key], made first if missing: make(key) is a generator that
     yields each key it needs not yet in memo, is sent its value back and
     returns its own.  One loop runs the generators as a stack, so no call
-    nests in another; no key may need itself, even through others."""
+    nests in another; no key may need itself, even through others.  The
+    memo is emptied on the way out, before a build that raised is closed."""
     value = memo.get(key)
     builds = [] if value is not None else [(key, make(key))]
-    while builds:
-        key, build = builds[-1]
-        try:
-            need = build.send(value)
-        except StopIteration as done:
-            value = memo[key] = done.value
-            builds.pop()
-        else:
-            builds.append((need, make(need)))
-            value = None
+    try:
+        while builds:
+            key, build = builds[-1]
+            try:
+                need = build.send(value)
+            except StopIteration as done:
+                value = memo[key] = done.value
+                builds.pop()
+            else:
+                builds.append((need, make(need)))
+                value = None
+    finally:
+        memo.clear()
     return value
 
 
@@ -627,9 +630,7 @@ def _covers(k, points, shape):
 
     start = faces((), points) if planar else points
     with _collector_paused():
-        covers = _unfold(memo, pair_cover if pairs else cover, start)
-        memo.clear()
-    return covers
+        return _unfold(memo, pair_cover if pairs else cover, start)
 
 
 def size_cap(default):

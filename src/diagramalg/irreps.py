@@ -212,24 +212,17 @@ def _conjugate(d, top):
     met at their vertices.  Returns the root of every vertex (top vertex v
     of d at v, vertex v of the partition at k+v), the blocks of the top
     row in canonical order (the root of block b is root[b[0]]), and the
-    number of components.  Which blocks propagate, and where, is read off
-    afterwards, so one cached stack serves every symmetric diagram on that
-    top and every tableau whose blocks form it; all of it is immutable.
+    number of middle components.  Which blocks propagate, and where, is
+    read off afterwards, so one cached stack serves every symmetric diagram
+    on that top and every tableau whose blocks form it; all is immutable.
     """
     k = d.k
     below = [0] * k
     for i, b in enumerate(top):
         for v in b:
             below[v - 1] = i
-    root, components = _fuse(d, below, len(top), below)
-    tops = {}
-    for v in range(1, k + 1):
-        r = root[v]
-        if r in tops:
-            tops[r] += (v,)
-        else:
-            tops[r] = (v,)
-    return tuple(root), tuple(tops.values()), components
+    root, blocks, middle = _fuse(d, below, len(top), below, k)
+    return tuple(root), tuple(map(tuple, blocks.values())), middle
 
 
 def _check_action(d, x, cls):
@@ -256,12 +249,12 @@ def conjugate(d, w):
     # holds a propagating block of w; a middle-only component without one
     # is deleted, and its mirror image is not counted
     k = d.k
-    root, top, components = _conjugate(d, w.top)
+    root, top, middle = _conjugate(d, w.top)
     reached = {root[k + b[0]] for b in w.propagating}
     prop = tuple(b for b in top if root[b[0]] in reached)
     w_prime = SymmetricMDiagram._make(k, top, prop)
     # each block of prop is the one top block of a reached component
-    deleted = components - len(top) - len(reached) + len(prop)
+    deleted = middle - len(reached) + len(prop)
     twist = None
     if len(prop) == w.m:
         new = {root[b[0]]: j for j, b in enumerate(w_prime.prop_max_order(), 1)}
@@ -441,7 +434,7 @@ def act_tableau(d, tab):
     """
     _check_action(d, tab, SetPartitionTableau)
     k = d.k
-    root, top, components = _conjugate(d, tab._top)
+    root, top, deleted = _conjugate(d, tab._top)
     tops = {root[b[0]]: b for b in top}
     body = []
     for row in tab.body:
@@ -453,8 +446,6 @@ def act_tableau(d, tab):
             cells.append(cell)
         body.append(tuple(cells))
     first_row = tuple(sorted(tops.values(), key=_last))
-    # every component without a top vertex lay in the middle
-    deleted = components - len(top)
     return SetPartitionTableau._make(k, first_row, tuple(body), top), deleted
 
 

@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import types
 from fractions import Fraction
@@ -145,6 +148,33 @@ def test_missing_vertex_at_huge_k_is_reported_at_once(argv, capsys):
     assert run(argv) == 1
     assert time.monotonic() - start < 1.0
     assert capsys.readouterr().err == "error: vertex 2 missing\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symdiag", "--family", "brauer", "--k", "40", "--m", "0"],
+        ["symdiag", "--family", "partition", "--k", "60", "--m", "0"],
+    ],
+)
+def test_out_of_memory_is_one_error_line(argv):
+    # the child runs under a 400 MB address-space limit, which each listing
+    # exhausts within a second or two
+    resource = pytest.importorskip("resource")
+    limit = 400 << 20
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diagrams.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "diagramalg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: out of memory\n"
 
 
 def test_mul_family_membership_is_domain_error(capsys):

@@ -550,7 +550,8 @@ def test_fuse_roots_split_the_nodes_as_the_reference_does():
                     # a node that meets nothing, as d2's bottom-only blocks
                     below = [rng.randrange(count) for _ in range(k)]
                 lower = [rng.randrange(count) for _ in range(rng.randint(0, 2 * k))]
-                roots, components = _fuse(d, below, count, lower)
+                outer = rng.randint(k, k + len(lower))
+                roots, blocks, middle = _fuse(d, below, count, lower, outer)
                 n = len(d.blocks)
                 owner = {v: b for b, block in enumerate(d.blocks) for v in block}
                 expected = reference_roots(
@@ -565,7 +566,14 @@ def test_fuse_roots_split_the_nodes_as_the_reference_does():
                 pairs = set(zip(roots[1:], (expected[x] for x in nodes)))
                 assert len(pairs) == len(set(roots[1:])), where
                 assert len(pairs) == len({r for _, r in pairs}), where
-                assert components == len(set(expected)), where
+                # the outer nodes 1..outer grouped by the reference's roots,
+                # ascending and ordered by least node; the other components
+                # lay in the middle
+                groups = {}
+                for v in range(1, outer + 1):
+                    groups.setdefault(expected[nodes[v - 1]], []).append(v)
+                assert list(blocks.values()) == list(groups.values()), where
+                assert middle == len(set(expected)) - len(groups), where
 
 
 def reference_conjugate(d, w):
