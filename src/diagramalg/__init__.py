@@ -35,6 +35,7 @@ from .diagrams import (
     ConcatResult,
     Diagram,
     algebra_dim,
+    clear_caches,
     concat,
     enumerate_basis,
     enumeration_cap,

@@ -10,7 +10,6 @@ independent oracle.
 
 import json
 from collections import Counter, namedtuple
-from functools import cache
 from itertools import groupby, repeat
 from operator import add, mul
 
@@ -25,6 +24,7 @@ from .diagrams import (
     TEMPERLEY_LIEB,
     Diagram,
     _check_cap,
+    _memo,
     _tuple_of,
     normalize_family,
     perm_diagram,
@@ -184,7 +184,7 @@ def f_coeff(family, kappa, mu):
     return _f_column(family, kappa).get(check_partition(mu), 0)
 
 
-@cache
+@_memo()
 def _f_column(family, kappa):
     """Column kappa of F, as {mu: count}.
 
@@ -217,7 +217,7 @@ def _f_column(family, kappa):
     return column
 
 
-@cache
+@_memo()
 def _part_factor(family, n, m, i):
     """The factor of a term of F from its n parts of size i, of which the
     twist's cycle type has m: the planar count on n strands for a planar
@@ -256,7 +256,7 @@ def _label_column(family, mu):
     return (1,) if _SHAPES[family].planar else character_column(mu)
 
 
-@cache
+@_memo()
 def _chi_column(family, kappa):
     """Column kappa of S . F by size: each size n maps to the tuple, over
     _labels(family, n), of the sum of c chi^lam(mu) over the entries

@@ -15,7 +15,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 
 from . import characters, diagrams, irreps, symrep
@@ -619,7 +618,7 @@ def build_parser():
     return parser
 
 
-@lru_cache(maxsize=None)
+@diagrams._memo()
 def _parser():
     # parsing leaves the parser as it was, so one serves every run
     return build_parser()

@@ -9,13 +9,13 @@ components vanished from the middle; the algebra layer turns that count
 into a power of the parameter n.
 """
 
+import functools
 import gc
 import os
 import re
 from bisect import bisect_right
 from collections import deque, namedtuple
 from contextlib import contextmanager
-from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter
 
@@ -167,6 +167,37 @@ def _check_k(k):
 
 _INT = frozenset((int,))
 
+_CACHES = []
+
+
+def _memo(bound=None, check=None):
+    """The one memo rule: cache the function, at most bound entries (None:
+    all), and record the cache in _CACHES.  Given check, a call's arguments
+    pass through check(*args), which refuses them or returns them as a
+    tuple, before the cache is read, so True is never answered as 1; without
+    check the cache itself is returned, and a hit costs no Python frame."""
+
+    def declare(fn):
+        cached = functools.lru_cache(maxsize=bound)(fn)
+        _CACHES.append(cached)
+        if check is None:
+            return cached
+
+        @functools.wraps(fn)
+        def checked(*args):
+            return cached(*check(*args))
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return declare
+
+
+def clear_caches():
+    """Empty every cache of the library, releasing what its entries hold."""
+    for cached in _CACHES:
+        cached.cache_clear()
+
 
 def _tuple_of(value, what):
     """value as a tuple, refused with ValueError unless it is iterable."""
@@ -283,7 +314,7 @@ class _Memo(dict):
         return out
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def _block_renderer(k):
     # the text of a block of a k-strand diagram: vertex names joined by
     # spaces, read from a table of the names (index 0 unused)
@@ -671,7 +702,7 @@ def enumerate_basis(family, k):
     return Diagram._make_all(len(listing), repeat(k), listing)
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def _motzkin_numbers(n):
     m = [1, 1]
     for i in range(1, n):

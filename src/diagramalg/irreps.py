@@ -10,7 +10,6 @@ components in the middle row and each deletion contributes a factor n.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations, repeat
 from operator import itemgetter
 
@@ -27,6 +26,7 @@ from .diagrams import (
     _fuse,
     _joined,
     _Memo,
+    _memo,
     _sorted_blocks,
     _tuple_of,
     _Value,
@@ -183,7 +183,7 @@ def _symmetric_candidates(family, k, m):
     return out
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def _enumerate_symmetric(family, k, m):
     pairs = _symmetric_candidates(family, k, m)
     ws = SymmetricMDiagram._make_all(len(pairs), repeat(k), *zip(*pairs))
@@ -204,7 +204,7 @@ ConjugateResult = namedtuple(
 )
 
 
-@lru_cache(maxsize=1 << 12)
+@_memo(1 << 12)
 def _conjugate(d, top):
     """Stack d above a set partition of {1..k}, given as its sorted blocks.
 
@@ -486,7 +486,7 @@ def _normalize_basis(basis):
 _ModuleBasis = namedtuple("_ModuleBasis", ["vectors", "base", "position"])
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def _module_basis(family, k, lam_star, basis):
     ts = standard_tableaux(lam_star)
     vectors, base = [], {}

@@ -7,34 +7,19 @@ character tables.
 """
 
 import itertools
-from functools import cache, lru_cache, wraps
 from math import comb, prod
 from operator import lt
 
-from .diagrams import _SHAPES, _check_k, _tuple_of, normalize_family
+from .diagrams import _SHAPES, _check_k, _memo, _tuple_of, normalize_family
 from .errors import InvalidRank, LabelNotInFamily
 
 
 def _check_ints(*values):
-    """Refuse each value that is not an int; True is not a count."""
+    """The values, each refused unless an int; True is not a count."""
     for n in values:
         if type(n) is not int:
             raise ValueError("expected an int, got %r" % (n,))
-
-
-def _checked_cache(count):
-    """count cached, its arguments checked for int before the cache."""
-    cached = cache(count)
-
-    @wraps(count)
-    def checked(*args):
-        for n in args:
-            if type(n) is not int:
-                _check_ints(*args)
-        return cached(*args)
-
-    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-    return checked
+    return values
 
 
 def check_partition(p):
@@ -49,7 +34,7 @@ def check_partition(p):
     return p
 
 
-@_checked_cache
+@_memo(check=_check_ints)
 def partitions(m):
     """All partitions of m, descending lexicographic: (m,) first."""
     if m < 0:
@@ -95,7 +80,7 @@ def binom(a, b):
     return comb(a, b)
 
 
-@_checked_cache
+@_memo(check=_check_ints)
 def stirling2(n, j):
     """Stirling number of the second kind, zero outside 0 <= j <= n."""
     if not 0 <= j <= n:
@@ -103,7 +88,7 @@ def stirling2(n, j):
     return _stirling_row(n)[j]
 
 
-@lru_cache(maxsize=1)
+@_memo(1)
 def _stirling_row(n):
     """S(n, 0), ..., S(n, n), built by a loop over the rows i <= n of
     S(i, j) = j S(i - 1, j) + S(i - 1, j - 1), so no stack grows with n.
@@ -128,7 +113,7 @@ def catalan(n):
     return comb(2 * n, n) // (n + 1)
 
 
-@_checked_cache
+@_memo(check=_check_ints)
 def bell(n):
     """Number of set partitions of an n-element set."""
     return sum(_stirling_row(n)) if n >= 0 else 0

@@ -9,13 +9,13 @@ removal on beta-sets, one entry at a time or a whole column at once.
 """
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import combinations
 from math import factorial, prod
 from operator import lt
 
 from .coeff import _exact, _items
-from .diagrams import _INT, _check_permutation, _unfold
+from .diagrams import _INT, _check_permutation, _memo, _unfold
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition, partitions
 
@@ -47,16 +47,17 @@ def _column_word(t):
     return tuple(row[j] for j in columns for row in t if j < len(row))
 
 
+def _partition_arg(p):
+    """The check of an entry cached on one partition."""
+    return (check_partition(p),)
+
+
+@_memo(check=_partition_arg)
 def standard_tableaux(shape):
     """All standard Young tableaux of the shape, sorted by column word.
 
     The column superstandard tableau (columns filled first) comes first.
     """
-    return _standard_tableaux(check_partition(shape))
-
-
-@cache
-def _standard_tableaux(shape):
     # up Young's lattice: level n maps each n-cell shape inside `shape` to its
     # tableaux; n ends every row that can grow, an empty row below included
     level = {(): [()]}
@@ -72,10 +73,6 @@ def _standard_tableaux(shape):
                     )
         level = grown
     return tuple(sorted(level[shape], key=_column_word))
-
-
-# perfbench reads the statistics of this cache under the public name
-standard_tableaux.cache_info = _standard_tableaux.cache_info
 
 
 def _column(grid, j):
@@ -105,7 +102,7 @@ def straighten(filling):
     return dict(_straighten(filling))
 
 
-@cache
+@_memo()
 def _straighten(filling):
     # checked on a miss, so that no bad filling is ever cached; the fillings
     # that the miss reaches are memoised for it alone
@@ -189,9 +186,9 @@ def natural_columns(sigma, shape):
     return _natural_columns(sigma, shape)
 
 
-@cache
+@_memo()
 def _natural_columns(sigma, shape):
-    basis = _standard_tableaux(shape)
+    basis = standard_tableaux(shape)
     index = {t: i for i, t in enumerate(basis)}
     return tuple(
         tuple((index[s], c) for s, c in straighten(relabel(sigma, t)).items())
@@ -258,7 +255,7 @@ def _hook_dim(lam):
     return factorial(sum(lam)) // hooks
 
 
-@cache
+@_memo()
 def _rim_hooks(lam, r):
     """(lam minus the hook, sign) for each rim hook of length r of lam:
     on the beta-set a hook moves a bead b to an empty b - r, and its sign is
@@ -278,19 +275,19 @@ def _rim_hooks(lam, r):
     return tuple(out)
 
 
-def sym_character(lam, mu):
-    """Irreducible character of the symmetric group by rim-hook removal."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
+def _character_args(lam, mu):
+    """The check of sym_character: two partitions of one size."""
+    lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise SizeMismatch(
             "character of %r at a class of different size %r" % (lam, mu)
         )
-    return _sym_character(lam, mu)
+    return lam, mu
 
 
-@cache
-def _sym_character(lam, mu):
+@_memo(check=_character_args)
+def sym_character(lam, mu):
+    """Irreducible character of the symmetric group by rim-hook removal."""
     # level: each shape left by rim hooks of the parts of mu so far, to its
     # signed count; the parts of 1 left are the identity class, by hooks.
     # The entries of one table meet the same shapes, so _rim_hooks is cached
@@ -306,11 +303,7 @@ def _sym_character(lam, mu):
     return sum(count * _hook_dim(shape) for shape, count in level.items())
 
 
-# perfbench reads the statistics of this cache under the public name
-sym_character.cache_info = _sym_character.cache_info
-
-
-@cache
+@_memo()
 def _rim_hook_moves(n, r):
     """For each lam in partitions(n), the (index in partitions(n - r), sign)
     of lam minus each of its rim hooks of length r."""
@@ -321,6 +314,7 @@ def _rim_hook_moves(n, r):
     )
 
 
+@_memo(check=_partition_arg)
 def character_column(mu):
     """chi^lam(mu) for every lam of |mu|, in partitions(|mu|) order.
 
@@ -329,11 +323,6 @@ def character_column(mu):
     chi^lam(nu + (r,)) = sum of sign chi^(lam - hook)(nu) over the rim
     hooks of length r of lam.
     """
-    return _character_column(check_partition(mu))
-
-
-@cache
-def _character_column(mu):
     n = mu.count(1)
     column = tuple(map(_hook_dim, partitions(n)))
     for r in reversed(mu[: len(mu) - n]):

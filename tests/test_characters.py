@@ -601,7 +601,7 @@ def test_tables_read_whole_columns_and_char_reads_entries(monkeypatch):
     monkeypatch.setattr(symrep, "sym_character", counting)
     monkeypatch.setattr(characters, "sym_character", counting)
     characters._chi_column.cache_clear()
-    symrep._character_column.cache_clear()
+    symrep.character_column.cache_clear()
     tables = {}
     for family in (PARTITION, BRAUER, SYMMETRIC_GROUP, MOTZKIN):
         tables[family] = character_table(family, 5)

@@ -626,7 +626,7 @@ def test_a_listing_does_not_depend_on_the_callers_stack_depth(capsys, monkeypatc
 
 @pytest.mark.parametrize("family", ["planarrook", "temperleylieb"])
 def test_char_at_the_identity_class_of_k1200(family, capsys):
-    symrep._sym_character.cache_clear()
+    symrep.sym_character.cache_clear()
     args = [
         "char", "--family", family, "--k", "1200", "--lambda-star", "[1200]",
         "--kappa", "[%s]" % ",".join(["1"] * 1200),

@@ -28,6 +28,7 @@ from diagramalg.diagrams import (
     _covers,
     _fuse,
     algebra_dim,
+    clear_caches,
     concat,
     family_generators,
     enumerate_basis,
@@ -790,9 +791,9 @@ def test_tableau_from_pair_equals_the_checking_constructors_tableau():
 
 
 def test_every_basis_tableau_keys_its_stack_by_its_symmetric_diagrams_top():
-    # the tableaux are built anew from the symmetric diagrams cached now, as
-    # an earlier test may have cleared that cache but not this one
-    _module_basis.cache_clear()
+    # every cache emptied at once, so the tableaux and the symmetric
+    # diagrams whose tops they key by come from one build
+    clear_caches()
     for family in FAMILIES:
         for k in range(1, 6):
             for lam in lambda_star_labels(family, k):
@@ -953,7 +954,7 @@ def test_tableau_key_takes_no_part_in_equality_order_copy_or_pickle():
     # tableau constructed from the same fields, a copy, a pickle and every
     # tableau an action or tableau_from_pair returns carry an equal key
     # of their own (both caches from one build, as above)
-    _module_basis.cache_clear()
+    clear_caches()
     tabs = enumerate_sspt(PARTITION, 3, (1,))
     fresh = [SetPartitionTableau(t.k, t.first_row, t.body) for t in tabs]
     ws = enumerate_symmetric(PARTITION, 3, 1)

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diagramalg as dalg
-from diagramalg import characters, diagrams, errors, irreps, symrep
-from diagramalg import partitions as parts
+from diagramalg import errors, symrep
 from diagramalg.characters import gamma_diagram, gamma_perm
 from diagramalg.diagrams import identity_diagram, perm_diagram
 from diagramalg.coeff import ONE
@@ -266,7 +265,7 @@ def test_sym_dim_known_values():
 
 def test_identity_class_needs_no_recursion_on_a_cleared_cache():
     # 1200 rim hooks of length 1 would recurse past Python's limit
-    symrep._sym_character.cache_clear()
+    sym_character.cache_clear()
     assert sym_dim((1200,)) == 1
     assert sym_dim((1199, 1)) == 1199
     assert sym_dim((1,) * 1200) == 1
@@ -276,7 +275,7 @@ def test_identity_class_needs_no_recursion_on_a_cleared_cache():
 
 def test_a_class_of_600_rim_hooks_needs_no_recursion():
     # one level per part of mu, 600 dominoes deep on a cleared cache
-    symrep._sym_character.cache_clear()
+    sym_character.cache_clear()
     assert sym_character((1200,), (2,) * 600) == 1
     # every vertical domino has leg length 1, so the column reads (-1)^601
     assert sym_character((1,) * 1202, (2,) * 601) == -1
@@ -515,14 +514,7 @@ LOOKALIKES = [
 def test_a_lookalike_argument_is_refused_cold_and_warm(entry, bad, good):
     # each entry checks before it reads its cache, so the answer cached for
     # the equal good argument is never given to the bad one
-    for cached in (
-        symrep._standard_tableaux,
-        symrep._sym_character,
-        symrep._natural_columns,
-        symrep._character_column,
-        symrep._straighten,
-    ):
-        cached.cache_clear()
+    dalg.clear_caches()
     with pytest.raises(ValueError):
         entry(*bad)
     entry(*good)
@@ -731,19 +723,14 @@ ENTRIES += [
     (table_to_text, TABLE),
     (table_to_csv, TABLE),
 ]
+# last, so the earlier entries keep their places in the test ids
+ENTRIES.append((dalg.clear_caches, ()))
 
 HOSTILE = [
     None, True, 1.5, "x", -1, 0, (), [], ((1, 2), 3), ((1,), (2, (3,))),
     {1: 2}, object(), Fraction(1, 2), [[None]], b"\0", [(1, 2)], {2, 1},
     [[1, 2]], ((1.0, 2),), ((1, 2), ()),
 ]
-
-
-def _clear_caches():
-    for module in (parts, diagrams, symrep, irreps, characters):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
 
 
 def test_the_hostile_table_covers_every_public_callable():
@@ -762,7 +749,7 @@ def test_a_hostile_argument_is_answered_or_refused_cold_and_warm(entry, good):
         for value in HOSTILE:
             args = good[:i] + (value,) + good[i + 1 :]
             for warm in (False, True):
-                _clear_caches()
+                dalg.clear_caches()
                 if warm:
                     entry(*good)
                 try:
