@@ -38,7 +38,6 @@ from .diagrams import (
     clear_caches,
     concat,
     enumerate_basis,
-    enumeration_cap,
     family_generators,
     format_diagram,
     generator,

@@ -71,14 +71,11 @@ def gamma_diagram(kappa):
     return perm_diagram(gamma_perm(kappa))
 
 
-def _check_class(family, kappa, k=..., s=None):
-    """Validate the class label (kappa, s); return kappa as a tuple and the
-    tail length, or None for it when k is not given (k=None is refused).
+def _check_class(family, kappa, k=...):
+    """Validate the class label kappa; return it as a tuple.
 
-    The planar families take only all-ones cycle types.  With k given,
-    |kappa| must be a rank of the family, and the tail fills the k - |kappa|
-    strands gamma_kappa leaves: one strand per generator, or two in a
-    family without one-vertex blocks.  A given s must be the tail, an int.
+    The planar families take only all-ones cycle types, and with k given,
+    |kappa| must be a rank of the family.
     """
     kappa = check_partition(kappa)
     if _SHAPES[family].planar and any(part != 1 for part in kappa):
@@ -86,38 +83,32 @@ def _check_class(family, kappa, k=..., s=None):
             "%s classes are labelled by all-ones cycle types, got %r"
             % (family, kappa)
         )
-    if k is ...:
-        return kappa, None
-    r = sum(kappa)
-    if r not in _ranks(family, k):
+    if k is not ... and sum(kappa) not in _ranks(family, k):
         raise InvalidClassLabel(
             "cycle type %r has size %d, not a %s rank at k=%d"
-            % (kappa, r, family, k)
+            % (kappa, sum(kappa), family, k)
         )
-    tail = k - r if _SHAPES[family].singles else (k - r) // 2
-    if s is not None and (type(s) is not int or s != tail):
-        raise InvalidClassLabel(
-            "tail length %r does not match |kappa|=%d at k=%d" % (s, r, k)
-        )
-    return kappa, tail
+    return kappa
 
 
-def class_diagram(family, k, kappa, s=None):
+def class_diagram(family, k, kappa):
     """The class element: gamma_kappa with a normalized tail.
 
-    The tail consists of s copies of (1/n) p on single strands, or of
-    (1/n) e on pairs of strands in the families without one-vertex blocks
-    (Brauer and Temperley-Lieb).
+    The tail fills the k - |kappa| strands gamma_kappa leaves with copies
+    of (1/n) p on single strands, or of (1/n) e on pairs of strands in the
+    families without one-vertex blocks (Brauer and Temperley-Lieb).
     """
     family = normalize_family(family)
-    kappa, s = _check_class(family, kappa, k, s)
+    kappa = _check_class(family, kappa, k)
     r = sum(kappa)
     perm = gamma_perm(kappa)
     blocks = [(perm[j - 1], k + j) for j in range(1, r + 1)]
     if _SHAPES[family].singles:
+        s = k - r
         blocks += [b for j in range(r + 1, k + 1) for b in ((j,), (k + j,))]
     else:
-        lows = range(r + 1, r + 2 * s, 2)
+        s = (k - r) // 2
+        lows = range(r + 1, k, 2)
         blocks += [b for lo in lows for b in ((lo, lo + 1), (k + lo, k + lo + 1))]
     d = Diagram(k, blocks)
     return Element(k, family, {d: LaurentPoly.monomial(-s)})
@@ -130,8 +121,12 @@ def fixed_points(family, k, m, kappa):
     Every partition of m appears as a key, possibly with an empty list.
     """
     family = normalize_family(family)
+    kappa = _check_class(family, kappa, k)
     # the class of a permutation gamma_kappa alone has no tail
-    kappa, _ = _check_class(family, kappa, k, 0)
+    if sum(kappa) != k:
+        raise InvalidClassLabel(
+            "cycle type %r has size %d, not k=%d" % (kappa, sum(kappa), k)
+        )
     check_rank(family, k, m)
     _check_cap("fixed_points", family, k)
     gamma = gamma_diagram(kappa)
@@ -180,7 +175,7 @@ def f_coeff(family, kappa, mu):
     """Closed form for the number of fixed symmetric diagrams whose twist
     has cycle type mu, under conjugation by gamma_kappa."""
     family = normalize_family(family)
-    kappa, _ = _check_class(family, kappa)
+    kappa = _check_class(family, kappa)
     return _f_column(family, kappa).get(check_partition(mu), 0)
 
 
@@ -291,8 +286,8 @@ def _values(family, rows, cols):
     return _rows_at(family, rows, columns)
 
 
-def irr_character(family, k, lam_star, kappa, s=None):
-    """Character of the lam_star module at the class (kappa, s): the sum
+def irr_character(family, k, lam_star, kappa):
+    """Character of the lam_star module at the class kappa: the sum
     over the twists mu of size m = |lam_star| (every partition of m, or
     (1^m) in a planar family) of chi^lam_star(mu) F[mu][kappa].
 
@@ -302,7 +297,7 @@ def irr_character(family, k, lam_star, kappa, s=None):
     """
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
-    kappa, _ = _check_class(family, kappa, k, s)
+    kappa = _check_class(family, kappa, k)
     return sum(
         sym_character(lam_star, mu) * f_coeff(family, kappa, mu)
         for mu in map(_twist, repeat(family), _labels(family, sum(lam_star)))
@@ -518,7 +513,7 @@ def table_determinant_check(family, k):
     return DeterminantCheck(det, expected, det == expected)
 
 
-def character_oracle(family, k, lam_star, kappa, s=None):
+def character_oracle(family, k, lam_star, kappa):
     """Trace of the class element on an explicit matrix of the module.
 
     Returns the trace as a Laurent polynomial in n (a constant whenever
@@ -528,7 +523,7 @@ def character_oracle(family, k, lam_star, kappa, s=None):
     family = normalize_family(family)
     lam_star = check_label(family, k, lam_star)
     _check_cap("character_oracle", family, k)
-    elem = class_diagram(family, k, kappa, s)
+    elem = class_diagram(family, k, kappa)
     # the trace is linear: each term's trace, scaled, and not the matrix of
     # the whole element
     total = ZERO

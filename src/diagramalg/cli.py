@@ -227,9 +227,7 @@ def _cmd_irrep(args):
 
 
 def _cmd_char(args):
-    value = characters.irr_character(
-        args.family, args.k, args.lambda_star, args.kappa, args.s
-    )
+    value = characters.irr_character(args.family, args.k, args.lambda_star, args.kappa)
     return str(value), 0
 
 
@@ -596,7 +594,6 @@ def build_parser():
     p = sub.add_parser("char", help="irreducible character value")
     add_common(p, fmt=None, lambda_star=True)
     p.add_argument("--kappa", type=partition_type, required=True)
-    p.add_argument("--s", type=int, default=None, help="tail length check")
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("table", help="full character table")

@@ -664,11 +664,12 @@ def _covers(k, points, shape):
         return _unfold(memo, pair_cover if pairs else cover, start)
 
 
-def size_cap(default):
-    """The size cap on enumeration: DIAGRAMALG_CAP if set, else default."""
+def size_cap():
+    """The size cap, in diagrams: DIAGRAMALG_CAP if set, else 2,390,480
+    (the RookBrauer algebra at k=7)."""
     env = os.environ.get("DIAGRAMALG_CAP")
     if env is None:
-        return default
+        return 2390480
     try:
         return int(env)
     except ValueError:
@@ -677,20 +678,14 @@ def size_cap(default):
         ) from None
 
 
-def enumeration_cap(family):
-    """Current basis-enumeration cap for a family.
-
-    DIAGRAMALG_CAP in the environment overrides the defaults (5 for the
-    partition families, 7 elsewhere).
-    """
-    return size_cap(7 if _SHAPES[normalize_family(family)].pairs else 5)
-
-
 def _check_cap(caller, family, k):
-    """Refuse k unless it is a positive int within the family's cap."""
+    """Refuse k unless it is a positive int and the family's algebra at k
+    has at most size_cap() diagrams.  Every family has at least 2^(k-1)
+    diagrams on k strands, so a k past the cap's bit length is refused
+    without counting."""
     _check_k(k)
-    cap = enumeration_cap(family)
-    if k > cap:
+    cap = size_cap()
+    if k > cap.bit_length() or algebra_dim(family, k) > cap:
         raise CapExceeded("%s at k=%d exceeds the cap %d" % (caller, k, cap))
 
 

@@ -12,8 +12,8 @@ that is not a Diagram, coefficients that are not a mapping, a row that names
 no column, a determinant of a table that is not a square matrix of ints, an
 unknown family, generator or basis.
 Other bad input raises a DiagramAlgebraError, below: two strand counts that
-differ (RankMismatch) and a k past the enumeration cap (CapExceeded) among
-them.  The CLI prints both on stderr as "error: <message>", exit code 1.
+differ (RankMismatch) and a k whose algebra has more diagrams than the size
+cap, DIAGRAMALG_CAP (CapExceeded), among them.  The CLI prints both on stderr as "error: <message>", exit code 1.
 The one exception is a binary operator: Element(...) * 3 or
 Element(...) + None keeps Python's rule and may raise TypeError.
 """
@@ -44,11 +44,12 @@ class RankMismatch(DiagramAlgebraError):
 
 
 class CapExceeded(DiagramAlgebraError):
-    """An enumeration was requested beyond the configured size cap."""
+    """The algebra at the requested k has more diagrams than the size cap."""
 
 
 class InvalidCap(DiagramAlgebraError):
-    """The DIAGRAMALG_CAP environment variable is not an integer."""
+    """The DIAGRAMALG_CAP environment variable (a number of diagrams) is not
+    an integer."""
 
 
 class AlgebraMismatch(DiagramAlgebraError):
@@ -80,7 +81,7 @@ class LabelNotInFamily(DiagramAlgebraError):
 
 
 class InvalidClassLabel(DiagramAlgebraError):
-    """The (kappa, s) pair is not a valid conjugacy class label here."""
+    """The cycle type kappa is not a valid conjugacy class label here."""
 
 
 class FamilyUnsupported(DiagramAlgebraError):

@@ -229,14 +229,9 @@ def cycle_type(sigma):
     return tuple(sorted(lengths, reverse=True))
 
 
-def perm_from_cycle_type(kappa, m=None):
+def perm_from_cycle_type(kappa):
     """A canonical permutation of cycle type kappa: consecutive cycles."""
     kappa = check_partition(kappa)
-    m = sum(kappa) if m is None else m
-    if type(m) is not int:
-        raise ValueError("degree must be an int, got %r" % (m,))
-    if sum(kappa) != m:
-        raise SizeMismatch("cycle type %r does not fill degree %r" % (kappa, m))
     images, start = [], 0
     for part in kappa:
         images += [*range(start + 2, start + part + 1), start + 1]

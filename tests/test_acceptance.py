@@ -49,15 +49,9 @@ from diagramalg.irreps import (
     conjugate,
     enumerate_symmetric,
 )
-from diagramalg.partitions import (
-    binom,
-    double_factorial,
-    lambda_star_labels,
-    partitions,
-    rank_set,
-    stirling2,
-)
+from diagramalg.partitions import lambda_star_labels, partitions, rank_set
 from diagramalg.symrep import sym_character, sym_dim
+from test_irreps import symmetric_count
 
 N = LaurentPoly.monomial(1)
 ONE = LaurentPoly.const(1)
@@ -148,37 +142,6 @@ PUBLISHED = [
 ]
 
 
-def symmetric_count(family, k, m):
-    if family == PARTITION:
-        return sum(stirling2(k, t) * binom(t, m) for t in range(m, k + 1))
-    if family == BRAUER:
-        return binom(k, m) * double_factorial(k - m - 1)
-    if family == ROOK_BRAUER:
-        return binom(k, m) * sum(
-            binom(k - m, 2 * t) * double_factorial(2 * t - 1)
-            for t in range((k - m) // 2 + 1)
-        )
-    if family == TEMPERLEY_LIEB:
-        half = (k - m) // 2
-        return binom(k, half) - binom(k, half - 1)
-    if family == MOTZKIN:
-        total = 0
-        t = 0
-        while m + 2 * t <= k:
-            r = m + 2 * t
-            total += binom(k, r) * (binom(r, t) - binom(r, t - 1))
-            t += 1
-        return total
-    if family in (ROOK, PLANAR_ROOK):
-        return binom(k, m)
-    if family == PLANAR_PARTITION:
-        # P_k(n^2) is TL_2k(n), so these are the TL counts at (2k, 2m)
-        return symmetric_count(TEMPERLEY_LIEB, 2 * k, 2 * m)
-    if family == SYMMETRIC_GROUP:
-        return 1
-    raise AssertionError(family)
-
-
 def run_suite(suite, cells, rng=None, cases=None):
     """Run verify's runner for suite over each (family, k) of cells in
     turn, assert that it wrote no FAIL message, and return what its ok
@@ -232,8 +195,8 @@ def test_fixed_point_spot_value_and_diagrams():
 
 
 def test_character_trace_oracle_equals_closed_form(monkeypatch):
-    # past the default cap of 5 on the two partition families
-    monkeypatch.setenv("DIAGRAMALG_CAP", "6")
+    # past the default cap on the two partition families
+    monkeypatch.setenv("DIAGRAMALG_CAP", str(algebra_dim(PARTITION, 6)))
     start = time.monotonic()
     details = run_suite(
         "trace-oracle", [(f, k) for f in FAMILIES for k in range(1, 7)]
@@ -243,7 +206,7 @@ def test_character_trace_oracle_equals_closed_form(monkeypatch):
 
 
 def test_fixed_point_counts_match_closed_formula(monkeypatch):
-    monkeypatch.setenv("DIAGRAMALG_CAP", "7")
+    monkeypatch.setenv("DIAGRAMALG_CAP", str(algebra_dim(PARTITION, 7)))
     start = time.monotonic()
     cells = [(f, k) for f in FAMILIES for k in range(1, 8)]
     # the runner's classes of size k: partitions(k) in order, the identity

@@ -24,6 +24,7 @@ from diagramalg.characters import (
 )
 from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
+    _SHAPES,
     BRAUER,
     FAMILIES,
     MOTZKIN,
@@ -34,6 +35,7 @@ from diagramalg.diagrams import (
     ROOK_BRAUER,
     SYMMETRIC_GROUP,
     TEMPERLEY_LIEB,
+    algebra_dim,
     enumerate_basis,
     parse_diagram,
     perm_diagram,
@@ -186,8 +188,6 @@ def test_class_diagram_invalid_labels():
     with pytest.raises(errors.InvalidClassLabel):
         class_diagram("SymmetricGroup", 4, (2, 1))
     with pytest.raises(errors.InvalidClassLabel):
-        class_diagram("Brauer", 4, (2,), s=2)
-    with pytest.raises(errors.InvalidClassLabel):
         class_diagram("PlanarPartition", 3, (2, 1))
 
 
@@ -195,18 +195,19 @@ def test_class_diagram_invalid_labels():
 @pytest.mark.parametrize(
     "site",
     [
-        lambda s: irr_character("Rook", 2, (1,), (1,), s),
-        lambda s: class_diagram("Rook", 2, (1,), s),
-        lambda s: character_oracle("Rook", 2, (1,), (1,), s),
+        lambda *s: irr_character("Rook", 2, (1,), (1,), *s),
+        lambda *s: class_diagram("Rook", 2, (1,), *s),
+        lambda *s: character_oracle("Rook", 2, (1,), (1,), *s),
     ],
     ids=["irr_character", "class_diagram", "character_oracle"],
 )
 def test_a_tail_length_must_be_an_int(site, s):
-    # the tail of (1) at Rook k=2 is 1, which each of these equals
-    site(1)
-    with pytest.raises(errors.InvalidClassLabel) as info:
-        site(s)
-    assert str(info.value) == "tail length %r does not match |kappa|=1 at k=2" % (s,)
+    # the tail of (1) at Rook k=2 is 1, an int derived from k and kappa:
+    # no call takes a tail, neither the int nor an equal non-int
+    site()
+    for tail in (1, s):
+        with pytest.raises(TypeError):
+            site(tail)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -227,11 +228,12 @@ def test_rank_checks_accept_exactly_the_listings(family):
                 with pytest.raises(errors.InvalidClassLabel):
                     _check_class(family, p, k)
                 continue
-            kappa, tail = _check_class(family, p, k)
-            [(_, coeff)] = class_diagram(family, k, kappa, tail).terms()
+            kappa = _check_class(family, p, k)
+            # the tail fills the k - |kappa| strands gamma_kappa leaves: one
+            # strand per generator, or two without one-vertex blocks
+            tail = (k - sum(kappa)) // (1 if _SHAPES[family].singles else 2)
+            [(_, coeff)] = class_diagram(family, k, kappa).terms()
             assert coeff == LaurentPoly.monomial(-tail), (k, p)
-            with pytest.raises(errors.InvalidClassLabel):
-                _check_class(family, p, k, tail + 1)
         ranks = rank_set(family, k)
         for m in range(-1, k + 2):
             if m in ranks:
@@ -404,8 +406,6 @@ def test_irr_character_values():
         ) == sym_character((2, 1), kappa)
     with pytest.raises(errors.LabelNotInFamily):
         irr_character("TemperleyLieb", 4, (2, 1), (1, 1, 1))
-    with pytest.raises(errors.InvalidClassLabel):
-        irr_character("Partition", 3, (1,), (2, 1), s=2)
 
 
 def test_class_labels_order():
@@ -441,20 +441,20 @@ def test_a_refusal_at_the_cap_names_the_caller_k_and_the_cap(monkeypatch):
 
 
 def test_character_oracle_reads_the_enumeration_cap(monkeypatch):
-    # the pair families enumerate to k=7 by default, as fixed_points does
+    # Brauer enumerates to k=8 (2,027,025 diagrams) by default, as
+    # fixed_points does
     monkeypatch.delenv("DIAGRAMALG_CAP", raising=False)
     for lam, kappa in (((2,), (2, 2, 1, 1)), ((4,), (3, 2, 1))):
         value = irr_character(BRAUER, 6, lam, kappa)
         assert character_oracle(BRAUER, 6, lam, kappa) == LaurentPoly.const(
             value
         )
-    with pytest.raises(errors.CapExceeded, match="at k=8 exceeds the cap"):
-        character_oracle(BRAUER, 8, (8,), (3, 3, 2))
-    monkeypatch.setenv("DIAGRAMALG_CAP", "5")
+    with pytest.raises(errors.CapExceeded, match="at k=9 exceeds the cap"):
+        character_oracle(BRAUER, 9, (9,), (3, 3, 2, 1))
+    assert character_oracle(BRAUER, 8, (6,), (3, 3, 2)) == LaurentPoly.const(1)
+    monkeypatch.setenv("DIAGRAMALG_CAP", str(algebra_dim(BRAUER, 6) - 1))
     with pytest.raises(errors.CapExceeded, match="at k=6 exceeds the cap"):
         character_oracle(BRAUER, 6, (2,), (2, 2, 1, 1))
-    monkeypatch.setenv("DIAGRAMALG_CAP", "8")
-    assert character_oracle(BRAUER, 8, (6,), (3, 3, 2)) == LaurentPoly.const(1)
 
 
 def test_table_csv_golden():

@@ -198,6 +198,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(["sspt", "--family", "partition", "--k", "3",
                 "--lambda-star", "[x]"]) == 2
     capsys.readouterr()
+    # char derives the tail length from k and kappa and takes none
+    assert run(["char", "--family", "rook", "--k", "2", "--lambda-star", "[1]",
+                "--kappa", "[1]", "--s", "1"]) == 2
+    assert "unrecognized arguments: --s 1" in capsys.readouterr().err
 
 
 def test_basis_counts(capsys):
@@ -674,7 +678,7 @@ def test_verify_refuses_a_k_past_the_cap_before_listing_classes(
     huge = "99999999999999999999"
     assert run(["verify", "--suite", suite, "--family", "rook", "--k", huge]) == 1
     assert capsys.readouterr() == (
-        "", "error: %s at k=%s exceeds the cap 7\n" % (caller, huge)
+        "", "error: %s at k=%s exceeds the cap 2390480\n" % (caller, huge)
     )
 
 
@@ -816,7 +820,7 @@ USAGE = {
     "char": (
         "usage: diagramalg char [-h] --family FAMILY --k K [--out OUT]"
         " --lambda-star\n"
-        "                       LAMBDA_STAR --kappa KAPPA [--s S]\n"
+        "                       LAMBDA_STAR --kappa KAPPA\n"
     ),
     "mul": (
         "usage: diagramalg mul [-h] --family FAMILY --k K [--n N]\n"
@@ -1151,8 +1155,8 @@ def _factor_is_negated(monkeypatch):
 def _chi_is_off_at_class_2(monkeypatch):
     real = characters.irr_character
 
-    def off(family, k, lam, kappa, s=None):
-        return real(family, k, lam, kappa, s) + (kappa == (2,))
+    def off(family, k, lam, kappa):
+        return real(family, k, lam, kappa) + (kappa == (2,))
 
     monkeypatch.setattr(characters, "irr_character", off)
 
@@ -1363,6 +1367,9 @@ def test_fuzzed_argv_ends_in_an_exit_code_and_no_traceback(
     code = run(argv)
     captured = capsys.readouterr()
     assert code in (0, 1, 2), argv
+    # char takes no tail length
+    if "--s" in argv:
+        assert code == 2, argv
     if code == 1:
         assert captured.err.startswith("error:"), (argv, captured.err)
     if out in ("missing-directory", "directory"):

@@ -456,9 +456,12 @@ def test_enumeration_caps(monkeypatch):
     with pytest.raises(errors.CapExceeded):
         enumerate_basis("partition", 6)
     with pytest.raises(errors.CapExceeded):
-        enumerate_basis("brauer", 8)
-    monkeypatch.setenv("DIAGRAMALG_CAP", "8")
+        enumerate_basis("brauer", 9)
+    # the cap counts diagrams: TemperleyLieb has 1430 at k=8, 4862 at k=9
+    monkeypatch.setenv("DIAGRAMALG_CAP", "1430")
     assert len(enumerate_basis("temperleylieb", 8)) == 1430
+    with pytest.raises(errors.CapExceeded):
+        enumerate_basis("temperleylieb", 9)
     monkeypatch.setenv("DIAGRAMALG_CAP", "2")
     with pytest.raises(errors.CapExceeded):
         enumerate_basis("temperleylieb", 3)
