@@ -699,10 +699,10 @@ def enumerate_basis(family, k):
 
 @_memo()
 def _motzkin_numbers(n):
-    m = [1, 1]
-    for i in range(1, n):
-        m.append(m[i] + sum(m[j] * m[i - 1 - j] for j in range(i)))
-    return m[n]
+    prev, m = 1, 1
+    for i in range(2, n + 1):
+        prev, m = m, ((2 * i + 1) * m + 3 * (i - 1) * prev) // (i + 2)
+    return m
 
 
 def algebra_dim(family, k):

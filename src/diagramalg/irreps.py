@@ -177,7 +177,7 @@ def _symmetric_candidates(family, k, m):
         out.sort()
     else:
         # the tops come in canonical order, and the ends of each in order
-        for top in _covers(k, tuple(range(1, k + 1)), shape._replace(singles=True)):
+        for top in _covers(k, tuple(range(1, k + 1)), shape):
             ends = [b for b in top if len(b) == 1] if shape.pairs else top
             out += zip(repeat(top), combinations(ends, m))
     return out

@@ -271,6 +271,13 @@ def test_twisted_and_tableau_bases_agree():
     run_suite("basis-equivalence", cells)
 
 
+def test_ring_axioms_on_every_family():
+    # 25 seeded triples at k=3, one Random(0) per family, as `verify --suite
+    # ring-axioms --k 3 --family f` draws them
+    for family in FAMILIES:
+        run_suite("ring-axioms", [(family, 3)], random.Random(0), 25)
+
+
 def test_representation_is_multiplicative():
     # one generator through every call: 1,800 seeded triples (a, b, lambda*)
     cells = [(f, k) for f in FAMILIES for k in (3, 4)]

@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import os
 import re
@@ -480,21 +479,6 @@ def test_table_text_factor(capsys):
     out = capsys.readouterr().out
     assert "lambda*\\kappa" in out
     assert "s_block:" in out and "f_block:" in out
-
-
-@pytest.mark.parametrize(
-    "fmt, digest",
-    [
-        ("text", "23ac8dcfac455d197898ed4016a3dd1873b45350fe50b40d971e9973e3fb618a"),
-        ("csv", "6b299db604dbf32b6307e85c0a09940f2c8bf4978222b6f5968b814bc8be0b5b"),
-    ],
-)
-def test_partition_k14_table_bytes(fmt, digest, capsys):
-    """The 508-row Partition table at k=14, pinned byte for byte."""
-    code = run(["table", "--family", "partition", "--k", "14", "--format", fmt])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_out_file(tmp_path, capsys):

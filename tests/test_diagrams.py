@@ -381,6 +381,17 @@ def test_enumerate_basis_counts():
             assert algebra_dim(family, k) == expected
 
 
+def test_motzkin_numbers_match_the_convolution_up_to_200():
+    # the library's recurrence (n + 2) M_n = (2n + 1) M_(n-1) + 3 (n - 1)
+    # M_(n-2) against the convolution M_(i+1) = M_i + sum of M_j M_(i-1-j)
+    # over j < i: a Motzkin path's first step is flat, or an up step closed
+    # by its first matching down step
+    m = [1, 1]
+    for i in range(1, 200):
+        m.append(m[i] + sum(m[j] * m[i - 1 - j] for j in range(i)))
+    assert [diagrams._motzkin_numbers(n) for n in range(201)] == m
+
+
 def test_enumerate_basis_matches_filtered_partition_basis():
     for family in FAMILIES:
         for k in (1, 2, 3, 4):
