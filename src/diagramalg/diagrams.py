@@ -17,6 +17,7 @@ from bisect import bisect_right
 from collections import deque, namedtuple
 from contextlib import contextmanager
 from itertools import chain, repeat
+from math import prod
 from operator import attrgetter
 
 from .errors import (
@@ -662,6 +663,124 @@ def _covers(k, points, shape):
     start = faces((), points) if planar else points
     with _collector_paused():
         return _unfold(memo, pair_cover if pairs else cover, start)
+
+
+@_memo()
+def _pair_counts(shape, size):
+    """count[a, c], a and c at most size: the covers by shape, a pair shape,
+    of a top and c bottom points (planar: of one face), in pair_cover's
+    choices.  The least point (a top while one is left) is a single, or it
+    pairs with a later point, across only from the other row; a planar
+    pair cuts off the points it passes over as a face of their own."""
+    _, singles, across, planar = shape
+    count = {(0, 0): 1}
+    for tops in range(size + 1):
+        for bottoms in range(0 if tops else 1, size + 1):
+            # the points after the least one, a tops and c bottoms
+            a, c = (tops - 1, bottoms) if tops else (0, bottoms - 1)
+            total = count[a, c] if singles else 0
+            for i in range(a + c):
+                top = i < a
+                if across and top == (tops > 0):
+                    continue
+                if not planar:
+                    inner, outer = (0, 0), (a - top, c - (not top))
+                elif top:
+                    inner, outer = (i, 0), (a - 1 - i, c)
+                else:
+                    inner, outer = (0, i - a), (a, c - 1 - i + a)
+                total += count[inner] * count[outer]
+            count[tops, bottoms] = total
+    return count
+
+
+@_memo()
+def _block_counts(shape, n):
+    """under[l, a, c], l + a + c < n: the covers below one state of cover
+    for shape, a partition shape, with the least point's block still open:
+    l points passed over (planar: tops, which rejoin the outer face), then a
+    tops and c bottoms after the block's last point (not planar: a = 0).
+    The state's own cover ends the block there; each later point then grows
+    it, cutting off the points it passes over (planar) as a face."""
+    from .partitions import bell, catalan
+
+    planar = shape.planar
+    close = catalan if planar else bell
+    under = {}
+    for m in range(n):
+        for left in range(m + 1):
+            for a in range(m - left + 1) if planar and not left else (0,):
+                c = m - left - a
+                total = close(m)
+                for i in range(a + c):
+                    t = (0 if i < a else a) if planar else i
+                    child = (a - 1 - i, c) if i < a else (0, c - 1 - i + a)
+                    total += close(i - t) * under[(left + t,) + child]
+                under[left, a, c] = total
+    return under
+
+
+def _count_covers(k, points, shape):
+    """len(_covers(k, points, shape)) from the four facts alone: bell(n) or,
+    planar, catalan(n) for a partition shape, else a pair count, its table
+    built for k rounded up to a power of two so that many k share it."""
+    from .partitions import bell, catalan
+
+    if not shape.pairs:
+        return (catalan if shape.planar else bell)(len(points))
+    tops = bisect_right(points, k)
+    return _pair_counts(shape, 1 << (k - 1).bit_length())[tops, len(points) - tops]
+
+
+def _cover_at(k, points, shape, index):
+    """_covers(k, points, shape)[index], built alone: each block is chosen
+    as _covers chooses it, in its order, and every choice before the one
+    holding index is skipped by its count.  A partition shape's block of the
+    least point has 2^(n-1) choices, so the unranker steps through cover's
+    states and skips each later one with everything under it at once."""
+    pairs, singles, across, planar = shape
+    if type(index) is not int or not 0 <= index < _count_covers(k, points, shape):
+        raise IndexOutOfRange("no cover at index %r" % (index,))
+    under = None if pairs else _block_counts(shape, 2 << (k - 1).bit_length())
+
+    def count(face):
+        return _count_covers(k, face, shape)
+
+    key = tuple(filter(None, (points,))) if planar else points
+    cover = []
+    while key:
+        points, others = (key[0], key[1:]) if planar else (key, ())
+        outer = prod(map(count, others))
+        block, runs, left, rest = points[:1], (), (), points[1:]
+        while True:
+            # the block ends here (a pair shape: as a single or a pair)
+            if not pairs or singles or len(block) == 2:
+                size = outer * count(left + rest)
+                if index < size:
+                    break
+                index -= size
+            tops = bisect_right(rest, k) if planar else 0
+            for i, nxt in enumerate(rest):
+                if pairs and across and (block[0] <= k) == (nxt <= k):
+                    continue
+                t = (0 if i < tops else tops) if planar else i
+                after = max(tops - 1 - i, 0)
+                size = outer * count(rest[t:i]) * (
+                    count(left + rest[:t] + rest[i + 1 :])
+                    if pairs
+                    else under[len(left) + t, after, len(rest) - 1 - i - after]
+                )
+                if index < size:
+                    break
+                index -= size
+            outer *= count(rest[t:i])
+            block, runs = block + (nxt,), runs + (rest[t:i],)
+            left, rest = left + rest[:t], rest[i + 1 :]
+        cover.append(block)
+        key = left + rest
+        if planar:
+            key = tuple(sorted(others + tuple(filter(None, runs + (key,)))))
+    return tuple(cover)
 
 
 def size_cap():

@@ -13,8 +13,9 @@ cells, so tier-1 and `verify` check each oracle with one loop.
 import random
 import re
 import time
+import tracemalloc
 
-from diagramalg import cli
+from diagramalg import cli, clear_caches, diagrams
 from diagramalg.characters import (
     character_table,
     class_labels,
@@ -278,10 +279,49 @@ def test_ring_axioms_on_every_family():
         run_suite("ring-axioms", [(family, 3)], random.Random(0), 25)
 
 
+def test_ring_axioms_past_the_default_cap(monkeypatch):
+    # under the deep cap (the Partition algebra at k=8), each family at the
+    # largest k it admits: the suite draws by rank, so no listing is built
+    cap = algebra_dim(PARTITION, 8)
+    monkeypatch.setenv("DIAGRAMALG_CAP", str(cap))
+    cells = [
+        (PARTITION, 8), (PLANAR_PARTITION, 10), (BRAUER, 10), (ROOK_BRAUER, 9),
+        (ROOK, 11), (TEMPERLEY_LIEB, 20), (MOTZKIN, 12), (PLANAR_ROOK, 18),
+        (SYMMETRIC_GROUP, 13),
+    ]
+    assert all(algebra_dim(f, k) <= cap < algebra_dim(f, k + 1) for f, k in cells)
+    clear_caches()
+    tracemalloc.start()
+    try:
+        for cell in cells:
+            run_suite("ring-axioms", [cell], random.Random(0), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
+
+
 def test_representation_is_multiplicative():
     # one generator through every call: 1,800 seeded triples (a, b, lambda*)
     cells = [(f, k) for f in FAMILIES for k in (3, 4)]
     run_suite("module-axiom", cells, random.Random(20240816), 100)
+
+
+def test_module_axiom_at_k5_on_every_family():
+    # 25 seeded pairs at k=5, one Random(0) per family, as `verify --suite
+    # module-axiom --k 5 --family f` draws them
+    for family in FAMILIES:
+        run_suite("module-axiom", [(family, 5)], random.Random(0), 25)
+
+
+def test_the_axiom_suites_draw_without_listing_a_basis(monkeypatch):
+    def listed(*args):
+        raise AssertionError("a basis was listed")
+
+    monkeypatch.setattr(diagrams, "enumerate_basis", listed)
+    monkeypatch.setattr(diagrams, "_covers", listed)
+    for suite in ("ring-axioms", "module-axiom"):
+        run_suite(suite, [(PARTITION, 4)], random.Random(0), 25)
 
 
 def test_worked_action_examples():

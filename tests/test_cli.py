@@ -650,15 +650,22 @@ def test_verify_all_suites(capsys):
 
 @pytest.mark.parametrize(
     "suite, caller",
-    [("fixedpoint-vs-formula", "fixed_points"), ("trace-oracle", "character_oracle")],
+    [
+        ("fixedpoint-vs-formula", "fixed_points"),
+        ("trace-oracle", "character_oracle"),
+        ("ring-axioms", "enumerate_basis"),
+        ("module-axiom", "enumerate_basis"),
+    ],
 )
 def test_verify_refuses_a_k_past_the_cap_before_listing_classes(
     suite, caller, monkeypatch, capsys
 ):
-    def unlisted(family, k):
-        raise AssertionError("classes listed at k=%d" % k)
+    # nor does a suite that draws basis diagrams count them first
+    def unlisted(*args):
+        raise AssertionError("listed or counted: %r" % (args,))
 
     monkeypatch.setattr(characters, "class_labels", unlisted)
+    monkeypatch.setattr(diagrams, "_count_covers", unlisted)
     huge = "99999999999999999999"
     assert run(["verify", "--suite", suite, "--family", "rook", "--k", huge]) == 1
     assert capsys.readouterr() == (

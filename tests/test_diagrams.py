@@ -400,6 +400,39 @@ def test_enumerate_basis_matches_filtered_partition_basis():
             assert enumerate_basis(family, k) == filtered, (family, k)
 
 
+def test_cover_counts_equal_the_closed_forms_up_to_k_60():
+    # the counter reads only the four facts of _SHAPES, so past every
+    # listing it checks them against the nine closed forms of algebra_dim
+    for family in FAMILIES:
+        shape = diagrams._SHAPES[family]
+        for k in range(1, 61):
+            count = diagrams._count_covers(k, tuple(range(1, 2 * k + 1)), shape)
+            assert count == algebra_dim(family, k), (family, k)
+
+
+def test_the_unranker_walks_the_listing_item_by_item():
+    # the whole boundary at k <= 4, and point sets of tops alone, bottoms
+    # alone and both, as the module listings cover them
+    for family in FAMILIES:
+        shape = diagrams._SHAPES[family]
+        for k in range(1, 5):
+            full = tuple(range(1, 2 * k + 1))
+            for points in (full, full[:k], full[k:], full[1:], full[::2]):
+                covers = diagrams._covers(k, points, shape)
+                assert diagrams._count_covers(k, points, shape) == len(covers)
+                ranked = [
+                    diagrams._cover_at(k, points, shape, i)
+                    for i in range(len(covers))
+                ]
+                assert ranked == covers, (family, k, points)
+
+
+@pytest.mark.parametrize("index", [-1, 15, True, 1.0])
+def test_the_unranker_refuses_an_index_outside_the_listing(index):
+    with pytest.raises(errors.IndexOutOfRange):
+        diagrams._cover_at(2, (1, 2, 3, 4), diagrams._SHAPES["Partition"], index)
+
+
 def test_listings_leave_no_cyclic_garbage():
     # every object the cover builder allocates is freed by reference
     # counting: with the collector off, a pass finds nothing left over.
