@@ -15,7 +15,7 @@ import re
 import time
 import tracemalloc
 
-from diagramalg import cli, clear_caches, diagrams
+from diagramalg import clear_caches, diagrams, oracles
 from diagramalg.characters import (
     character_table,
     class_labels,
@@ -147,7 +147,7 @@ def run_suite(suite, cells, rng=None, cases=None):
     """Run verify's runner for suite over each (family, k) of cells in
     turn, assert that it wrote no FAIL message, and return what its ok
     lines report."""
-    runner = cli._SUITES[suite][0]
+    runner = oracles._SUITES[suite][0]
     failed = []
     details = [runner(family, k, rng, cases, failed.append) for family, k in cells]
     assert failed == []

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from diagramalg import characters, cli, diagrams, irreps, symrep
+from diagramalg import characters, cli, diagrams, irreps, oracles, symrep
 from diagramalg.characters import format_partition
 from diagramalg.cli import run
 from diagramalg.coeff import Element, LaurentPoly
@@ -316,7 +316,7 @@ def test_module_dims_rows_match_the_lists():
     for family in FAMILIES:
         top = 5 if family in (PARTITION, PLANAR_PARTITION) else 6
         for k in range(1, top + 1):
-            rows, _, _ = cli._module_dims(family, k)
+            rows, _, _ = oracles._module_dims(family, k)
             for lam, m, count_w, f, dim in rows:
                 listed = len(irreps.enumerate_symmetric(family, k, m))
                 tableaux = len(symrep.standard_tableaux(lam))
@@ -644,7 +644,7 @@ def test_verify_all_suites(capsys):
     assert out.strip().endswith("all checks passed")
     assert "FAIL" not in out
     # the suites that run only when --suite names them print no line
-    for suite in cli._NAMED_ONLY:
+    for suite in oracles._NAMED_ONLY:
         assert suite not in out
 
 
@@ -766,9 +766,9 @@ def test_verify_keeps_the_lines_of_suites_that_finished(
     def refuse(family, k, rng, cases, report):
         raise CapExceeded("module-axiom at k=%d exceeds the cap" % k)
 
-    _, families, default_k = cli._SUITES["module-axiom"]
+    _, families, default_k = oracles._SUITES["module-axiom"]
     monkeypatch.setitem(
-        cli._SUITES, "module-axiom", (refuse, families, default_k)
+        oracles._SUITES, "module-axiom", (refuse, families, default_k)
     )
     args = ["verify", "--family", "partition", "--k", "2"]
     assert run(args) == 1
@@ -1320,7 +1320,7 @@ def fuzz_argv(draw):
     if command == "verify":
         argv = [
             "verify",
-            "--suite", draw(st.sampled_from(sorted(cli._SUITES))),
+            "--suite", draw(st.sampled_from(sorted(oracles._SUITES))),
             "--cases", draw(st.sampled_from(["1", "2"])),
         ]
     else:

@@ -1,11 +1,11 @@
 """The Schur–Weyl trace identity of `verify --suite schur-weyl`: its
 tensor-space dimensions on known values, and the identity on every class
 of all nine families at k <= 9.  The identity, and D and b per family,
-are stated where they live, in diagramalg.cli."""
+are stated where they live, in diagramalg.oracles."""
 
 import pytest
 
-from diagramalg.cli import (
+from diagramalg.oracles import (
     _general_linear_dim,
     _orthogonal_dim,
     _suite_schur_weyl,

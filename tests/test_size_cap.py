@@ -6,7 +6,7 @@ and test_cli.py (the verify suites)."""
 
 import pytest
 
-from diagramalg import cli, diagrams, errors, irreps
+from diagramalg import diagrams, errors, irreps, oracles
 from diagramalg.characters import character_oracle, fixed_points
 from diagramalg.diagrams import (
     BRAUER,
@@ -101,5 +101,5 @@ def test_the_algebra_dimension_bounds_the_other_listings():
         dim = algebra_dim(family, k)
         for m in rank_set(family, k):
             assert len(irreps._symmetric_candidates(family, k, m)) <= dim, (family, m)
-        rows = cli._module_dims(family, k)[0]
+        rows = oracles._module_dims(family, k)[0]
         assert all(row[-1] ** 2 <= dim for row in rows), family
