@@ -19,7 +19,10 @@ from diagramalg.characters import format_partition
 from diagramalg.coeff import Element, LaurentPoly
 from diagramalg.diagrams import (
     FAMILIES,
+    _SHAPES,
     Diagram,
+    _count_covers,
+    _cover_at,
     algebra_dim,
     concat,
     enumerate_basis,
@@ -192,6 +195,19 @@ def natural():
                 print(lam, sigma, natural_columns(sigma, lam))
 
 
+def cover_draws():
+    # the unranker past the listings, which stop at k <= 4: 50 seeded ranks
+    # of the whole boundary per family at k = 8, 16 and 24, so a count that
+    # is wrong only at large sizes moves some draw
+    for family in FAMILIES:
+        shape = _SHAPES[family]
+        for k in (8, 16, 24):
+            points, rng = tuple(range(1, 2 * k + 1)), random.Random(k)
+            count = _count_covers(k, points, shape)
+            for index in sorted(rng.randrange(count) for _ in range(50)):
+                print(family, k, index, _cover_at(k, points, shape, index))
+
+
 def _run(*argv):
     """A producer of what one CLI command prints."""
     return lambda: _cli([list(argv)])
@@ -208,6 +224,8 @@ PINS = [
      "e67769be85a3b45a972015a1814223c54fde535608e385afc554fabb7b81d23f"),
     ("natural-m6-m8", _printed(natural),
      "1abe515015733e5f0fc6d9e7974adf53fecc5ae79dbeace9c58b8ba690d128c4"),
+    ("cover-draws-k8-k24", _printed(cover_draws),
+     "1416ffb3fc0ff6c007ca78534b6113941836a2b84e65c7328f8d5effe5ecfc0a"),
     ("basis-k5-text", lambda: basis_k5("text"),
      "56ed3f6b8a75da6a31bc5afff813e31a0c623a38929633041c84388f159c29d4"),
     ("basis-k5-json", lambda: basis_k5("json"),
