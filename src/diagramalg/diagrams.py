@@ -666,70 +666,59 @@ def _covers(k, points, shape):
 
 
 @_memo()
-def _pair_counts(shape, size):
-    """count[a, c], a and c at most size: the covers by shape, a pair shape,
-    of a top and c bottom points (planar: of one face), in pair_cover's
-    choices.  The least point (a top while one is left) is a single, or it
-    pairs with a later point, across only from the other row; a planar
-    pair cuts off the points it passes over as a face of their own."""
-    _, singles, across, planar = shape
-    count = {(0, 0): 1}
-    for tops in range(size + 1):
-        for bottoms in range(0 if tops else 1, size + 1):
-            # the points after the least one, a tops and c bottoms
-            a, c = (tops - 1, bottoms) if tops else (0, bottoms - 1)
-            total = count[a, c] if singles else 0
-            for i in range(a + c):
-                top = i < a
-                if across and top == (tops > 0):
-                    continue
-                if not planar:
-                    inner, outer = (0, 0), (a - top, c - (not top))
-                elif top:
-                    inner, outer = (i, 0), (a - 1 - i, c)
-                else:
-                    inner, outer = (0, i - a), (a, c - 1 - i + a)
-                total += count[inner] * count[outer]
-            count[tops, bottoms] = total
-    return count
+def _cover_count(shape, a, c):
+    """The covers by shape of a tops and c bottoms (planar: of one face), n =
+    a + c, in closed form: bell(n), or catalan(n) when planar, for a
+    partition shape; across, the rook numbers, the sum over i pairs of
+    C(a,i) C(c,i) i! (planar: 1 for i!); otherwise the sum over t pairs of
+    C(n,2t) (2t-1)!! (planar: catalan(t), the Motzkin numbers).  Without
+    singles only the terms that pair every point count."""
+    from math import comb, factorial
+
+    from .partitions import bell, catalan, double_factorial
+
+    pairs, singles, across, planar = shape
+    n = a + c
+    if not pairs:
+        return (catalan if planar else bell)(n)
+
+    def ways(t):
+        # the covers by t pairs, the other points singles
+        if across:
+            return comb(a, t) * comb(c, t) * (1 if planar else factorial(t))
+        return comb(n, 2 * t) * (catalan(t) if planar else double_factorial(2 * t - 1))
+
+    return sum(ways(t) for t in range(n // 2 + 1) if singles or 2 * t == n)
 
 
 @_memo()
-def _block_counts(shape, n):
-    """under[l, a, c], l + a + c < n: the covers below one state of cover
-    for shape, a partition shape, with the least point's block still open:
-    l points passed over (planar: tops, which rejoin the outer face), then a
-    tops and c bottoms after the block's last point (not planar: a = 0).
-    The state's own cover ends the block there; each later point then grows
-    it, cutting off the points it passes over (planar) as a face."""
+def _open_count(shape, l, a, c):
+    """The covers below one state of cover for shape, a partition shape,
+    with the least point's block still open: l points passed over (planar:
+    tops, which rejoin the outer face), then a tops and c bottoms after the
+    block's last point (not planar: a = 0).  Not planar, the block takes c -
+    j of the later points and the l + j others are covered: the sum of C(c,j)
+    bell(l + j).  Planar, x tops and y bottoms are left past its last point
+    in each row, to join the l in the outer face, and the a - x and c - y up
+    to those are its points and the faces between them: the sum of
+    catalan(a - x) catalan(c - y) catalan(l + x + y)."""
+    from math import comb
+
     from .partitions import bell, catalan
 
-    planar = shape.planar
-    close = catalan if planar else bell
-    under = {}
-    for m in range(n):
-        for left in range(m + 1):
-            for a in range(m - left + 1) if planar and not left else (0,):
-                c = m - left - a
-                total = close(m)
-                for i in range(a + c):
-                    t = (0 if i < a else a) if planar else i
-                    child = (a - 1 - i, c) if i < a else (0, c - 1 - i + a)
-                    total += close(i - t) * under[(left + t,) + child]
-                under[left, a, c] = total
-    return under
+    if not shape.planar:
+        return sum(comb(c, j) * bell(l + j) for j in range(c + 1))
+    return sum(
+        catalan(a - x) * catalan(c - y) * catalan(l + x + y)
+        for x in range(a + 1)
+        for y in range(c + 1)
+    )
 
 
 def _count_covers(k, points, shape):
-    """len(_covers(k, points, shape)) from the four facts alone: bell(n) or,
-    planar, catalan(n) for a partition shape, else a pair count, its table
-    built for k rounded up to a power of two so that many k share it."""
-    from .partitions import bell, catalan
-
-    if not shape.pairs:
-        return (catalan if shape.planar else bell)(len(points))
+    """len(_covers(k, points, shape)) from the four facts alone."""
     tops = bisect_right(points, k)
-    return _pair_counts(shape, 1 << (k - 1).bit_length())[tops, len(points) - tops]
+    return _cover_count(shape, tops, len(points) - tops)
 
 
 def _cover_at(k, points, shape, index):
@@ -741,7 +730,7 @@ def _cover_at(k, points, shape, index):
     pairs, singles, across, planar = shape
     if type(index) is not int or not 0 <= index < _count_covers(k, points, shape):
         raise IndexOutOfRange("no cover at index %r" % (index,))
-    under = None if pairs else _block_counts(shape, 2 << (k - 1).bit_length())
+    under = functools.partial(_open_count, shape)
 
     def count(face):
         return _count_covers(k, face, shape)
@@ -768,7 +757,7 @@ def _cover_at(k, points, shape, index):
                 size = outer * count(rest[t:i]) * (
                     count(left + rest[:t] + rest[i + 1 :])
                     if pairs
-                    else under[len(left) + t, after, len(rest) - 1 - i - after]
+                    else under(len(left) + t, after, len(rest) - 1 - i - after)
                 )
                 if index < size:
                     break

@@ -154,10 +154,11 @@ def test_missing_vertex_at_huge_k_is_reported_at_once(argv, capsys):
     [
         ["symdiag", "--family", "brauer", "--k", "40", "--m", "0"],
         ["symdiag", "--family", "partition", "--k", "60", "--m", "0"],
+        ["table", "--family", "brauer", "--k", "1000000000"],
     ],
 )
 def test_out_of_memory_is_one_error_line(argv):
-    # the child runs under a 400 MB address-space limit, which each listing
+    # the child runs under a 400 MB address-space limit, which each command
     # exhausts within a second or two
     resource = pytest.importorskip("resource")
     limit = 400 << 20
@@ -501,6 +502,7 @@ UNWRITABLE_OUT_COMMANDS = {
         "verify", "--suite", "ring-axioms", "--family", "brauer",
         "--k", "2", "--cases", "1",
     ],
+    "verify-wedderburn": ["verify", "--suite", "wedderburn"],
 }
 
 

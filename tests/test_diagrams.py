@@ -400,12 +400,13 @@ def test_enumerate_basis_matches_filtered_partition_basis():
             assert enumerate_basis(family, k) == filtered, (family, k)
 
 
-def test_cover_counts_equal_the_closed_forms_up_to_k_60():
-    # the counter reads only the four facts of _SHAPES, so past every
-    # listing it checks them against the nine closed forms of algebra_dim
+def test_cover_counts_equal_the_closed_forms_up_to_k_150():
+    # the counter's sums read only the four facts of _SHAPES, so past every
+    # listing they check the facts against the nine named forms of
+    # algebra_dim
     for family in FAMILIES:
         shape = diagrams._SHAPES[family]
-        for k in range(1, 61):
+        for k in range(1, 151):
             count = diagrams._count_covers(k, tuple(range(1, 2 * k + 1)), shape)
             assert count == algebra_dim(family, k), (family, k)
 
