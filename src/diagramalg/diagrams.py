@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import deque, namedtuple
 from contextlib import contextmanager
 from itertools import chain, repeat
-from math import prod
+from math import comb, factorial, prod
 from operator import attrgetter
 
 from .errors import (
@@ -574,6 +574,12 @@ def _unfold(memo, make, key):
     return value
 
 
+def _faces(others, *runs):
+    """The planar key of a cover's state: the other faces and each run with
+    points, in order of least point."""
+    return tuple(sorted(others + tuple(filter(None, runs))))
+
+
 def _covers(k, points, shape):
     """Every cover of points, ascending, by the blocks that shape allows: a
     list of canonical covers in canonical order, none sorted after it is made.
@@ -601,16 +607,12 @@ def _covers(k, points, shape):
     pairs, singles, across, planar = shape
     memo = {(): [()]}
 
-    def faces(others, *runs):
-        # the other faces and each run with points, in order of least point
-        return tuple(sorted(others + tuple(filter(None, runs))))
-
     def pair_cover(key):
         points, others = (key[0], key[1:]) if planar else (key, ())
         first, rest, single = points[0], points[1:], (points[:1],)
         out = []
         if singles:
-            key = faces(others, rest) if planar else rest
+            key = _faces(others, rest) if planar else rest
             tails = memo.get(key)
             if tails is None:
                 tails = yield key
@@ -624,7 +626,7 @@ def _covers(k, points, shape):
                 t = tops if i >= tops else 0
                 if not singles and (i - t) % 2:
                     continue
-                key = faces(others, rest[t:i], rest[:t] + rest[i + 1 :])
+                key = _faces(others, rest[t:i], rest[:t] + rest[i + 1 :])
             else:
                 key = rest[:i] + rest[i + 1 :]
             tails = memo.get(key)
@@ -644,7 +646,7 @@ def _covers(k, points, shape):
         states = [(points[:1], (), (), points[1:])]
         while states:
             block, runs, left, rest = states.pop()
-            key = faces(others, *runs, left + rest) if planar else left + rest
+            key = _faces(others, *runs, left + rest) if planar else left + rest
             tails = memo.get(key)
             if tails is None:
                 tails = yield key
@@ -660,7 +662,7 @@ def _covers(k, points, shape):
                     states.append((grown, runs, left + rest[:i], rest[i + 1 :]))
         return out
 
-    start = faces((), points) if planar else points
+    start = _faces((), points) if planar else points
     with _collector_paused():
         return _unfold(memo, pair_cover if pairs else cover, start)
 
@@ -673,8 +675,6 @@ def _cover_count(shape, a, c):
     C(a,i) C(c,i) i! (planar: 1 for i!); otherwise the sum over t pairs of
     C(n,2t) (2t-1)!! (planar: catalan(t), the Motzkin numbers).  Without
     singles only the terms that pair every point count."""
-    from math import comb, factorial
-
     from .partitions import bell, catalan, double_factorial
 
     pairs, singles, across, planar = shape
@@ -702,8 +702,6 @@ def _open_count(shape, l, a, c):
     in each row, to join the l in the outer face, and the a - x and c - y up
     to those are its points and the faces between them: the sum of
     catalan(a - x) catalan(c - y) catalan(l + x + y)."""
-    from math import comb
-
     from .partitions import bell, catalan
 
     if not shape.planar:
@@ -730,12 +728,11 @@ def _cover_at(k, points, shape, index):
     pairs, singles, across, planar = shape
     if type(index) is not int or not 0 <= index < _count_covers(k, points, shape):
         raise IndexOutOfRange("no cover at index %r" % (index,))
-    under = functools.partial(_open_count, shape)
 
     def count(face):
         return _count_covers(k, face, shape)
 
-    key = tuple(filter(None, (points,))) if planar else points
+    key = _faces((), points) if planar else points
     cover = []
     while key:
         points, others = (key[0], key[1:]) if planar else (key, ())
@@ -753,11 +750,11 @@ def _cover_at(k, points, shape, index):
                 if pairs and across and (block[0] <= k) == (nxt <= k):
                     continue
                 t = (0 if i < tops else tops) if planar else i
-                after = max(tops - 1 - i, 0)
+                a = max(tops - 1 - i, 0)
                 size = outer * count(rest[t:i]) * (
                     count(left + rest[:t] + rest[i + 1 :])
                     if pairs
-                    else under(len(left) + t, after, len(rest) - 1 - i - after)
+                    else _open_count(shape, len(left) + t, a, len(rest) - 1 - i - a)
                 )
                 if index < size:
                     break
@@ -766,9 +763,7 @@ def _cover_at(k, points, shape, index):
             block, runs = block + (nxt,), runs + (rest[t:i],)
             left, rest = left + rest[:t], rest[i + 1 :]
         cover.append(block)
-        key = left + rest
-        if planar:
-            key = tuple(sorted(others + tuple(filter(None, runs + (key,)))))
+        key = _faces(others, *runs, left + rest) if planar else left + rest
     return tuple(cover)
 
 
@@ -815,8 +810,6 @@ def _motzkin_numbers(n):
 
 def algebra_dim(family, k):
     """Dimension of the diagram algebra (size of its basis), closed form."""
-    from math import comb, factorial
-
     from .partitions import bell, catalan, double_factorial
 
     family = normalize_family(family)

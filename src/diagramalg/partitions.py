@@ -92,7 +92,7 @@ def stirling2(n, j):
 def _stirling_row(n):
     """S(n, 0), ..., S(n, n), built by a loop over the rows i <= n of
     S(i, j) = j S(i - 1, j) + S(i - 1, j - 1), so no stack grows with n.
-    The last row is kept: a caller reads all or most of one row at a time."""
+    The last row is kept: stirling2's callers read one row at a time."""
     row = (1,)
     for i in range(1, n + 1):
         row = (0, *(j * row[j] + row[j - 1] for j in range(1, i)), 1)
@@ -116,7 +116,19 @@ def catalan(n):
 @_memo(check=_check_ints)
 def bell(n):
     """Number of set partitions of an n-element set."""
-    return sum(_stirling_row(n)) if n >= 0 else 0
+    return _bell_numbers(1 << n.bit_length())[n] if n >= 0 else 0
+
+
+@_memo()
+def _bell_numbers(size):
+    """B(0), ..., B(size) by the Bell triangle, whose row n opens with B(n)
+    and adds each entry of row n - 1 in turn; bell asks for power-of-two
+    sizes, so a sweep of n up to N builds at most 4N rows in all."""
+    row, numbers = (1,), [1]
+    for _ in range(size):
+        row = tuple(itertools.accumulate(row, initial=row[-1]))
+        numbers.append(row[0])
+    return tuple(numbers)
 
 
 def _ranks(family, k):

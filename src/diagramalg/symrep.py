@@ -15,7 +15,7 @@ from math import factorial, prod
 from operator import lt
 
 from .coeff import _exact, _items
-from .diagrams import _INT, _check_permutation, _memo, _unfold
+from .diagrams import _check_permutation, _memo, _unfold
 from .errors import DegreeMismatch, SizeMismatch
 from .partitions import check_partition, partitions
 
@@ -91,22 +91,14 @@ def straighten(filling):
     The filling must use each of 1..m once within a partition shape but
     need not be standard; any other filling is refused with ValueError.
     """
-    # a hit checks form and types only: an entry that compares like a cached
-    # int (1.0, True) is refused as on a miss, which checks fully
-    try:
-        quick = type(filling) is tuple and _INT.issuperset(map(type, sum(filling, ())))
-    except TypeError:
-        quick = False
-    if not quick:
-        _check_tableau(filling)
+    _check_tableau(filling)
     return dict(_straighten(filling))
 
 
 @_memo()
 def _straighten(filling):
-    # checked on a miss, so that no bad filling is ever cached; the fillings
-    # that the miss reaches are memoised for it alone
-    _check_tableau(filling)
+    # a checked filling (straighten's, or a relabelled body of irreps); the
+    # fillings that a miss reaches are memoised for it alone
     memo = {}
     return _unfold(memo, partial(_garnir, memo), filling)
 

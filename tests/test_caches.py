@@ -5,6 +5,7 @@ and gives back what they held."""
 import ast
 import gc
 import importlib
+import json
 import pathlib
 import tracemalloc
 
@@ -13,6 +14,7 @@ from diagramalg import clear_caches, diagrams
 
 PACKAGE = pathlib.Path(diagramalg.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _cache_references(tree, memo):
@@ -113,6 +115,25 @@ def test_every_memo_site_is_recorded_and_reachable_by_name():
         if hasattr(value, "cache_info") and hasattr(value, "cache_clear")
     }
     assert all(id(cached) in reachable for cached in diagrams._CACHES)
+
+
+def test_every_cache_the_benchmark_reads_is_a_recorded_memo():
+    # the per-layer hit_ratio and size metrics read caches by their span
+    # name, module.function; the module is imported by name, because the
+    # package attribute diagramalg.partitions is the function partitions
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spans = {
+        metric["name"].rpartition(".")[0]
+        for metric in spec["per_layer"]
+        if metric["name"].rpartition(".")[2] in ("hit_ratio", "size")
+    }
+    assert spans
+    recorded = {id(cached) for cached in diagrams._CACHES}
+    for span in sorted(spans):
+        module, _, name = span.partition(".")
+        fn = getattr(importlib.import_module("diagramalg." + module), name, None)
+        assert hasattr(fn, "cache_info"), span
+        assert id(fn.cache_info.__self__) in recorded, span
 
 
 def _library_work():

@@ -50,6 +50,7 @@ from diagramalg.partitions import (
     rank_set,
 )
 from diagramalg.symrep import cycle_type, sym_character
+from test_acceptance import F_B4, F_P3, F_R3, F_RB3
 
 GAMMA_18 = (
     "1 2' | 2 3' | 3 4' | 4 5' | 5 6' | 6 1'"
@@ -67,43 +68,6 @@ S4_TABLE = [
     [-1, 1, 1, -1, 1],
 ]
 
-F_P3 = [
-    [1, 1, 2, 2, 2, 3, 5],
-    [0, 1, 1, 3, 1, 4, 10],
-    [0, 0, 1, 0, 0, 1, 0],
-    [0, 0, 0, 1, 0, 1, 6],
-    [0, 0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 0, 0, 1],
-]
-F_RB3 = [
-    [1, 1, 2, 2, 1, 2, 4],
-    [0, 1, 0, 2, 0, 2, 6],
-    [0, 0, 1, 0, 0, 1, 0],
-    [0, 0, 0, 1, 0, 0, 3],
-    [0, 0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 0, 0, 1],
-]
-F_R3 = [
-    [1, 1, 1, 1, 1, 1, 1],
-    [0, 1, 0, 2, 0, 1, 3],
-    [0, 0, 1, 0, 0, 1, 0],
-    [0, 0, 0, 1, 0, 0, 3],
-    [0, 0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 0, 0, 1],
-]
-F_B4 = [
-    [1, 1, 1, 1, 0, 3, 1, 3],
-    [0, 1, 0, 0, 0, 2, 1, 0],
-    [0, 0, 1, 0, 0, 0, 1, 6],
-    [0, 0, 0, 1, 0, 0, 0, 0],
-    [0, 0, 0, 0, 1, 0, 0, 0],
-    [0, 0, 0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 0, 0, 0, 1],
-]
 F_FROZEN = {
     (PARTITION, 3): F_P3,
     (ROOK_BRAUER, 3): F_RB3,

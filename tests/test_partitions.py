@@ -96,6 +96,15 @@ def test_stirling_and_bell():
     assert [bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
 
+def test_bell_numbers_follow_the_binomial_recurrence_up_to_400():
+    # B(n + 1) = sum over j of C(n, j) B(j), which reads no Stirling row
+    # and no Bell triangle; 400 passes the tables' edges at 128 and 256
+    expected = [1]
+    for n in range(400):
+        expected.append(sum(math.comb(n, j) * b for j, b in enumerate(expected)))
+    assert [bell(n) for n in range(401)] == expected
+
+
 def test_stirling_rows_follow_the_recurrence():
     @functools.cache
     def recurrence(n, j):

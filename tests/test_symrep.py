@@ -532,8 +532,8 @@ BAD_FILLINGS = [
 
 
 def test_straighten_refuses_a_bad_filling_and_caches_none():
-    # the filling is checked on a cache miss, so from a cleared cache each
-    # bad filling is a miss, and none of them may be stored
+    # straighten checks the filling before the cache is read, so from a
+    # cleared cache none of the bad fillings may be stored
     symrep._straighten.cache_clear()
     for filling in BAD_FILLINGS:
         with pytest.raises(ValueError):
